@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import to_arc, transform_pair
+from .core import CONDITION_LIMIT, to_arc, transform_pair
 from .designs import builtin_designs, design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
 from .fileio import sha256_file, sha256_text, write_csv, write_json
 from .retarget import PerturbedDesign, perturbation_analysis, polar_clarke_grid
 from .sampling import sample_clarke_disk, sample_joints, write_samples_csv
-from .simulate import MODES, SimConfig, desired_stream, run, run_experiment
+from .simulate import MODES, SimConfig, desired_stream, run
 from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
                          plan_trajectory, write_trajectory_csv)
 
@@ -72,7 +72,7 @@ class Manifest:
 def cmd_design_check(args) -> int:
     design = get_design(args.design)
     report = design_report(design)
-    degenerate = not report["gram_condition"] < 1e8
+    degenerate = not report["gram_condition"] < CONDITION_LIMIT
     report["status"] = "degenerate" if degenerate else "ok"
     for key, value in report.items():
         print(f"{key}: {json.dumps(value) if not isinstance(value, str) else value}")
@@ -199,7 +199,9 @@ def cmd_demo(args) -> int:
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
             entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + 1e-9))
-        runs = run_experiment(surrogate, target, seed, "general")
+        runs = {mode: run(stream.positions, target,
+                          SimConfig(seed=seed, mode=mode, transfer_mode="general"))
+                for mode in MODES}
         for mode, sim in runs.items():
             stem = f"{name}_{mode}"
             sim.write_csv(out_dir / f"{stem}.csv")
@@ -263,6 +265,17 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy accepts only non-negative integer seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clarkekit",
@@ -286,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw feasible joint values (rejection-free)")
     sample.add_argument("design")
     sample.add_argument("--count", type=int, default=1000)
-    sample.add_argument("--seed", type=int, default=42)
+    sample.add_argument("--seed", type=_seed, default=42)
     sample.add_argument("--out", default="samples.csv")
     sample.set_defaults(handler=cmd_sample)
 
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--via-file", help="text file with one joint row per via point")
     source.add_argument("--sample", type=int, default=5, metavar="M",
                         help="sample M+1 via points instead (default M=5)")
-    traj.add_argument("--seed", type=int, default=42)
+    traj.add_argument("--seed", type=_seed, default=42)
     traj.add_argument("--vmax", type=float, default=DEFAULT_V_MAX)
     traj.add_argument("--amax", type=float, default=DEFAULT_A_MAX)
     traj.add_argument("--decmax", type=float, default=None,
@@ -311,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("target")
     simulate.add_argument("--mode", choices=MODES, default="closed_loop")
     simulate.add_argument("--transfer", choices=("symmetric", "general"), default="general")
-    simulate.add_argument("--seed", type=int, default=42)
+    simulate.add_argument("--seed", type=_seed, default=42)
     simulate.add_argument("--out-dir", default=None)
     simulate.set_defaults(handler=cmd_simulate)
 
     demo = sub.add_parser("demo", help="run the full five-robot evaluation suite")
     demo.add_argument("--out-dir", default=None)
-    demo.add_argument("--seed", type=int, default=42)
+    demo.add_argument("--seed", type=_seed, default=42)
     demo.set_defaults(handler=cmd_demo)
     return parser
 

@@ -31,7 +31,7 @@ from .core import (
     wrap_angle,
 )
 from .designs import design_from_dict, design_to_dict
-from .errors import InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 
 TRANSFER_MODES = ("symmetric", "general")
 
@@ -52,8 +52,8 @@ class TransferMap:
     def apply(self, joints) -> np.ndarray:
         """Retarget one joint vector or a (..., n) stack of joint vectors."""
         values = np.asarray(joints, dtype=float)
-        if values.shape[-1] != self.source.n:
-            raise InvalidParameter(
+        if values.ndim == 0 or values.shape[-1] != self.source.n:
+            raise DimensionMismatch(
                 f"expected {self.source.n} source joint values, got shape {values.shape}")
         return values @ self.matrix.T
 

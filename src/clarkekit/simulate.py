@@ -69,6 +69,9 @@ class SimConfig:
     transfer_mode: str = "general"
 
     def __post_init__(self):
+        for label in ("dt", "time_constant", "noise_eps", "kp", "kd"):
+            if not math.isfinite(getattr(self, label)):
+                raise InvalidParameter(f"{label} must be finite, got {getattr(self, label)}")
         if self.dt <= 0.0:
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
         if self.noise_eps < 0.0:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial import polynomial as npoly
+from scipy.interpolate import PPoly
 
 from .errors import InvalidParameter, OutOfRange
 from .fileio import write_csv
@@ -29,6 +31,16 @@ PEAK_SLOPE = 315.0 / 128.0
 # a = dec = 0.125*pi m/s^2.
 DEFAULT_V_MAX = 0.01 * math.pi
 DEFAULT_A_MAX = 0.125 * math.pi
+
+# Ramp position shapes in tau, ascending: lift-off (phase 1) covers v*t_lo*P(tau),
+# P the smoothstep's running integral, and set-down (phase 3) v*t_sd*(tau - P(tau)).
+# Binomial shift: powers of tau0 times _SHIFT[phase][i, j] = shape_(i+j) * C(i+j, j)
+# are the shape's ascending Taylor coefficients about tau0.
+_RAMP_POSITION = npoly.polyint([0, 0, 0, 0, 0, 126, -420, 540, -315, 70])
+_TERMS = _RAMP_POSITION.size
+_SHIFT = {phase: np.array([[shape[i + j] * math.comb(i + j, j) if i + j < _TERMS else 0.0
+                            for j in range(_TERMS)] for i in range(_TERMS)])
+          for phase, shape in ((1, _RAMP_POSITION), (3, npoly.polysub([0, 1], _RAMP_POSITION)))}
 
 
 def smoothstep(tau):
@@ -171,65 +183,79 @@ class PlannedTrajectory:
     def segment_count(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def position_poly(self) -> PPoly:
+        """Joint positions as one exact piecewise polynomial in t (degree 10)."""
+        return _position_poly(self)
+
     def goal(self) -> np.ndarray:
         deltas = np.array([[s.delta_rho for s in seg] for seg in self.states])
         return self.start + deltas.sum(axis=0)
 
 
-def _profile_eval(state: TrajectoryState, local: np.ndarray):
-    """Position/velocity/acceleration contribution of one profile at local times."""
-    pos = np.zeros_like(local)
-    vel = np.zeros_like(local)
-    acc = np.zeros_like(local)
-    if state.v == 0.0:
-        return pos, vel, acc
-    t_lo, t_cr, t_sd = state.t_lo, state.t_cr, state.t_sd
-    v = state.v
-    duration = state.duration
-    done = local >= duration
-    pos[done] = abs(state.delta_rho)
-    lift = (local > 0.0) & (local < t_lo)
-    if lift.any():
-        tau = local[lift] / t_lo
-        pos[lift] = v * t_lo * smoothstep_integral(tau)
-        vel[lift] = v * smoothstep(tau)
-        acc[lift] = v / t_lo * smoothstep_slope(tau)
-    cruise = (local >= t_lo) & (local < t_lo + t_cr)
-    if cruise.any():
-        pos[cruise] = v * (0.5 * t_lo + local[cruise] - t_lo)
-        vel[cruise] = v
-    setdown = (local >= t_lo + t_cr) & ~done
-    if setdown.any():
-        tau = (local[setdown] - t_lo - t_cr) / t_sd
-        pos[setdown] = v * (0.5 * t_lo + t_cr) + v * t_sd * (tau - smoothstep_integral(tau))
-        vel[setdown] = v * (1.0 - smoothstep(tau))
-        acc[setdown] = -v / t_sd * smoothstep_slope(tau)
-    if state.delta_rho < 0.0:
-        return -pos, -vel, -acc
-    return pos, vel, acc
+def _position_poly(traj: PlannedTrajectory) -> PPoly:
+    """Superpose every moving profile onto start as one piecewise polynomial:
+    on each interval a profile adds its phase polynomial shifted to the
+    interval start (a ramp shape, the cruise line, or its distance once done)."""
+    rows = [(enable, j, s.v, s.t_lo, s.t_cr, s.t_sd, s.delta_rho)
+            for enable, joint_states in zip(traj.enable_times, traj.states)
+            for j, s in enumerate(joint_states) if s.v != 0.0]
+    e, joint, v, t_lo, t_cr, t_sd, delta = np.array(rows, dtype=float).reshape(-1, 7).T
+    bounds = np.stack([e, e + t_lo, e + (t_lo + t_cr), e + (t_lo + t_cr + t_sd)])
+    # Ramps are also split at their midpoints, where the monomial terms cancel
+    # far less in rounding; a motionless plan still gets one interval.
+    mids = np.stack([e + 0.5 * t_lo, bounds[2] + 0.5 * t_sd])
+    x = np.unique(np.concatenate([[0.0, traj.horizon or 1.0], bounds.ravel(), mids.ravel()]))
+    # phase per interval and profile: 0 idle, 1 lift-off, 2 cruise, 3 set-down, 4 done
+    phase = (np.arange(x.size - 1)[:, None] >= np.searchsorted(x, bounds)[:, None, :]).sum(0)
+    interval, profile = np.nonzero(phase)
+    phase = phase[interval, profile]
+    left = x[interval]
+    contrib = np.zeros((interval.size, _TERMS))
+    for which, origin, ramp in ((1, bounds[0], t_lo), (3, bounds[2], t_sd)):
+        pick = phase == which
+        k = profile[pick]
+        tau0 = (left[pick] - origin[k]) / ramp[k]
+        scale = (v[k] * ramp[k])[:, None] / ramp[k][:, None] ** np.arange(_TERMS)
+        contrib[pick] = (np.vander(tau0, _TERMS, increasing=True) @ _SHIFT[which]) * scale
+    k = profile[phase == 2]
+    contrib[phase == 2, :2] = np.column_stack([v[k] * (left[phase == 2] - e[k] - 0.5 * t_lo[k]),
+                                               v[k]])
+    contrib[phase == 3, 0] += (v * (0.5 * t_lo + t_cr))[profile[phase == 3]]
+    contrib[phase == 4, 0] = np.abs(delta)[profile[phase == 4]]
+    contrib *= np.sign(delta)[profile, None]
+    coeffs = np.zeros((x.size - 1, traj.n, _TERMS))
+    coeffs[:, :, 0] = traj.start
+    np.add.at(coeffs, (interval, joint[profile].astype(int)), contrib)
+    return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
+
+
+def _horner(poly: PPoly, times: np.ndarray, order: int = 0) -> np.ndarray:
+    """A derivative of a piecewise polynomial at times in its domain, by
+    Horner's rule, which rounds less than PPoly's power sums where the
+    large ramp terms cancel."""
+    c = poly.derivative(order).c
+    interval = np.clip(np.searchsorted(poly.x, times, side="right") - 1, 0, c.shape[1] - 1)
+    u = (times - poly.x[interval])[:, None]
+    out = c[0, interval]
+    for row in c[1:]:
+        out = out * u + row[interval]
+    return out
 
 
 def evaluate(traj: PlannedTrajectory, t):
     """Positions, velocities and accelerations at time(s) t in [0, horizon].
 
-    Closed-form piecewise-polynomial evaluation; accepts a scalar or an
-    array of query times and raises OutOfRange outside the horizon.
+    Evaluates the trajectory's exact piecewise polynomial and its first two
+    derivatives; accepts a scalar or an array of query times and raises
+    OutOfRange outside the horizon.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
     if times.size and (times.min() < -1e-9 or times.max() > traj.horizon + 1e-9):
         raise OutOfRange(f"query time outside [0, {traj.horizon}]")
     times = np.clip(times, 0.0, traj.horizon)
-    pos = np.tile(traj.start, (times.size, 1))
-    vel = np.zeros((times.size, traj.n))
-    acc = np.zeros((times.size, traj.n))
-    for enable, joint_states in zip(traj.enable_times, traj.states):
-        local = times - enable
-        for i, state in enumerate(joint_states):
-            p, v, a = _profile_eval(state, local)
-            pos[:, i] += p
-            vel[:, i] += v
-            acc[:, i] += a
+    pos, vel, acc = (_horner(traj.position_poly, times, order) for order in range(3))
     if scalar:
         return pos[0], vel[0], acc[0]
     return pos, vel, acc
@@ -240,38 +266,16 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
 
     With a weight matrix the per-joint vector is projected through it
     first, which bounds retargeted streams instead of the planned joints.
-    Dense-grid scan followed by a bounded local refinement, so the result
-    is the continuous peak, not a sampled underestimate.
+    The peak is exact: the candidates are the breakpoints and the real
+    roots of the next derivative on every interval.
     """
-    index = {"velocity": 1, "acceleration": 2}[channel]
-    if traj.horizon == 0.0:
-        return 0.0
-    step = min(1e-4, traj.horizon / 1000.0)
-    grid = np.arange(0.0, traj.horizon + step, step)
-    grid[-1] = traj.horizon
-    values = evaluate(traj, grid)[index]
+    order = {"velocity": 1, "acceleration": 2}[channel]
+    poly = traj.position_poly
     if weights is not None:
-        values = values @ np.asarray(weights, dtype=float).T
-    best = 0.0
-    for column in range(values.shape[1]):
-        signal = np.abs(values[:, column])
-        k = int(np.argmax(signal))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        peak = float(signal[k])
-
-        def magnitude(t, column=column):
-            vector = evaluate(traj, float(t))[index]
-            if weights is not None:
-                return -abs(float(np.asarray(weights)[column] @ vector))
-            return -abs(float(vector[column]))
-
-        if hi > lo:
-            result = minimize_scalar(magnitude, bounds=(lo, hi), method="bounded",
-                                     options={"xatol": 1e-12})
-            peak = max(peak, -float(result.fun))
-        best = max(best, peak)
-    return best
+        poly = PPoly(poly.c @ np.asarray(weights, dtype=float).T, poly.x)
+    roots = poly.derivative(order + 1).roots(extrapolate=False)
+    candidates = np.concatenate([poly.x, *roots])
+    return float(np.max(np.abs(_horner(poly, candidates[np.isfinite(candidates)], order))))
 
 
 def _dilate(traj: PlannedTrajectory, factor: float) -> PlannedTrajectory:
@@ -370,13 +374,7 @@ def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> Non
     ticks = int(math.floor(traj.horizon / dt)) + 1
     times = np.arange(ticks) * dt
     pos, vel, acc = evaluate(traj, np.clip(times, 0.0, traj.horizon))
-    header = ["t_s"]
-    for i in range(traj.n):
-        header += [f"rho_{i + 1}_m", f"vel_{i + 1}_mps", f"acc_{i + 1}_mps2"]
-    rows = []
-    for k in range(ticks):
-        row = [times[k]]
-        for i in range(traj.n):
-            row += [pos[k, i], vel[k, i], acc[k, i]]
-        rows.append(row)
-    write_csv(path, header, rows)
+    header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
+                        for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
+    per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)
+    write_csv(path, header, np.column_stack([times, per_joint]))

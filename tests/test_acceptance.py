@@ -33,7 +33,7 @@ from clarkekit import (
 from clarkekit.cli import main as cli_main
 from clarkekit.fileio import sha256_file
 from conftest import random_design
-from test_trajectory import assert_c4_velocity, smoothness_bounds
+from test_trajectory import assert_c4_velocity, one_sided_derivatives, smoothness_bounds
 
 
 def report(number: int, label: str):
@@ -143,7 +143,17 @@ def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
     acceleration = evaluate(traj, grid)[2]
     assert np.max(np.abs(velocity)) <= DEFAULT_LIMITS.v_max * (1.0 + 1e-9)
     assert np.max(np.abs(acceleration)) <= DEFAULT_LIMITS.a_max * (1.0 + 1e-9)
-    assert_c4_velocity(velocity, h, smoothness_bounds(traj))
+    bounds = smoothness_bounds(traj)
+    assert_c4_velocity(velocity, h, bounds)
+    # exact C4: at every interior breakpoint the one-sided velocity
+    # derivatives of orders 0-4 agree; order 5 jumps at ramp ends, which
+    # shows the comparison can see a discontinuity
+    jumps = {}
+    for order in range(6):
+        left, right = one_sided_derivatives(traj.position_poly, order + 1)
+        jumps[order] = float(np.max(np.abs(left - right))) / bounds[order]
+    assert max(jumps[order] for order in range(5)) < 1e-10, jumps
+    assert jumps[5] > 1e-3, jumps
     exact = plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=0.0)
     worst_via = 0.0
     for j in range(exact.segment_count):
@@ -151,7 +161,9 @@ def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
         pos = evaluate(exact, checkpoint)[0]
         worst_via = max(worst_via, float(np.max(np.abs(pos - vias[j + 1]))))
     assert worst_via < 1e-9, worst_via
-    report(8, f"C4-smooth blended trajectory within limits; via-point dev {worst_via:.2e} m")
+    report(8, f"C4-smooth blended trajectory within limits (breakpoint jumps of orders "
+              f"0-4 <= {max(jumps[o] for o in range(5)):.1e} of their bounds); "
+              f"via-point dev {worst_via:.2e} m")
 
 
 def test_criterion_09_transformed_profiles_respect_limits(designs):

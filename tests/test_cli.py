@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from clarkekit import builtin_designs, run_experiment
 from clarkekit.cli import main
 
 
@@ -148,3 +150,32 @@ class TestSimulate:
                             "--mode", "open_loop_clean", "--seed", "2")
         assert code == 0
         assert (tmp_path / "robot_A_open_loop_clean_general.csv").exists()
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "robot_0", "--out", "s.csv"],
+        ["traj", "robot_0", "--out", "t.csv"],
+        ["simulate", "robot_0", "robot_A", "--out-dir", "."],
+        ["demo", "--out-dir", "."],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--seed" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDemo:
+    def test_metrics_equal_run_experiment(self, capsys, tmp_path):
+        seed = 7
+        assert main(["demo", "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+        designs = builtin_designs()
+        for name, target in designs.items():
+            runs = run_experiment(designs["robot_0"], target, seed, "general")
+            for mode, sim in runs.items():
+                recorded = json.loads((tmp_path / f"{name}_{mode}_metrics.json").read_text())
+                assert recorded == sim.metrics(), (name, mode)

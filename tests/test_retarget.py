@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clarkekit import (
+    DimensionMismatch,
     InvalidParameter,
     PerturbedDesign,
     TransferMap,
@@ -144,6 +145,12 @@ class TestTransferMap:
         batch = tmap(stack)
         assert batch.shape == (7, 4)
         np.testing.assert_allclose(batch[2], tmap(stack[2]), rtol=1e-14, atol=1e-20)
+
+    def test_wrong_joint_count_is_dimension_mismatch(self, robot_0, robot_A):
+        tmap = make_transfer_map(robot_0, robot_A)
+        for joints in (np.zeros(4), np.zeros((5, 2)), 0.01):
+            with pytest.raises(DimensionMismatch):
+                tmap.apply(joints)
 
     def test_json_round_trip(self, robot_0, robot_D, tmp_path):
         tmap = make_transfer_map(robot_0, robot_D, "general")

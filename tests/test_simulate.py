@@ -79,6 +79,9 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"noise_eps": -1.0}, {"mode": "banana"}, {"transfer_mode": "x"},
+        {"dt": math.nan}, {"dt": math.inf}, {"noise_eps": math.nan}, {"noise_eps": math.inf},
+        {"kp": math.nan}, {"kp": math.inf}, {"kd": math.nan}, {"kd": -math.inf},
+        {"time_constant": math.inf}, {"time_constant": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):

@@ -6,11 +6,13 @@ from numpy.polynomial import polynomial as npoly
 
 from clarkekit import (
     DEFAULT_LIMITS,
+    builtin_designs,
     InvalidParameter,
     KinematicLimits,
     OutOfRange,
     PEAK_SLOPE,
     evaluate,
+    make_transfer_map,
     peak_abs,
     plan_segment,
     plan_trajectory,
@@ -21,6 +23,7 @@ from clarkekit import (
     synchronize,
     write_trajectory_csv,
 )
+from trajectory_oracle import oracle_evaluate, oracle_peak_abs
 
 # velocity ramp shape in ascending power order (degree 9)
 RAMP_COEFFS = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
@@ -34,10 +37,10 @@ def ramp_derivative_peak(order: int) -> float:
 
 
 def smoothness_bounds(traj):
-    """Analytic max of |d^m v / dt^m| for m = 2..5; overlapping profiles
+    """Analytic max of |d^m v / dt^m| for m = 0..5; overlapping profiles
     can superpose pairwise, hence the factor two."""
     bounds = {}
-    for order in range(2, 6):
+    for order in range(6):
         shape_peak = ramp_derivative_peak(order)
         worst = 0.0
         for joint_states in traj.states:
@@ -48,6 +51,18 @@ def smoothness_bounds(traj):
                 worst = max(worst, state.v * shape_peak / ramp**order)
         bounds[order] = 2.0 * worst
     return bounds
+
+
+def one_sided_derivatives(poly, order: int):
+    """Left and right limits of d^order/dt^order of a piecewise polynomial at
+    its interior breakpoints, one row per breakpoint: the left limit is the
+    preceding interval's polynomial at its right end."""
+    coeffs = poly.derivative(order).c
+    width = np.diff(poly.x)[:-1, None]
+    left = np.zeros_like(coeffs[0, :-1])
+    for row in coeffs[:, :-1]:
+        left = left * width + row
+    return left, coeffs[-1, 1:]
 
 
 def assert_c4_velocity(velocity: np.ndarray, h: float, bounds: dict, safety: float = 2.0):
@@ -275,6 +290,51 @@ class TestBlendAndEvaluate:
         mid = evaluate(traj, traj.horizon / 2.0)[0]
         assert mid[0] < 0.01
         assert evaluate(traj, traj.horizon)[0][0] == pytest.approx(-0.02, abs=1e-15)
+
+
+def random_plans(count: int = 40):
+    """Plans over all five designs with 3-12 segments and mixed overlaps,
+    each paired with the general transfer matrix to another design."""
+    rng = np.random.default_rng(2412)
+    pool = list(builtin_designs().values())
+    for k in range(count):
+        source = pool[(k + k // 10) % len(pool)]
+        target = pool[int(rng.integers(len(pool)))]
+        vias = sample_joints(source, int(rng.integers(2**31)), 3 + k % 10 + 1)
+        overlap = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        yield (plan_trajectory(vias, DEFAULT_LIMITS, overlap),
+               make_transfer_map(source, target).matrix)
+
+
+class TestExactPolynomial:
+    """The piecewise polynomial against the masked per-phase evaluation and
+    the dense-grid peak search it replaced (tests/trajectory_oracle.py)."""
+
+    def test_peaks_match_dense_grid_oracle(self):
+        for traj, weights in random_plans():
+            for channel, w in (("velocity", None), ("acceleration", None),
+                               ("velocity", weights)):
+                exact = peak_abs(traj, channel, weights=w)
+                oracle = oracle_peak_abs(traj, channel, weights=w)
+                assert oracle * (1.0 - 1e-12) <= exact <= oracle * (1.0 + 1e-9), \
+                    (channel, w is not None, exact, oracle)
+
+    def test_evaluation_matches_masked_oracle(self):
+        for traj, _ in random_plans():
+            times = np.concatenate([np.linspace(0.0, traj.horizon, 2001),
+                                    traj.position_poly.x])
+            for exact, oracle in zip(evaluate(traj, times), oracle_evaluate(traj, times)):
+                scale = np.max(np.abs(oracle))
+                assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale
+
+    def test_zero_motion_plan(self):
+        traj = plan_trajectory(np.array([[0.01, -0.02], [0.01, -0.02]]))
+        assert traj.horizon == 0.0
+        assert peak_abs(traj, "velocity") == 0.0
+        pos, vel, acc = evaluate(traj, 0.0)
+        np.testing.assert_array_equal(pos, [0.01, -0.02])
+        np.testing.assert_array_equal(vel, [0.0, 0.0])
+        np.testing.assert_array_equal(acc, [0.0, 0.0])
 
 
 class TestC4Smoothness:
