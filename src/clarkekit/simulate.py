@@ -37,22 +37,6 @@ def pt1_step(state, command, dt: float, time_constant: float):
     return state - math.expm1(-dt / time_constant) * (command - state)
 
 
-@dataclass
-class Pt1Actuator:
-    """First-order proportional delay element with unity DC gain."""
-
-    time_constant: float
-    state: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time_constant) and self.time_constant > 0.0):
-            raise InvalidParameter(f"time constant must be positive, got {self.time_constant}")
-
-    def step(self, command, dt: float):
-        self.state = pt1_step(self.state, command, dt, self.time_constant)
-        return self.state
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Control-loop parameters; the defaults reproduce the demo setup
@@ -83,6 +67,16 @@ class SimConfig:
         if self.transfer_mode not in TRANSFER_MODES:
             raise InvalidParameter(
                 f"unknown transfer mode {self.transfer_mode!r}; choose from {TRANSFER_MODES}")
+        poles = np.roots([1.0, *(-c for c in self._recurrence()[2:])])
+        if np.any(np.abs(poles) >= 1.0):
+            raise InvalidParameter(f"kp={self.kp}, kd={self.kd} give unstable poles {poles}")
+
+    def _recurrence(self) -> tuple[float, float, float, float]:
+        """alpha = 1 - exp(-dt/T), kd/dt, and a1, a2 of the latent closed loop
+        z[k+1] = a1 z[k] + a2 z[k-1] + forcing (poles: roots of l**2 - a1 l - a2)."""
+        alpha = -math.expm1(-self.dt / self.time_constant)
+        kd_over_dt = self.kd / self.dt
+        return alpha, kd_over_dt, 1.0 - alpha - alpha * (self.kp + kd_over_dt), alpha * kd_over_dt
 
 
 @dataclass(eq=False)
@@ -118,11 +112,6 @@ class SimRun:
     def max_abs_error(self) -> float:
         return float(np.max(np.abs(self.tracking_error()[self._settled()])))
 
-    def steady_state_error(self, window: float = 0.5) -> np.ndarray:
-        """Mean absolute per-joint error over the final `window` seconds."""
-        mask = self.t >= self.t[-1] - window
-        return np.mean(np.abs(self.tracking_error()[mask]), axis=0)
-
     def metrics(self) -> dict:
         return {
             "robot": self.design.name,
@@ -137,28 +126,25 @@ class SimRun:
 
     def write_csv(self, path) -> None:
         """CSV export: t_s, rho_d_1..n, rho_meas_1..n, rho_cmd_1..n, rho_true_1..n."""
-        n = self.design.n
-        header = ["t_s"]
-        for label in ("rho_d", "rho_meas", "rho_cmd", "rho_true"):
-            header += [f"{label}_{i + 1}" for i in range(n)]
-        rows = ([self.t[k], *self.desired[k], *self.measured[k],
-                 *self.commanded[k], *self.true[k]]
-                for k in range(self.t.size))
-        write_csv(path, header, rows)
+        labels = ("rho_d", "rho_meas", "rho_cmd", "rho_true")
+        header = ["t_s"] + [f"{label}_{i + 1}" for label in labels for i in range(self.design.n)]
+        table = np.column_stack([self.t, self.desired, self.measured, self.commanded, self.true])
+        write_csv(path, header, table)
 
     def write_metrics(self, path) -> None:
         write_json(path, self.metrics())
 
 
 def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
-    """Simulate one mode over a per-tick desired joint stream.
+    """Simulate one mode over a per-tick, finite desired joint stream.
 
     The stream must already live on the config's dt grid.  Per tick the
     measurement adds a fresh uniform draw from [-eps, eps] to each joint's
     true state; in closed loop the PD controller acts on the latent error
     (backward-difference derivative, initialized to zero), while the
     open-loop modes feed the desired values to the actuators directly.
-    The actuators start on the desired state at t = 0.
+    The actuators start on the desired state at t = 0.  A log-depth scan
+    solves the loop in closed form; it is not stepped tick by tick.
     """
     desired = np.asarray(desired, dtype=float)
     if desired.ndim != 2 or desired.shape[1] != design.n:
@@ -167,40 +153,54 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     ticks = desired.shape[0]
     if ticks == 0:
         raise InvalidParameter("desired stream is empty")
-    encode = arc_forward_matrix(design)
-    decode = arc_inverse_matrix(design)
-    alpha = -math.expm1(-config.dt / config.time_constant)
-    closed = config.mode == "closed_loop"
-    noisy = config.mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0
-    if noisy:
-        rng = np.random.default_rng(config.seed)
-        noise = rng.uniform(-config.noise_eps, config.noise_eps, size=desired.shape)
-    else:
-        noise = np.zeros_like(desired)
+    if not np.isfinite(desired).all():
+        raise InvalidParameter("desired stream must be finite")
+    alpha, kd_over_dt, a1, a2 = config._recurrence()
+    noise = np.zeros_like(desired)
+    if config.mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0:
+        noise = np.random.default_rng(config.seed).uniform(-config.noise_eps, config.noise_eps,
+                                                           size=desired.shape)
 
-    measured = np.empty_like(desired)
-    commanded = np.empty_like(desired)
-    true = np.empty_like(desired)
-    state = desired[0].copy()
-    latent_desired = desired @ encode.T
-    error_prev = None
-    kd_over_dt = config.kd / config.dt
-    for k in range(ticks):
-        true[k] = state
-        measurement = state + noise[k]
-        measured[k] = measurement
-        if closed:
-            error = latent_desired[k] - encode @ measurement
-            if error_prev is None:
-                error_prev = error
-            command = decode @ (config.kp * error + kd_over_dt * (error - error_prev))
-            error_prev = error
-        else:
-            command = desired[k]
-        commanded[k] = command
-        state = state + alpha * (command - state)
+    if config.mode == "closed_loop":
+        # E @ D = I2 leaves one recurrence per latent channel: with z = E s, r = E (d - w),
+        # e = r - z and g = kd/dt, z[k+1] = a1 z[k] + a2 z[k-1] + alpha ((kp + g) r[k] - g r[k-1]);
+        # the first tick takes z[-1] = z[0] and r[-1] = r[0], i.e. e[-1] = e[0].
+        encode = arc_forward_matrix(design)
+        reference = (desired - noise) @ encode.T
+        latent0 = encode @ desired[0]
+        # companion state (z[k], z[k-1]) = A (z[k-1], z[k-2]) + (forcing[k-1], 0)
+        companion = np.zeros((2, ticks, 2))
+        companion[:, 0] = latent0
+        companion[0, 1:] = alpha * ((config.kp + kd_over_dt) * reference[:-1]
+                                    - kd_over_dt * np.vstack([reference[:1], reference[:-2]]))
+        _linear_scan(companion, np.array([[a1, a2], [1.0, 0.0]]))
+        error = reference - companion[0]
+        command = config.kp * error + kd_over_dt * np.diff(error, axis=0, prepend=error[:1])
+        # D E is a projector: the part of s outside D's range decays as (1 - alpha)**k
+        decay = np.power(1.0 - alpha, np.arange(ticks))[:, None]
+        decode = arc_inverse_matrix(design).T
+        true = (companion[0] - decay * latent0) @ decode
+        true += decay * desired[0]
+        commanded = command @ decode
+    else:
+        # s[k+1] = (1 - alpha) s[k] + alpha d[k] per joint, from s[0] = d[0]
+        state = np.concatenate([desired[:1], alpha * desired[:-1]])[None]
+        _linear_scan(state, np.array([[1.0 - alpha]]))
+        true, commanded = state[0], desired.copy()
     return SimRun(design=design, config=config, t=np.arange(ticks) * config.dt,
-                  desired=desired, measured=measured, commanded=commanded, true=true)
+                  desired=desired, measured=np.add(noise, true, out=noise),
+                  commanded=commanded, true=true)
+
+
+def _linear_scan(x: np.ndarray, transition: np.ndarray) -> None:
+    """Solve x[:, k] = A x[:, k-1] + b[:, k] in place (x holds b on entry) by a
+    Hillis-Steele doubling scan: ceil(log2 ticks) steps, each adding A**s times
+    the partial sums s ticks back.  It stops once every entry of A**s is subnormal:
+    later powers are zero, and the skipped terms vanish in rounding but run slowly."""
+    power, shift = transition, 1
+    while shift < x.shape[1] and np.abs(power).max() >= np.finfo(float).tiny:
+        x[:, shift:] += np.einsum("ij,jk...->ik...", power, x[:, :-shift])
+        power, shift = power @ power, 2 * shift
 
 
 class DesiredStream(NamedTuple):

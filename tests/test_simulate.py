@@ -1,15 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import clarkekit
 from clarkekit import (
     DEFAULT_V_MAX,
+    MODES,
     DimensionMismatch,
     InvalidParameter,
-    Pt1Actuator,
     SimConfig,
     arc_forward_matrix,
     desired_stream,
@@ -18,6 +22,8 @@ from clarkekit import (
     run_experiment,
     transform_pair,
 )
+from clarkekit.fileio import write_csv
+from simulate_oracle import run_loop
 
 
 class TestPt1:
@@ -59,14 +65,6 @@ class TestPt1:
         assert out.shape == (2,)
         assert out[1] == 0.002
 
-    def test_actuator_class(self):
-        actuator = Pt1Actuator(time_constant=0.25, state=0.0)
-        first = actuator.step(0.01, 1e-3)
-        assert first == pytest.approx(0.01 * -math.expm1(-1e-3 / 0.25))
-        assert actuator.state == first
-        with pytest.raises(InvalidParameter):
-            Pt1Actuator(time_constant=0.0)
-
 
 class TestSimConfig:
     def test_defaults(self):
@@ -86,6 +84,20 @@ class TestSimConfig:
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("gains", [{"kp": 1e5}, {"kd": -1.0}, {"kp": -1.0}])
+    def test_unstable_loop_rejected(self, gains, mode):
+        # kp = 1e5 used to overflow to inf states without an error; the
+        # poles of l**2 - a1 l - a2 must lie strictly inside the unit circle
+        with pytest.raises(InvalidParameter, match="unstable"):
+            SimConfig(mode=mode, **gains)
+
+    @pytest.mark.parametrize("gains", [{}, {"kp": 0.0, "kd": 0.0}, {"kd": -0.1}])
+    def test_stable_loops_accepted(self, gains):
+        # defaults (poles 0.699, -0.0086), the bare actuator pole 1 - alpha,
+        # and a complex pair with |l| = 0.63
+        SimConfig(**gains)
 
 
 class TestRun:
@@ -146,6 +158,14 @@ class TestRun:
         with pytest.raises(DimensionMismatch):
             run(np.zeros((100, 5)), robot_0, SimConfig())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stream_rejected(self, robot_0, bad):
+        desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)
+        desired[7, 1] = bad
+        for mode in MODES:
+            with pytest.raises(InvalidParameter, match="finite"):
+                run(desired, robot_0, SimConfig(mode=mode))
+
     def test_metrics_schema(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=1500)
         sim = run(desired, robot_0, SimConfig(seed=2))
@@ -168,6 +188,77 @@ class TestRun:
         assert len(lines) == 51
         sim.write_metrics(tmp_path / "metrics.json")
         assert json.loads((tmp_path / "metrics.json").read_text())["robot"] == "robot_0"
+
+    def test_csv_bytes_match_row_by_row_formatting(self, designs, tmp_path):
+        # the table path must write the same bytes as formatting every numpy
+        # scalar of every row on its own
+        sim = run_experiment(designs["robot_0"], designs["robot_D"], 13,
+                             modes=("closed_loop",))["closed_loop"]
+        sim.write_csv(tmp_path / "table.csv")
+        header = (tmp_path / "table.csv").read_text().splitlines()[0].split(",")
+        rows = ([sim.t[k], *sim.desired[k], *sim.measured[k], *sim.commanded[k], *sim.true[k]]
+                for k in range(sim.t.size))
+        write_csv(tmp_path / "rows.csv", header, rows)
+        assert len(header) == 1 + 4 * 7
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def assert_matches_loop(desired, design, config):
+    """true, measured and commanded agree with the per-tick loop to 1e-12 of
+    the loop's largest magnitude; the first state and open-loop commands exactly."""
+    sim = run(desired, design, config)
+    ref = run_loop(desired, design, config)
+    for field in ("true", "measured", "commanded"):
+        got, want = getattr(sim, field), getattr(ref, field)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want)), err_msg=field)
+    np.testing.assert_array_equal(sim.true[0], desired[0])
+    if config.mode != "closed_loop":
+        np.testing.assert_array_equal(sim.commanded, desired)
+
+
+class TestClosedFormMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("transfer_mode", ["general", "symmetric"])
+    @pytest.mark.parametrize("target", ["robot_0", "robot_A", "robot_B", "robot_C", "robot_D"])
+    def test_seeded_streams(self, designs, target, transfer_mode, seed):
+        stream = desired_stream(designs["robot_0"], designs[target], seed, transfer_mode,
+                                segment_count=3 + seed)
+        for mode in MODES:
+            config = SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode)
+            assert_matches_loop(stream.positions, designs[target], config)
+
+    @pytest.mark.parametrize("ticks", [1, 2, 3])
+    def test_short_streams(self, robot_D, ticks):
+        desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
+        for mode in MODES:
+            assert_matches_loop(desired, robot_D, SimConfig(seed=4, mode=mode))
+
+    @pytest.mark.parametrize("overrides", [
+        {"kp": 0.0, "kd": 0.0},   # slow pole 1 - alpha
+        {"kd": -0.1},             # complex pole pair, |l| = 0.63
+        {"noise_eps": 0.0},
+    ])
+    def test_pole_and_noise_edge_cases(self, designs, overrides):
+        stream = desired_stream(designs["robot_0"], designs["robot_C"], 5)
+        for mode in MODES:
+            config = SimConfig(seed=5, mode=mode, **overrides)
+            assert_matches_loop(stream.positions, designs["robot_C"], config)
+
+
+def test_import_and_experiment_leave_scipy_signal_unloaded():
+    # importing scipy.signal adds about half a second of start-up; the
+    # simulator must not pull it in
+    src = os.path.dirname(os.path.dirname(clarkekit.__file__))
+    code = ("import sys, clarkekit\n"
+            "d = clarkekit.builtin_designs()\n"
+            "clarkekit.run_experiment(d['robot_0'], d['robot_D'], 1)\n"
+            "print('scipy.signal' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestDesiredStream:
