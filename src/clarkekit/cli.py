@@ -25,9 +25,11 @@ from .designs import builtin_designs, design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
 from .fileio import sha256_file, sha256_text, write_csv, write_json
-from .retarget import PerturbedDesign, perturbation_analysis, polar_clarke_grid
+from .retarget import (PerturbedDesign, make_transfer_map, perturbation_analysis,
+                       polar_clarke_grid)
 from .sampling import sample_clarke_disk, sample_joints, write_samples_csv
-from .simulate import MODES, SimConfig, desired_stream, run
+from .simulate import (MODES, SimConfig, SimRun, desired_stream, run, run_experiment,
+                       surrogate_trajectory)
 from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
                          plan_trajectory, write_trajectory_csv)
 
@@ -159,23 +161,29 @@ def cmd_traj(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    surrogate = get_design(args.surrogate)
-    target = get_design(args.target)
-    out_dir = Path(args.out_dir)
-    stream = desired_stream(surrogate, target, args.seed, args.transfer)
-    config = SimConfig(seed=args.seed, mode=args.mode, transfer_mode=args.transfer)
-    sim = run(stream.positions, target, config)
-    stem = f"{target.name}_{args.mode}_{args.transfer}"
+def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest) -> Path:
+    """Write one run's per-tick CSV and metrics JSON and add both to the
+    manifest; returns the metrics path."""
     csv_path = out_dir / f"{stem}.csv"
     metrics_path = out_dir / f"{stem}_metrics.json"
     sim.write_csv(csv_path)
     write_json(metrics_path, sim.metrics())
+    manifest.add(csv_path)
+    manifest.add(metrics_path)
+    return metrics_path
+
+
+def cmd_simulate(args) -> int:
+    surrogate = get_design(args.surrogate)
+    target = get_design(args.target)
+    out_dir = Path(args.out_dir)
+    sim = run_experiment(surrogate, target, args.seed, args.transfer,
+                         modes=(args.mode,))[args.mode]
+    stem = f"{target.name}_{args.mode}_{args.transfer}"
     manifest = Manifest("simulate", {"surrogate": surrogate.name, "target": target.name,
                                      "mode": args.mode, "transfer": args.transfer,
                                      "seed": args.seed}, [args.seed], [surrogate, target])
-    manifest.add(csv_path)
-    manifest.add(metrics_path)
+    metrics_path = _write_run(out_dir, stem, sim, manifest)
     manifest.write(out_dir / f"{stem}.manifest.json")
     print(f"simulated {target.name} ({args.mode}, {args.transfer} transfer); "
           f"metrics in {metrics_path}")
@@ -191,10 +199,11 @@ def cmd_demo(args) -> int:
     seed = args.seed
     manifest = Manifest("demo", {"seed": seed}, [seed], list(designs.values()))
     summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
+    trajectory = surrogate_trajectory(surrogate, seed)
 
     for name, target in designs.items():
         entry = dict(design_report(target))
-        stream = desired_stream(surrogate, target, seed, "general")
+        stream = desired_stream(trajectory, make_transfer_map(surrogate, target, "general"))
         entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
@@ -203,15 +212,12 @@ def cmd_demo(args) -> int:
                           SimConfig(seed=seed, mode=mode, transfer_mode="general"))
                 for mode in MODES}
         for mode, sim in runs.items():
-            stem = f"{name}_{mode}"
-            sim.write_csv(out_dir / f"{stem}.csv")
-            write_json(out_dir / f"{stem}_metrics.json", sim.metrics())
-            manifest.add(out_dir / f"{stem}.csv")
-            manifest.add(out_dir / f"{stem}_metrics.json")
+            _write_run(out_dir, f"{name}_{mode}", sim, manifest)
             entry[f"rms_latent_{mode}"] = sim.rms_latent()
         entry["rms_per_joint_closed_loop_m"] = [float(x) for x in
                                                 runs["closed_loop"].rms_per_joint()]
-        sym_stream = desired_stream(surrogate, target, seed, "symmetric")
+        sym_stream = desired_stream(trajectory,
+                                    make_transfer_map(surrogate, target, "symmetric"))
         shared = min(sym_stream.positions.shape[0], stream.positions.shape[0])
         deviation = float(np.max(np.abs(sym_stream.positions[:shared]
                                         - stream.positions[:shared])))
@@ -221,11 +227,7 @@ def cmd_demo(args) -> int:
         if not entry["transfer_modes_equivalent"] and name != "robot_0":
             uncomp = run(sym_stream.positions, target,
                          SimConfig(seed=seed, mode="closed_loop", transfer_mode="symmetric"))
-            stem = f"{name}_closed_loop_uncompensated"
-            uncomp.write_csv(out_dir / f"{stem}.csv")
-            write_json(out_dir / f"{stem}_metrics.json", uncomp.metrics())
-            manifest.add(out_dir / f"{stem}.csv")
-            manifest.add(out_dir / f"{stem}_metrics.json")
+            _write_run(out_dir, f"{name}_closed_loop_uncompensated", uncomp, manifest)
             rms_comp = float(np.mean(runs["closed_loop"].rms_per_joint()))
             rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
             entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,7 +176,16 @@ def _inv2x2(gram: np.ndarray) -> np.ndarray:
     return np.array([[c, -b], [-b, a]]) / det
 
 
-def _pair_from_inverse(design: RobotDesign, minv: np.ndarray) -> TransformPair:
+def transform_pair(design: RobotDesign) -> TransformPair:
+    """Build the forward/inverse Clarke matrix pair for a design.
+
+    The forward matrix is the Moore-Penrose pseudoinverse of the inverse
+    matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
+    computed through its closed-form inverse; a condition number at or
+    above CONDITION_LIMIT raises DegenerateDesign.  For symmetric layouts
+    the result equals (2/n) times the transposed inverse matrix.
+    """
+    minv = inverse_clarke_matrix(design.psi)
     gram = minv.T @ minv
     condition = _spd2_condition(gram)
     if not condition < CONDITION_LIMIT:
@@ -190,56 +199,11 @@ def _pair_from_inverse(design: RobotDesign, minv: np.ndarray) -> TransformPair:
     return TransformPair(design, forward, minv, gram, condition)
 
 
-def transform_pair(design: RobotDesign) -> TransformPair:
-    """Build the forward/inverse Clarke matrix pair for a design.
-
-    The forward matrix is the Moore-Penrose pseudoinverse of the inverse
-    matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
-    computed through its closed-form inverse; a condition number at or
-    above CONDITION_LIMIT raises DegenerateDesign.  For symmetric layouts
-    the result equals (2/n) times the transposed inverse matrix.
-    """
-    return _pair_from_inverse(design, inverse_clarke_matrix(design.psi))
-
-
 def gram_condition(design: RobotDesign) -> float:
     """Condition number of the design's Gram matrix (inf when singular);
     never raises, for use in validation reports."""
     minv = inverse_clarke_matrix(design.psi)
     return _spd2_condition(minv.T @ minv)
-
-
-# Named reducers turning the distance list into one normalizing length.
-D_REDUCERS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda d: float(np.mean(d)),
-    "max": lambda d: float(np.max(d)),
-    "first": lambda d: float(d[0]),
-}
-
-
-def modified_inverse_matrix(design: RobotDesign, reducer: str = "mean") -> tuple[np.ndarray, float]:
-    """Distance-weighted inverse Clarke matrix and its normalizing scalar.
-
-    Returns (1/f(d)) * diag(d_i) * [cos(psi_i), sin(psi_i)] together with
-    the scalar f(d), where f is one of the named reducers in D_REDUCERS.
-    The weighting folds non-constant center-line distances into the latent
-    pair while f keeps the matrix dimensionless.
-    """
-    if reducer not in D_REDUCERS:
-        raise InvalidParameter(f"unknown reducer {reducer!r}; choose from {sorted(D_REDUCERS)}")
-    scale = D_REDUCERS[reducer](design.d)
-    minv = inverse_clarke_matrix(design.psi) * (design.d / scale)[:, None]
-    return minv, scale
-
-
-def modified_transform_pair(design: RobotDesign, reducer: str = "mean") -> tuple[TransformPair, float]:
-    """Transform pair built on the distance-weighted inverse matrix.
-
-    The forward matrix is the pseudoinverse of the weighted inverse matrix,
-    so forward @ inverse is again the 2 x 2 identity.
-    """
-    minv, scale = modified_inverse_matrix(design, reducer)
-    return _pair_from_inverse(design, minv), scale
 
 
 def arc_forward_matrix(design: RobotDesign) -> np.ndarray:

@@ -50,7 +50,12 @@ class TransferMap:
     matrix: np.ndarray
 
     def apply(self, joints) -> np.ndarray:
-        """Retarget one joint vector or a (..., n) stack of joint vectors."""
+        """Retarget one joint vector or a (..., n) stack of joint vectors.
+
+        Values are not scanned for finiteness: this is the batch path, and
+        NaN or inf input gives NaN or inf output.  The CLI and file readers
+        check finiteness where input enters.
+        """
         values = np.asarray(joints, dtype=float)
         if values.ndim == 0 or values.shape[-1] != self.source.n:
             raise DimensionMismatch(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import RobotDesign, arc_forward_matrix, arc_inverse_matrix
 from .errors import DimensionMismatch, InvalidParameter
-from .fileio import write_csv, write_json
+from .fileio import write_csv
 from .retarget import TRANSFER_MODES, TransferMap, make_transfer_map
 from .sampling import sample_joints
 from .trajectory import (DEFAULT_LIMITS, KinematicLimits, PlannedTrajectory, evaluate,
@@ -131,9 +131,6 @@ class SimRun:
         table = np.column_stack([self.t, self.desired, self.measured, self.commanded, self.true])
         write_csv(path, header, table)
 
-    def write_metrics(self, path) -> None:
-        write_json(path, self.metrics())
-
 
 def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     """Simulate one mode over a per-tick, finite desired joint stream.
@@ -210,18 +207,22 @@ class DesiredStream(NamedTuple):
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    trajectory: PlannedTrajectory
-    transfer: TransferMap
-    via_points: np.ndarray
     dilation: float
 
 
-def desired_stream(surrogate: RobotDesign, target: RobotDesign, seed: int,
-                   transfer_mode: str = "general", dt: float = 1e-3,
-                   segment_count: int = 5, overlap_fraction: float = 0.5,
+def surrogate_trajectory(surrogate: RobotDesign, seed: int, segment_count: int = 5,
+                         overlap_fraction: float = 0.5,
+                         limits: KinematicLimits = DEFAULT_LIMITS) -> PlannedTrajectory:
+    """Sample segment_count + 1 via points on the surrogate and plan their
+    blended trajectory; one plan serves every target and transfer mode."""
+    vias = sample_joints(surrogate, seed, segment_count + 1)
+    return plan_trajectory(vias, limits, overlap_fraction)
+
+
+def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap, dt: float = 1e-3,
                    limits: KinematicLimits = DEFAULT_LIMITS) -> DesiredStream:
-    """Sample via points on the surrogate, plan its blended trajectory, and
-    retarget every tick to the target design.
+    """Retarget every tick of a planned surrogate trajectory to the transfer
+    map's target design.
 
     Retargeting can raise individual joint speeds (a latent direction may
     align better with a target joint than with any surrogate joint), so the
@@ -229,22 +230,18 @@ def desired_stream(surrogate: RobotDesign, target: RobotDesign, seed: int,
     needed, the whole timeline is uniformly stretched by the smallest
     factor restoring it; the reported dilation covers that stretch.
     """
-    vias = sample_joints(surrogate, seed, segment_count + 1)
-    traj = plan_trajectory(vias, limits, overlap_fraction)
-    transfer = make_transfer_map(surrogate, target, transfer_mode)
     stretch = 1.0
-    peak_speed = peak_abs(traj, "velocity", weights=transfer.matrix)
+    peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
     if peak_speed > limits.v_max:
         stretch = peak_speed / limits.v_max * (1.0 + 1e-12)
-    horizon = traj.horizon * stretch
+    horizon = trajectory.horizon * stretch
     ticks = int(math.floor(horizon / dt)) + 1
     times = np.arange(ticks) * dt
-    source_times = np.clip(times / stretch, 0.0, traj.horizon)
-    positions, velocities, _ = evaluate(traj, source_times)
+    source_times = np.clip(times / stretch, 0.0, trajectory.horizon)
+    positions, velocities, _ = evaluate(trajectory, source_times)
     return DesiredStream(times=times, positions=positions @ transfer.matrix.T,
                          velocities=velocities @ transfer.matrix.T / stretch,
-                         trajectory=traj, transfer=transfer, via_points=vias,
-                         dilation=traj.dilation * stretch)
+                         dilation=trajectory.dilation * stretch)
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
@@ -260,9 +257,9 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     share the same seed, so the noisy ones see identical noise draws.
     """
     base = config if config is not None else SimConfig()
-    stream = desired_stream(surrogate, target, seed, transfer_mode, dt=base.dt,
-                            segment_count=segment_count,
-                            overlap_fraction=overlap_fraction, limits=limits)
+    trajectory = surrogate_trajectory(surrogate, seed, segment_count, overlap_fraction, limits)
+    stream = desired_stream(trajectory, make_transfer_map(surrogate, target, transfer_mode),
+                            base.dt, limits)
     return {
         mode: run(stream.positions, target,
                   replace(base, mode=mode, seed=seed, transfer_mode=transfer_mode))

@@ -85,8 +85,7 @@ class TrajectoryState:
 
     delta_rho is the signed distance to cover, v the peak velocity of the
     profile, a and dec the acceleration/deceleration bounds it was planned
-    under, t_lo/t_cr/t_sd the phase durations, and t_enb the absolute time
-    at which the segment is enabled (set during blending).
+    under, and t_lo/t_cr/t_sd the phase durations.
     """
 
     delta_rho: float
@@ -96,7 +95,6 @@ class TrajectoryState:
     t_lo: float
     t_cr: float
     t_sd: float
-    t_enb: float | None = None
 
     @property
     def duration(self) -> float:
@@ -281,7 +279,7 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
 def _dilate(traj: PlannedTrajectory, factor: float) -> PlannedTrajectory:
     states = tuple(
         tuple(replace(s, v=s.v / factor, t_lo=s.t_lo * factor, t_cr=s.t_cr * factor,
-                      t_sd=s.t_sd * factor, t_enb=s.t_enb * factor)
+                      t_sd=s.t_sd * factor)
               for s in joint_states)
         for joint_states in traj.states)
     return replace(traj, states=states,
@@ -293,7 +291,7 @@ def _dilate(traj: PlannedTrajectory, factor: float) -> PlannedTrajectory:
 
 def blend(segments: list[list[TrajectoryState]], start,
           overlap_fraction: float = 0.5,
-          limits: KinematicLimits | None = None) -> PlannedTrajectory:
+          limits: KinematicLimits = DEFAULT_LIMITS) -> PlannedTrajectory:
     """Blend synchronized segments into one trajectory per joint.
 
     Consecutive segments overlap by overlap_fraction of the smaller of the
@@ -301,8 +299,7 @@ def blend(segments: list[list[TrajectoryState]], start,
     joints share each enable time); joint positions superpose the segment
     profiles.  If the superposed velocity or acceleration exceeds the
     limits anywhere, every duration is uniformly dilated by the smallest
-    factor restoring feasibility.  With no limits given, the bounds are
-    inferred from the planned segment states.
+    factor restoring feasibility.
     """
     if not 0.0 <= overlap_fraction <= 1.0:
         raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")
@@ -321,9 +318,7 @@ def blend(segments: list[list[TrajectoryState]], start,
         window = min(min(prev.t_sd, nxt.t_lo)
                      for prev, nxt in zip(segments[j - 1], segments[j]))
         enable_times[j] = enable_times[j - 1] + durations[j - 1] - overlap_fraction * window
-    states = tuple(
-        tuple(replace(s, t_enb=enable_times[j]) for s in joint_states)
-        for j, joint_states in enumerate(segments))
+    states = tuple(tuple(joint_states) for joint_states in segments)
     start.setflags(write=False)
     enable_times.setflags(write=False)
     durations.setflags(write=False)
@@ -332,18 +327,8 @@ def blend(segments: list[list[TrajectoryState]], start,
                              horizon=float(enable_times[-1] + durations[-1]),
                              overlap_fraction=overlap_fraction)
 
-    if limits is None:
-        v_cap = max((s.v for joint_states in segments for s in joint_states), default=0.0)
-        a_cap = min((min(s.a, s.dec) for joint_states in segments for s in joint_states),
-                    default=math.inf)
-    else:
-        v_cap = limits.v_max
-        a_cap = min(limits.a_max, limits.dec_max)
-    factor = 1.0
-    if v_cap > 0.0:
-        factor = max(factor, peak_abs(traj, "velocity") / v_cap)
-    if math.isfinite(a_cap) and a_cap > 0.0:
-        factor = max(factor, math.sqrt(peak_abs(traj, "acceleration") / a_cap))
+    factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
+                 math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
     if factor > 1.0:
         traj = _dilate(traj, factor * (1.0 + 1e-12))
     return traj
@@ -369,8 +354,8 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
 
 def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> None:
     """CSV export on an exact dt grid: t_s, then rho/vel/acc per joint."""
-    if dt <= 0.0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
     ticks = int(math.floor(traj.horizon / dt)) + 1
     times = np.arange(ticks) * dt
     pos, vel, acc = evaluate(traj, np.clip(times, 0.0, traj.horizon))

@@ -19,12 +19,14 @@ from clarkekit import (
     builtin_designs,
     desired_stream,
     evaluate,
+    make_transfer_map,
     plan_trajectory,
     pt1_step,
     run,
     run_experiment,
     sample_clarke_disk,
     sample_joints,
+    surrogate_trajectory,
     symmetric_design,
     to_arc,
     transfer_general,
@@ -168,9 +170,10 @@ def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
 
 def test_criterion_09_transformed_profiles_respect_limits(designs):
     surrogate = designs["robot_0"]
+    trajectory = surrogate_trajectory(surrogate, 42)
     worst = 0.0
     for name in ("robot_A", "robot_B", "robot_C", "robot_D"):
-        stream = desired_stream(surrogate, designs[name], 42, "general")
+        stream = desired_stream(trajectory, make_transfer_map(surrogate, designs[name]))
         worst = max(worst, float(np.max(np.abs(stream.velocities))))
     assert worst <= DEFAULT_V_MAX * (1.0 + 1e-9), worst
     report(9, f"retargeted profiles stay below 0.01*pi m/s, max {worst:.6f}")
@@ -221,8 +224,11 @@ def test_criterion_12_compensation_dominance(designs):
             symmetric = run_experiment(surrogate, target, seed, "symmetric",
                                        modes=("closed_loop",))["closed_loop"]
             assert np.all(general.rms_per_joint() < symmetric.rms_per_joint()), (name, seed)
-    sym_stream = desired_stream(surrogate, designs["robot_A"], 42, "symmetric")
-    gen_stream = desired_stream(surrogate, designs["robot_A"], 42, "general")
+    trajectory = surrogate_trajectory(surrogate, 42)
+    sym_stream = desired_stream(trajectory,
+                                make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
+    gen_stream = desired_stream(trajectory,
+                                make_transfer_map(surrogate, designs["robot_A"], "general"))
     assert sym_stream.positions.shape == gen_stream.positions.shape
     deviation = float(np.max(np.abs(sym_stream.positions - gen_stream.positions)))
     assert deviation < 1e-12, deviation

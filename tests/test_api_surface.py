@@ -1,0 +1,35 @@
+"""The public names, and the names the benchmark harness binds, stay in place."""
+
+import importlib
+from pathlib import Path
+
+import clarkekit
+from clarkekit import builtin_designs, run_experiment
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_all_names_resolve():
+    missing = [name for name in clarkekit.__all__ if not hasattr(clarkekit, name)]
+    assert missing == []
+
+
+def test_traced_names_exist(monkeypatch):
+    # bench/tracer.py wraps these by name in every clarkekit namespace
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    missing = []
+    for module_name, qualname, _ in tracer.TRACED:
+        owner = importlib.import_module(f"clarkekit.{module_name}")
+        for part in qualname.split("."):
+            owner = None if owner is None else vars(owner).get(part)
+        if owner is None:
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []
+
+
+def test_run_experiment_accepts_segment_count():
+    robot_0 = builtin_designs()["robot_0"]
+    runs = run_experiment(robot_0, robot_0, 0, "general", segment_count=1,
+                          modes=("closed_loop",))
+    assert runs["closed_loop"].t.size > 1

@@ -1,10 +1,15 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clarkekit import builtin_designs, run_experiment
+import clarkekit
+from clarkekit import builtin_designs, cli, run_experiment, simulate, trajectory
 from clarkekit.cli import main
+
+SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
 
 
 def invoke(capsys, *argv):
@@ -169,7 +174,62 @@ class TestSeedValidation:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["transform", "robot_0", "--clarke", "{}", "0.001"],
+        ["transform", "robot_0", "--joints", "0.001", "{}", "0.0"],
+        ["traj", "robot_0", "--vmax", "{}"],
+        ["traj", "robot_0", "--amax", "{}"],
+        ["traj", "robot_0", "--decmax", "{}"],
+        ["traj", "robot_0", "--overlap", "{}"],
+        ["traj", "robot_0", "--dt", "{}"],
+    ], ids=lambda argv: argv[2])
+    def test_exits_2_without_output(self, capsys, tmp_path, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke(capsys, *(arg.format(value) for arg in argv))
+        assert code == 2
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def assert_matches_snapshot(got, want, where="snapshot"):
+    """Keys, flags, strings and integers exactly; floats at rtol 1e-9, atol 1e-15."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches_snapshot(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for index, (item, expected) in enumerate(zip(got, want)):
+            assert_matches_snapshot(item, expected, f"{where}[{index}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-15), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
 class TestDemo:
+    def test_matches_golden_snapshot(self, capsys, tmp_path):
+        assert main(["demo", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+        recorded = {path.name: json.loads(path.read_text()) for path in tmp_path.iterdir()
+                    if path.name == "summary.json" or path.name.endswith("_metrics.json")}
+        assert_matches_snapshot(recorded, json.loads(SNAPSHOT.read_text()))
+
+    def test_plans_surrogate_once(self, capsys, tmp_path, monkeypatch):
+        original = trajectory.plan_trajectory
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (clarkekit, trajectory, simulate, cli):
+            monkeypatch.setattr(module, "plan_trajectory", counting)
+        assert main(["demo", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_metrics_equal_run_experiment(self, capsys, tmp_path):
         seed = 7
         assert main(["demo", "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0

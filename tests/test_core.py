@@ -12,8 +12,6 @@ from clarkekit import (
     from_arc,
     gram_condition,
     inverse_clarke_matrix,
-    modified_inverse_matrix,
-    modified_transform_pair,
     symmetric_design,
     to_arc,
     transform_pair,
@@ -190,41 +188,6 @@ class TestArcMapping:
             joints = from_arc(robot_0, ArcParameters(5.0, theta))
             back = to_arc(robot_0, joints)
             assert -math.pi <= back.theta < math.pi
-
-
-class TestModifiedInverse:
-    def test_constant_d_mean_equals_plain(self, robot_0):
-        minv, scale = modified_inverse_matrix(robot_0, "mean")
-        np.testing.assert_allclose(minv, inverse_clarke_matrix(robot_0.psi),
-                                   rtol=0.0, atol=1e-15)
-        assert scale == pytest.approx(0.01)
-
-    def test_max_reducer_scales_rows(self, robot_B):
-        minv, scale = modified_inverse_matrix(robot_B, "max")
-        plain = inverse_clarke_matrix(robot_B.psi)
-        np.testing.assert_allclose(minv, plain * np.array([1.0, 0.7, 0.5])[:, None],
-                                   rtol=1e-15, atol=0.0)
-        assert scale == pytest.approx(0.01)
-
-    def test_first_reducer(self, robot_B):
-        _, scale = modified_inverse_matrix(robot_B, "first")
-        assert scale == pytest.approx(0.01)
-
-    def test_modified_pair_right_identity(self, designs):
-        for design in designs.values():
-            for reducer in ("mean", "max", "first"):
-                pair, _ = modified_transform_pair(design, reducer)
-                residue = pair.forward_matrix @ pair.inverse_matrix - np.eye(2)
-                assert np.max(np.abs(residue)) < 1e-10
-
-    def test_unknown_reducer(self, robot_0):
-        with pytest.raises(InvalidParameter):
-            modified_inverse_matrix(robot_0, "median")
-
-    def test_degenerate_layout_rejected(self):
-        design = RobotDesign("flat", psi=[0.0, math.pi, 0.0], d=[0.01, 0.02, 0.03], l=0.1)
-        with pytest.raises(DegenerateDesign):
-            modified_transform_pair(design)
 
 
 class TestSymmetricDesign:

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -17,9 +16,11 @@ from clarkekit import (
     SimConfig,
     arc_forward_matrix,
     desired_stream,
+    make_transfer_map,
     pt1_step,
     run,
     run_experiment,
+    surrogate_trajectory,
     transform_pair,
 )
 from clarkekit.fileio import write_csv
@@ -186,8 +187,6 @@ class TestRun:
         assert lines[0].split(",")[:4] == ["t_s", "rho_d_1", "rho_d_2", "rho_d_3"]
         assert "rho_meas_1" in lines[0] and "rho_cmd_1" in lines[0] and "rho_true_1" in lines[0]
         assert len(lines) == 51
-        sim.write_metrics(tmp_path / "metrics.json")
-        assert json.loads((tmp_path / "metrics.json").read_text())["robot"] == "robot_0"
 
     def test_csv_bytes_match_row_by_row_formatting(self, designs, tmp_path):
         # the table path must write the same bytes as formatting every numpy
@@ -223,8 +222,9 @@ class TestClosedFormMatchesLoop:
     @pytest.mark.parametrize("transfer_mode", ["general", "symmetric"])
     @pytest.mark.parametrize("target", ["robot_0", "robot_A", "robot_B", "robot_C", "robot_D"])
     def test_seeded_streams(self, designs, target, transfer_mode, seed):
-        stream = desired_stream(designs["robot_0"], designs[target], seed, transfer_mode,
-                                segment_count=3 + seed)
+        trajectory = surrogate_trajectory(designs["robot_0"], seed, segment_count=3 + seed)
+        transfer = make_transfer_map(designs["robot_0"], designs[target], transfer_mode)
+        stream = desired_stream(trajectory, transfer)
         for mode in MODES:
             config = SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode)
             assert_matches_loop(stream.positions, designs[target], config)
@@ -241,7 +241,8 @@ class TestClosedFormMatchesLoop:
         {"noise_eps": 0.0},
     ])
     def test_pole_and_noise_edge_cases(self, designs, overrides):
-        stream = desired_stream(designs["robot_0"], designs["robot_C"], 5)
+        stream = desired_stream(surrogate_trajectory(designs["robot_0"], 5),
+                                make_transfer_map(designs["robot_0"], designs["robot_C"]))
         for mode in MODES:
             config = SimConfig(seed=5, mode=mode, **overrides)
             assert_matches_loop(stream.positions, designs["robot_C"], config)
@@ -264,21 +265,26 @@ def test_import_and_experiment_leave_scipy_signal_unloaded():
 class TestDesiredStream:
     def test_velocity_limit_respected_for_all_targets(self, designs):
         surrogate = designs["robot_0"]
+        trajectory = surrogate_trajectory(surrogate, 42)
         for name, target in designs.items():
             for mode in ("general", "symmetric"):
-                stream = desired_stream(surrogate, target, 42, mode)
+                stream = desired_stream(trajectory, make_transfer_map(surrogate, target, mode))
                 assert np.max(np.abs(stream.velocities)) <= DEFAULT_V_MAX * (1.0 + 1e-9), name
 
     def test_equivalence_on_matching_distances(self, designs):
         # a constant-distance target with the surrogate's distance and
         # length yields identical streams for both transfer modes
         surrogate = designs["robot_0"]
-        sym = desired_stream(surrogate, designs["robot_A"], 42, "symmetric")
-        gen = desired_stream(surrogate, designs["robot_A"], 42, "general")
+        trajectory = surrogate_trajectory(surrogate, 42)
+        sym = desired_stream(trajectory,
+                             make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
+        gen = desired_stream(trajectory,
+                             make_transfer_map(surrogate, designs["robot_A"], "general"))
         assert np.max(np.abs(sym.positions - gen.positions)) < 1e-12
 
     def test_tick_grid(self, designs):
-        stream = desired_stream(designs["robot_0"], designs["robot_B"], 7)
+        stream = desired_stream(surrogate_trajectory(designs["robot_0"], 7),
+                                make_transfer_map(designs["robot_0"], designs["robot_B"]))
         assert stream.times[0] == 0.0
         np.testing.assert_allclose(np.diff(stream.times), 1e-3, rtol=1e-12)
         assert stream.positions.shape == (stream.times.size, 3)

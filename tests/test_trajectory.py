@@ -271,9 +271,6 @@ class TestBlendAndEvaluate:
     def test_enable_times_non_decreasing(self, vias, overlap):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, overlap)
         assert np.all(np.diff(traj.enable_times) >= 0.0)
-        for joint_states in traj.states:
-            for state in joint_states:
-                assert state.t_enb is not None
 
     def test_peak_abs_matches_brute_force(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
