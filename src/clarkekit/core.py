@@ -18,7 +18,9 @@ are rejected as degenerate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +45,9 @@ class RobotDesign:
 
     psi holds the joint angles in radians, d the center-line distances in
     meters, and l the segment length in meters.  These three parameters
-    fully describe the robot for every mapping in this package.
+    fully describe the robot for every mapping in this package.  The
+    design's Clarke and arc matrices are built on first use and kept, as
+    read-only arrays, for the life of the design.
     """
 
     name: str
@@ -74,6 +78,22 @@ class RobotDesign:
     @property
     def n(self) -> int:
         return self.psi.size
+
+    @cached_property
+    def pair(self) -> "TransformPair":
+        """Forward/inverse Clarke matrix pair (see transform_pair).  A
+        degenerate design raises DegenerateDesign on every access."""
+        return _build_pair(self)
+
+    @cached_property
+    def arc_forward(self) -> np.ndarray:
+        """2 x n joint-to-arc matrix (see arc_forward_matrix)."""
+        return _read_only(self.pair.forward_matrix / self.d[None, :] / self.l)
+
+    @cached_property
+    def arc_inverse(self) -> np.ndarray:
+        """n x 2 arc-to-joint matrix (see arc_inverse_matrix)."""
+        return _read_only(self.l * self.d[:, None] * inverse_clarke_matrix(self.psi))
 
     def is_symmetric(self, tol: float = 1e-9) -> bool:
         """True when the joints are equally spaced around the cross-section."""
@@ -149,6 +169,13 @@ def check_clarke(clarke) -> np.ndarray:
     return pair
 
 
+def check_count(value, name: str) -> int:
+    """Validate and return a positive integer count (grid size, draw count)."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameter(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def inverse_clarke_matrix(psi) -> np.ndarray:
     """n x 2 matrix with rows [cos(psi_i), sin(psi_i)].
 
@@ -176,27 +203,35 @@ def _inv2x2(gram: np.ndarray) -> np.ndarray:
     return np.array([[c, -b], [-b, a]]) / det
 
 
-def transform_pair(design: RobotDesign) -> TransformPair:
-    """Build the forward/inverse Clarke matrix pair for a design.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    The forward matrix is the Moore-Penrose pseudoinverse of the inverse
-    matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
-    computed through its closed-form inverse; a condition number at or
-    above CONDITION_LIMIT raises DegenerateDesign.  For symmetric layouts
-    the result equals (2/n) times the transposed inverse matrix.
-    """
-    minv = inverse_clarke_matrix(design.psi)
-    gram = minv.T @ minv
+
+def _build_pair(design: RobotDesign) -> TransformPair:
+    minv = _read_only(inverse_clarke_matrix(design.psi))
+    gram = _read_only(minv.T @ minv)
     condition = _spd2_condition(gram)
     if not condition < CONDITION_LIMIT:
         raise DegenerateDesign(
             f"design {design.name!r}: Gram condition {condition:.3g} is not "
             f"below {CONDITION_LIMIT:.0e}; joint angles are collinear modulo pi"
         )
-    forward = _inv2x2(gram) @ minv.T
-    for array in (forward, minv, gram):
-        array.setflags(write=False)
+    forward = _read_only(_inv2x2(gram) @ minv.T)
     return TransformPair(design, forward, minv, gram, condition)
+
+
+def transform_pair(design: RobotDesign) -> TransformPair:
+    """The forward/inverse Clarke matrix pair of a design.
+
+    The forward matrix is the Moore-Penrose pseudoinverse of the inverse
+    matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
+    computed through its closed-form inverse; a condition number at or
+    above CONDITION_LIMIT raises DegenerateDesign.  For symmetric layouts
+    the result equals (2/n) times the transposed inverse matrix.  The pair
+    is built once per design and its arrays are read-only.
+    """
+    return design.pair
 
 
 def gram_condition(design: RobotDesign) -> float:
@@ -208,15 +243,15 @@ def gram_condition(design: RobotDesign) -> float:
 
 def arc_forward_matrix(design: RobotDesign) -> np.ndarray:
     """2 x n map from joint displacements to the planar arc pair
-    (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i."""
-    pair = transform_pair(design)
-    return pair.forward_matrix / design.d[None, :] / design.l
+    (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i.
+    Built once per design, read-only."""
+    return design.arc_forward
 
 
 def arc_inverse_matrix(design: RobotDesign) -> np.ndarray:
     """n x 2 map from the planar arc pair back to joint displacements;
-    adds l, d_i and psi_i."""
-    return design.l * design.d[:, None] * inverse_clarke_matrix(design.psi)
+    adds l, d_i and psi_i.  Built once per design, read-only."""
+    return design.arc_inverse
 
 
 def to_arc(design: RobotDesign, joints) -> ArcParameters:
@@ -224,7 +259,7 @@ def to_arc(design: RobotDesign, joints) -> ArcParameters:
 
     theta is defined as 0 for the straight configuration (kappa = 0).
     """
-    w = arc_forward_matrix(design) @ check_joints(joints, design.n)
+    w = design.arc_forward @ check_joints(joints, design.n)
     return ArcParameters.from_planar(w)
 
 
@@ -232,7 +267,7 @@ def from_arc(design: RobotDesign, arc) -> np.ndarray:
     """Joint vector realizing the given (kappa, theta) arc parameters."""
     kappa, theta = arc
     w = np.array([kappa * math.cos(theta), kappa * math.sin(theta)])
-    return arc_inverse_matrix(design) @ w
+    return design.arc_inverse @ w
 
 
 def symmetric_design(n: int, d: float, l: float, name: str = "symmetric") -> RobotDesign:

@@ -19,17 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    ArcParameters,
-    RobotDesign,
-    arc_forward_matrix,
-    arc_inverse_matrix,
-    check_joints,
-    from_arc,
-    to_arc,
-    transform_pair,
-    wrap_angle,
-)
+from .core import ArcParameters, RobotDesign, check_count, check_joints, wrap_angle
 from .designs import design_from_dict, design_to_dict
 from .errors import DimensionMismatch, InvalidParameter
 
@@ -90,9 +80,9 @@ def make_transfer_map(source: RobotDesign, target: RobotDesign,
                       mode: str = "general") -> TransferMap:
     """Build the retargeting matrix for one ordered design pair."""
     if mode == "symmetric":
-        matrix = transform_pair(target).inverse_matrix @ transform_pair(source).forward_matrix
+        matrix = target.pair.inverse_matrix @ source.pair.forward_matrix
     elif mode == "general":
-        matrix = arc_inverse_matrix(target) @ arc_forward_matrix(source)
+        matrix = target.arc_inverse @ source.arc_forward
     else:
         raise InvalidParameter(f"unknown transfer mode {mode!r}; choose from {TRANSFER_MODES}")
     matrix.setflags(write=False)
@@ -106,9 +96,7 @@ def transfer_symmetric(source: RobotDesign, target: RobotDesign, joints) -> np.n
     target's inverse matrix; center-line distances and segment lengths are
     ignored, so the Clarke coordinates are preserved exactly.
     """
-    source_pair = transform_pair(source)
-    target_pair = transform_pair(target)
-    return target_pair.inverse_matrix @ (source_pair.forward_matrix
+    return target.pair.inverse_matrix @ (source.pair.forward_matrix
                                          @ check_joints(joints, source.n))
 
 
@@ -118,8 +106,8 @@ def transfer_general(source: RobotDesign, target: RobotDesign, joints) -> np.nda
     The source's kinematic design parameters are stripped and the target's
     added, so both robots realize the same arc.
     """
-    w = arc_forward_matrix(source) @ check_joints(joints, source.n)
-    return arc_inverse_matrix(target) @ w
+    w = source.arc_forward @ check_joints(joints, source.n)
+    return target.arc_inverse @ w
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +119,14 @@ class PerturbedDesign:
     true_d: np.ndarray
 
     def __post_init__(self):
-        true_psi = np.atleast_1d(np.asarray(self.true_psi, dtype=float))
-        true_d = np.atleast_1d(np.asarray(self.true_d, dtype=float))
+        true_psi = np.atleast_1d(np.asarray(self.true_psi, dtype=float)).copy()
+        true_d = np.atleast_1d(np.asarray(self.true_d, dtype=float)).copy()
         if true_psi.shape != (self.nominal.n,) or true_d.shape != (self.nominal.n,):
             raise InvalidParameter("true_psi and true_d must match the nominal joint count")
-        if not np.all(true_d > 0.0):
-            raise InvalidParameter("true center-line distances must be positive")
+        if not np.all(np.isfinite(true_psi)):
+            raise InvalidParameter("true joint angles must be finite")
+        if not np.all(np.isfinite(true_d)) or not np.all(true_d > 0.0):
+            raise InvalidParameter("true center-line distances must be positive and finite")
         true_psi.setflags(write=False)
         true_d.setflags(write=False)
         object.__setattr__(self, "true_psi", true_psi)
@@ -161,34 +151,40 @@ class PerturbationRecord:
 def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> list[PerturbationRecord]:
     """Propagate joint-location uncertainty onto the realized arc.
 
-    Each grid point is a Clarke coordinate pair for the nominal design.  It
-    is decoded to a commanded arc, the commanded joint displacements are
-    computed on the nominal design, and the arc those displacements realize
-    on the true design is compared against the commanded one.  With exact
-    joint locations every deviation is zero.
+    Each grid point (a row of an (m, 2) array, or one (2,) pair) is a
+    Clarke coordinate pair for the nominal design.  It is decoded to a
+    commanded arc, the commanded joint displacements are computed on the
+    nominal design, and the arc those displacements realize on the true
+    design is compared against the commanded one.  With exact joint
+    locations every deviation is zero.  The whole grid is processed as
+    arrays.
     """
     nominal = perturbed.nominal
-    true = perturbed.true_design()
-    pair = transform_pair(nominal)
-    records = []
-    for point in np.atleast_2d(np.asarray(clarke_grid, dtype=float)):
-        commanded = to_arc(nominal, pair.inverse(point))
-        joints = from_arc(nominal, commanded)
-        realized = to_arc(true, joints)
-        records.append(PerturbationRecord(
-            clarke=point,
-            commanded=commanded,
-            realized=realized,
-            dkappa_l=(realized.kappa - commanded.kappa) * nominal.l,
-            dtheta=_angle_deviation(commanded, realized),
-        ))
-    return records
+    points = np.atleast_2d(np.asarray(clarke_grid, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DimensionMismatch(f"expected Clarke pairs of shape (m, 2), got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise InvalidParameter("Clarke coordinates must be finite")
+    kappa_cmd, theta_cmd = _polar(points @ nominal.pair.inverse_matrix.T @ nominal.arc_forward.T)
+    planar = np.column_stack([kappa_cmd * np.cos(theta_cmd), kappa_cmd * np.sin(theta_cmd)])
+    joints = planar @ nominal.arc_inverse.T
+    kappa_real, theta_real = _polar(joints @ perturbed.true_design().arc_forward.T)
+    dkappa_l = (kappa_real - kappa_cmd) * nominal.l
+    # theta is 0 wherever kappa is 0, so dtheta is 0 where both curvatures are 0
+    dtheta = wrap_angle(theta_real - theta_cmd)
+    return [PerturbationRecord(clarke=point, commanded=ArcParameters(kc, tc),
+                               realized=ArcParameters(kr, tr), dkappa_l=dk, dtheta=dt)
+            for point, kc, tc, kr, tr, dk, dt in zip(
+                points, kappa_cmd.tolist(), theta_cmd.tolist(), kappa_real.tolist(),
+                theta_real.tolist(), dkappa_l.tolist(), dtheta.tolist())]
 
 
-def _angle_deviation(commanded: ArcParameters, realized: ArcParameters) -> float:
-    if commanded.kappa == 0.0 and realized.kappa == 0.0:
-        return 0.0
-    return wrap_angle(realized.theta - commanded.theta)
+def _polar(planar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Curvatures and bending-plane angles of (m, 2) planar arc pairs; theta
+    is 0 where kappa is 0, as in ArcParameters.from_planar."""
+    kappa = np.hypot(planar[:, 0], planar[:, 1])
+    theta = np.where(kappa == 0.0, 0.0, wrap_angle(np.arctan2(planar[:, 1], planar[:, 0])))
+    return kappa, theta
 
 
 def polar_clarke_grid(d_ref: float, radii: int = 5, angles: int = 16) -> np.ndarray:
@@ -197,8 +193,9 @@ def polar_clarke_grid(d_ref: float, radii: int = 5, angles: int = 16) -> np.ndar
     Convenience for perturbation studies: `radii` rings (excluding the
     center) crossed with `angles` equally spaced bending-plane directions.
     """
-    if d_ref <= 0.0 or radii < 1 or angles < 1:
-        raise InvalidParameter("d_ref must be positive and radii/angles at least 1")
+    if not (math.isfinite(d_ref) and d_ref > 0.0):
+        raise InvalidParameter(f"d_ref must be positive and finite, got {d_ref}")
+    radii, angles = check_count(radii, "radii"), check_count(angles, "angles")
     r = math.pi * d_ref * np.arange(1, radii + 1) / radii
     phi = -math.pi + 2.0 * math.pi * np.arange(angles) / angles
     rr, pp = np.meshgrid(r, phi, indexing="ij")

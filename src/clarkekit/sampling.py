@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, transform_pair
+from .core import RobotDesign, check_count
 from .errors import DimensionMismatch, InvalidParameter
 from .fileio import write_csv
 
@@ -43,8 +43,7 @@ class SampleBatch:
 
 def sample_clarke_disk(seed: int, count: int, d_ref: float) -> SampleBatch:
     """Draw `count` Clarke coordinate pairs uniformly from the feasible disk."""
-    if count < 1:
-        raise InvalidParameter(f"count must be at least 1, got {count}")
+    count = check_count(count, "count")
     if not (math.isfinite(d_ref) and d_ref > 0.0):
         raise InvalidParameter(f"d_ref must be positive, got {d_ref}")
     mag_stream, angle_stream = np.random.SeedSequence(seed).spawn(2)
@@ -67,7 +66,7 @@ def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
     matrix.  No draw is ever rejected.
     """
     batch = sample_clarke_disk(seed, count, d_ref=float(np.min(design.d)))
-    return batch.clarke @ transform_pair(design).inverse_matrix.T
+    return batch.clarke @ design.pair.inverse_matrix.T
 
 
 def write_samples_csv(path, batch: SampleBatch, joints: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, arc_forward_matrix, arc_inverse_matrix
+from .core import RobotDesign
 from .errors import DimensionMismatch, InvalidParameter
 from .fileio import write_csv
 from .retarget import TRANSFER_MODES, TransferMap, make_transfer_map
@@ -106,7 +106,7 @@ class SimRun:
 
     def rms_latent(self) -> float:
         """RMS of the latent-space tracking-error norm after the cutoff."""
-        latent = self.tracking_error() @ arc_forward_matrix(self.design).T
+        latent = self.tracking_error() @ self.design.arc_forward.T
         return float(np.sqrt(np.mean(np.sum(latent[self._settled()]**2, axis=1))))
 
     def max_abs_error(self) -> float:
@@ -162,7 +162,7 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
         # E @ D = I2 leaves one recurrence per latent channel: with z = E s, r = E (d - w),
         # e = r - z and g = kd/dt, z[k+1] = a1 z[k] + a2 z[k-1] + alpha ((kp + g) r[k] - g r[k-1]);
         # the first tick takes z[-1] = z[0] and r[-1] = r[0], i.e. e[-1] = e[0].
-        encode = arc_forward_matrix(design)
+        encode = design.arc_forward
         reference = (desired - noise) @ encode.T
         latent0 = encode @ desired[0]
         # companion state (z[k], z[k-1]) = A (z[k-1], z[k-2]) + (forcing[k-1], 0)
@@ -175,7 +175,7 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
         command = config.kp * error + kd_over_dt * np.diff(error, axis=0, prepend=error[:1])
         # D E is a projector: the part of s outside D's range decays as (1 - alpha)**k
         decay = np.power(1.0 - alpha, np.arange(ticks))[:, None]
-        decode = arc_inverse_matrix(design).T
+        decode = design.arc_inverse.T
         true = (companion[0] - decay * latent0) @ decode
         true += decay * desired[0]
         commanded = command @ decode

@@ -9,13 +9,21 @@ from clarkekit import (
     DimensionMismatch,
     InvalidParameter,
     RobotDesign,
+    arc_forward_matrix,
+    arc_inverse_matrix,
+    builtin_designs,
     from_arc,
     gram_condition,
     inverse_clarke_matrix,
+    make_transfer_map,
+    sample_joints,
     symmetric_design,
     to_arc,
+    transfer_general,
+    transfer_symmetric,
     transform_pair,
 )
+from clarkekit import core
 from conftest import random_design
 
 SQRT3 = math.sqrt(3.0)
@@ -97,6 +105,63 @@ class TestTransformPair:
             assert abs(np.sum(np.cos(psi) ** 2) - n / 2) < 1e-12
             assert abs(np.sum(np.sin(psi) ** 2) - n / 2) < 1e-12
             assert abs(np.sum(np.sin(psi) * np.cos(psi))) < 1e-12
+
+
+class TestDesignMatrixCache:
+    def test_matrices_are_built_once_per_design(self, designs):
+        for design in designs.values():
+            assert transform_pair(design) is transform_pair(design)
+            assert arc_forward_matrix(design) is arc_forward_matrix(design)
+            assert arc_inverse_matrix(design) is arc_inverse_matrix(design)
+
+    def test_cached_matrices_are_read_only(self, designs):
+        for design in designs.values():
+            pair = transform_pair(design)
+            for matrix in (pair.forward_matrix, pair.inverse_matrix, pair.gram,
+                           arc_forward_matrix(design), arc_inverse_matrix(design)):
+                with pytest.raises(ValueError):
+                    matrix[0, 0] = 1.0
+
+    def test_cached_values_match_their_definition(self, robot_D):
+        pair = transform_pair(robot_D)
+        np.testing.assert_array_equal(arc_forward_matrix(robot_D),
+                                      pair.forward_matrix / robot_D.d[None, :] / robot_D.l)
+        np.testing.assert_array_equal(
+            arc_inverse_matrix(robot_D),
+            robot_D.l * robot_D.d[:, None] * inverse_clarke_matrix(robot_D.psi))
+
+    def test_degenerate_design_raises_on_every_call(self):
+        design = RobotDesign("bad", psi=[0.0, math.pi, 0.0], d=[0.01] * 3, l=0.1)
+        for _ in range(3):
+            with pytest.raises(DegenerateDesign):
+                transform_pair(design)
+            with pytest.raises(DegenerateDesign):
+                arc_forward_matrix(design)
+        for _ in range(2):
+            assert gram_condition(design) == math.inf
+
+    def test_scalar_call_sequence_builds_each_pair_once(self, monkeypatch):
+        builds = {}
+        build = core._build_pair
+
+        def counting_build(design):
+            builds[design.name] = builds.get(design.name, 0) + 1
+            return build(design)
+
+        monkeypatch.setattr(core, "_build_pair", counting_build)
+        robots = list(builtin_designs().values())
+        vectors = [sample_joints(design, 3 + k, 64) for k, design in enumerate(robots)]
+        rng = np.random.default_rng(5)
+        for s, t, row in rng.integers([5, 5, 64], size=(600, 3)).tolist():
+            joints = vectors[s][row]
+            pair = transform_pair(robots[s])
+            arc = to_arc(robots[s], joints)
+            from_arc(robots[t], arc)
+            transfer_general(robots[s], robots[t], joints)
+            transfer_symmetric(robots[s], robots[t], joints)
+            make_transfer_map(robots[s], robots[t])
+            pair.inverse(pair.forward(joints))
+        assert builds == {design.name: 1 for design in robots}
 
 
 class TestForwardInverse:

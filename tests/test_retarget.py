@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clarkekit import (
+    ArcParameters,
     DimensionMismatch,
     InvalidParameter,
     PerturbedDesign,
@@ -19,7 +20,9 @@ from clarkekit import (
     transfer_symmetric,
     transform_pair,
 )
+from clarkekit.retarget import _polar
 from conftest import random_design
+from retarget_oracle import perturbation_analysis as perturbation_oracle
 
 
 def feasible_joints(design, rng, count=10):
@@ -207,12 +210,97 @@ class TestPerturbationAnalysis:
             assert record.dtheta == pytest.approx(dtheta, rel=1e-9)
         assert any(abs(r.dtheta) > 1e-3 for r in records)
 
+    def test_matches_per_point_oracle(self, designs):
+        rng = np.random.default_rng(47)
+        for design in designs.values():
+            perturbed = PerturbedDesign(nominal=design,
+                                        true_psi=design.psi + rng.uniform(-0.05, 0.05, design.n),
+                                        true_d=design.d + rng.uniform(-5e-4, 5e-4, design.n))
+            radius = math.pi * float(np.min(design.d))
+            grid = np.vstack([np.zeros((1, 2)),
+                              polar_clarke_grid(float(np.min(design.d)), radii=7, angles=24),
+                              rng.uniform(-radius, radius, (200, 2))])
+            batched = perturbation_analysis(perturbed, grid)
+            oracle = perturbation_oracle(perturbed, grid)
+            assert len(batched) == len(oracle) == len(grid)
+
+            def column(records, field):
+                return np.array([field(r) for r in records])
+
+            kappa_scale = np.max(column(oracle, lambda r: r.commanded.kappa))
+            for field, tol in [(lambda r: r.commanded.kappa, 1e-12 * kappa_scale),
+                               (lambda r: r.realized.kappa, 1e-12 * kappa_scale),
+                               (lambda r: r.commanded.theta, 1e-12 * math.pi),
+                               (lambda r: r.realized.theta, 1e-12 * math.pi),
+                               (lambda r: r.dkappa_l, 1e-12 * kappa_scale * design.l),
+                               (lambda r: r.dtheta, 1e-12)]:
+                deviation = np.abs(column(batched, field) - column(oracle, field))
+                assert np.max(deviation) <= tol
+            for record, point in zip(batched, grid):
+                np.testing.assert_array_equal(record.clarke, point)
+            assert batched[0].commanded == batched[0].realized == (0.0, 0.0)
+            assert batched[0].dkappa_l == batched[0].dtheta == 0.0
+
+    def test_polar_conventions_match_scalar_arcs(self):
+        # signed zeros and the negative real axis: theta is 0 at kappa = 0
+        # and wraps into [-pi, pi), as for one ArcParameters
+        planar = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-2.0, 0.0],
+                           [-2.0, -0.0], [3.0, 4.0]])
+        kappa, theta = _polar(planar)
+        for row, k, t in zip(planar, kappa, theta):
+            assert (k, t) == ArcParameters.from_planar(row)
+        np.testing.assert_array_equal(theta[:5], [0.0, 0.0, 0.0, -math.pi, -math.pi])
+
+    def test_grid_input_contract(self, robot_0):
+        perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi + 0.01,
+                                    true_d=robot_0.d)
+        single = perturbation_analysis(perturbed, [0.004, -0.002])
+        assert len(single) == 1
+        assert single[0].dkappa_l == perturbation_oracle(perturbed, [0.004, -0.002])[0].dkappa_l
+        assert perturbation_analysis(perturbed, np.zeros((0, 2))) == []
+        for bad in ([[0.01, np.nan]], [[0.01, 0.0], [np.inf, 0.0]]):
+            with pytest.raises(InvalidParameter):
+                perturbation_analysis(perturbed, bad)
+        for bad in ([0.01, 0.0, 0.0], np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.01):
+            with pytest.raises(DimensionMismatch):
+                perturbation_analysis(perturbed, bad)
+
+    def test_rejects_non_finite_perturbation(self, robot_0):
+        with pytest.raises(InvalidParameter):
+            PerturbedDesign(nominal=robot_0, true_psi=[0.0, np.nan, 1.0], true_d=robot_0.d)
+        with pytest.raises(InvalidParameter):
+            PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi,
+                            true_d=[0.01, np.inf, 0.01])
+
+    def test_keeps_its_own_copy_of_the_true_layout(self, robot_0):
+        true_psi = robot_0.psi.copy()
+        perturbed = PerturbedDesign(nominal=robot_0, true_psi=true_psi, true_d=robot_0.d)
+        true_psi[0] += 0.05
+        assert perturbed.true_psi[0] == robot_0.psi[0]
+
     def test_rejects_mismatched_perturbation(self, robot_0):
         with pytest.raises(InvalidParameter):
             PerturbedDesign(nominal=robot_0, true_psi=[0.0, 1.0], true_d=robot_0.d)
         with pytest.raises(InvalidParameter):
             PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi,
                             true_d=[-0.01, 0.01, 0.01])
+
+
+class TestPolarClarkeGrid:
+    def test_rings_and_directions(self):
+        grid = polar_clarke_grid(0.01, radii=5, angles=16)
+        assert grid.shape == (80, 2)
+        np.testing.assert_allclose(np.max(np.hypot(*grid.T)), math.pi * 0.01, rtol=1e-15)
+
+    @pytest.mark.parametrize("d_ref", [np.nan, np.inf, 0.0, -0.01])
+    def test_rejects_bad_d_ref(self, d_ref):
+        with pytest.raises(InvalidParameter):
+            polar_clarke_grid(d_ref)
+
+    @pytest.mark.parametrize("radii,angles", [(2.5, 16), (5, 2.5), (5.0, 16), (0, 16), (5, -1)])
+    def test_rejects_non_integer_or_empty_counts(self, radii, angles):
+        with pytest.raises(InvalidParameter):
+            polar_clarke_grid(0.01, radii=radii, angles=angles)
 
 
 class TestRandomDesignTransfers:

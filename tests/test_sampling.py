@@ -69,6 +69,11 @@ class TestClarkeDiskSampling:
         with pytest.raises(InvalidParameter):
             sample_clarke_disk(0, 10, -0.01)
 
+    @pytest.mark.parametrize("count", [2.5, 10.0, "10", None])
+    def test_non_integer_count(self, count):
+        with pytest.raises(InvalidParameter):
+            sample_clarke_disk(0, count, 0.01)
+
 
 class TestJointSampling:
     def test_shape_and_determinism(self, robot_0):
