@@ -21,15 +21,12 @@ import numpy as np
 
 from . import __version__
 from .core import CONDITION_LIMIT, to_arc, transform_pair
-from .designs import builtin_designs, design_report, design_to_dict, get_design
+from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
 from .fileio import sha256_file, sha256_text, write_csv, write_json
-from .retarget import (PerturbedDesign, make_transfer_map, perturbation_analysis,
-                       polar_clarke_grid)
 from .sampling import sample_clarke_disk, sample_joints, write_samples_csv
-from .simulate import (MODES, SimConfig, SimRun, desired_stream, run, run_experiment,
-                       surrogate_trajectory)
+from .simulate import MODES, SimRun, evaluate_suite, run_experiment
 from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
                          plan_trajectory, write_trajectory_csv)
 
@@ -191,57 +188,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """Five-robot evaluation: all behaviors, both transfer modes, and the
-    joint-location uncertainty grid for the surrogate."""
-    designs = builtin_designs()
-    surrogate = designs["robot_0"]
+    """Five-robot evaluation (simulate.evaluate_suite): writes every run, the
+    surrogate's joint-location uncertainty grid, the summary and the manifest."""
     out_dir = Path(args.out_dir)
-    seed = args.seed
-    manifest = Manifest("demo", {"seed": seed}, [seed], list(designs.values()))
-    summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
-    trajectory = surrogate_trajectory(surrogate, seed)
-
-    for name, target in designs.items():
-        entry = dict(design_report(target))
-        stream = desired_stream(trajectory, make_transfer_map(surrogate, target, "general"))
-        entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
-        entry["velocity_limit_mps"] = DEFAULT_V_MAX
-        entry["velocity_limit_respected"] = bool(
-            entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + 1e-9))
-        runs = {mode: run(stream.positions, target,
-                          SimConfig(seed=seed, mode=mode, transfer_mode="general"))
-                for mode in MODES}
-        for mode, sim in runs.items():
-            _write_run(out_dir, f"{name}_{mode}", sim, manifest)
-            entry[f"rms_latent_{mode}"] = sim.rms_latent()
-        entry["rms_per_joint_closed_loop_m"] = [float(x) for x in
-                                                runs["closed_loop"].rms_per_joint()]
-        sym_stream = desired_stream(trajectory,
-                                    make_transfer_map(surrogate, target, "symmetric"))
-        shared = min(sym_stream.positions.shape[0], stream.positions.shape[0])
-        deviation = float(np.max(np.abs(sym_stream.positions[:shared]
-                                        - stream.positions[:shared])))
-        entry["transfer_modes_equivalent"] = bool(
-            deviation < 1e-12 and sym_stream.positions.shape == stream.positions.shape)
-        entry["transfer_mode_deviation_m"] = deviation
-        if not entry["transfer_modes_equivalent"] and name != "robot_0":
-            uncomp = run(sym_stream.positions, target,
-                         SimConfig(seed=seed, mode="closed_loop", transfer_mode="symmetric"))
-            _write_run(out_dir, f"{name}_closed_loop_uncompensated", uncomp, manifest)
-            rms_comp = float(np.mean(runs["closed_loop"].rms_per_joint()))
-            rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
-            entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp
-            entry["degraded_without_compensation"] = bool(rms_uncomp > rms_comp)
-        summary["robots"][name] = entry
-
-    # Joint-location uncertainty study on the surrogate: a fixed example
-    # offset on every joint angle and distance, swept over a polar latent grid.
-    psi_offset = np.array([0.05, -0.03, 0.02])
-    d_offset_mm = np.array([0.5, -0.3, 0.2])
-    perturbed = PerturbedDesign(nominal=surrogate, true_psi=surrogate.psi + psi_offset,
-                                true_d=surrogate.d + d_offset_mm / 1000.0)
-    grid = polar_clarke_grid(float(np.min(surrogate.d)), radii=5, angles=16)
-    records = perturbation_analysis(perturbed, grid)
+    runs, records, summary = evaluate_suite(args.seed)
+    manifest = Manifest("demo", {"seed": args.seed}, [args.seed],
+                        [sim.design for sim in runs.values()])
+    for stem, sim in runs.items():
+        _write_run(out_dir, stem, sim, manifest)
     rows = [[r.clarke[0], r.clarke[1], r.commanded.kappa, r.commanded.theta,
              r.realized.kappa, r.realized.theta, r.dkappa_l, r.dtheta]
             for r in records]
@@ -249,15 +203,6 @@ def cmd_demo(args) -> int:
     write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
                           "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"], rows)
     manifest.add(pert_path)
-    summary["perturbation"] = {
-        "robot": "robot_0",
-        "psi_offset_rad": [float(x) for x in psi_offset],
-        "d_offset_mm": [float(x) for x in d_offset_mm],
-        "grid_points": len(records),
-        "max_abs_dkappa_l": float(max(abs(r.dkappa_l) for r in records)),
-        "max_abs_dtheta_rad": float(max(abs(r.dtheta) for r in records)),
-    }
-
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
     manifest.add(summary_path)
@@ -350,7 +295,7 @@ def main(argv=None) -> int:
     except (ParseError, InvalidParameter, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ClarkeError, OutOfRange, OSError) as exc:
+    except (ClarkeError, OutOfRange, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

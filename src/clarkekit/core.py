@@ -131,10 +131,11 @@ class ArcParameters(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class TransformPair:
     """Cached forward (2 x n) and inverse (n x 2) Clarke matrices for one
-    design, together with the 2 x 2 Gram matrix of the inverse matrix and
-    its condition number."""
+    design of n joints, together with the 2 x 2 Gram matrix of the inverse
+    matrix and its condition number.  It keeps n, not the design, so a
+    design and its cached pair form no reference cycle."""
 
-    design: RobotDesign
+    n: int
     forward_matrix: np.ndarray
     inverse_matrix: np.ndarray
     gram: np.ndarray
@@ -142,7 +143,7 @@ class TransformPair:
 
     def forward(self, joints) -> np.ndarray:
         """Clarke coordinates of a joint vector (exact linear map)."""
-        return self.forward_matrix @ check_joints(joints, self.design.n)
+        return self.forward_matrix @ check_joints(joints, self.n)
 
     def inverse(self, clarke) -> np.ndarray:
         """Joint vector reproducing the given Clarke coordinates."""
@@ -218,7 +219,7 @@ def _build_pair(design: RobotDesign) -> TransformPair:
             f"below {CONDITION_LIMIT:.0e}; joint angles are collinear modulo pi"
         )
     forward = _read_only(_inv2x2(gram) @ minv.T)
-    return TransformPair(design, forward, minv, gram, condition)
+    return TransformPair(design.n, forward, minv, gram, condition)
 
 
 def transform_pair(design: RobotDesign) -> TransformPair:

@@ -79,19 +79,19 @@ def design_from_dict(raw: dict, source: str = "<dict>") -> RobotDesign:
     missing = {"name", "n", "psi_rad", "d_mm", "l_m"} - raw.keys()
     if missing:
         raise ParseError(f"{source}: missing fields {sorted(missing)}")
-    psi = np.asarray(raw["psi_rad"], dtype=float)
-    d_mm = np.asarray(raw["d_mm"], dtype=float)
+    try:
+        psi = np.asarray(raw["psi_rad"], dtype=float)
+        d_mm = np.asarray(raw["d_mm"], dtype=float)
+        length = float(raw["l_m"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: psi_rad, d_mm and l_m must be numbers: {exc}") from exc
     n = raw["n"]
     if psi.ndim != 1 or d_mm.ndim != 1 or psi.size != n or d_mm.size != n:
         raise ParseError(f"{source}: psi_rad and d_mm must each hold n = {n} values")
     try:
-        return RobotDesign(name=str(raw["name"]), psi=psi, d=d_mm / 1000.0, l=float(raw["l_m"]))
+        return RobotDesign(name=str(raw["name"]), psi=psi, d=d_mm / 1000.0, l=length)
     except InvalidParameter as exc:
         raise ParseError(f"{source}: {exc}") from exc
-
-
-def save_design(design: RobotDesign, path) -> None:
-    Path(path).write_text(json.dumps(design_to_dict(design), indent=2) + "\n")
 
 
 def design_report(design: RobotDesign) -> dict:

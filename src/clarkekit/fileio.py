@@ -15,11 +15,6 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value) -> str:
-    """Shortest decimal representation that parses back to the same float."""
-    return repr(float(value))
-
-
 def write_atomic(path, text: str) -> None:
     """Write text to path via a temp file in the same directory."""
     path = Path(path)
@@ -39,17 +34,18 @@ def write_csv(path, header: list[str], rows) -> None:
     """Write a CSV file with round-trip float formatting (atomic).
 
     `rows` is a 2-D float array or an iterable of rows whose cells are
-    numbers or preformatted strings.  An array row is converted to Python
-    floats in one call, so each cell is formatted by `repr` alone (the same
-    text as `fmt`); converting row by row keeps the whole table from being
-    held as Python floats at once.
+    numbers or preformatted strings; a number is written as its shortest
+    round-trip text, `repr(float(cell))`.  An array row is converted to
+    Python floats in one call; converting row by row keeps the whole table
+    from being held as Python floats at once.
     """
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray):
         lines += [",".join(map(repr, row.tolist())) for row in rows.astype(float, copy=False)]
     else:
         for row in rows:
-            lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
+            lines.append(",".join(cell if isinstance(cell, str) else repr(float(cell))
+                                  for cell in row))
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -13,18 +13,20 @@ two gains serve any joint count and any design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import RobotDesign
+from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .fileio import write_csv
-from .retarget import TRANSFER_MODES, TransferMap, make_transfer_map
+from .retarget import (TRANSFER_MODES, PerturbationRecord, PerturbedDesign, TransferMap,
+                       make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
-from .trajectory import (DEFAULT_LIMITS, KinematicLimits, PlannedTrajectory, evaluate,
-                         peak_abs, plan_trajectory)
+from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, evaluate, peak_abs,
+                         plan_trajectory)
 
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
 
@@ -207,61 +209,114 @@ class DesiredStream(NamedTuple):
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    dilation: float
 
 
-def surrogate_trajectory(surrogate: RobotDesign, seed: int, segment_count: int = 5,
-                         overlap_fraction: float = 0.5,
-                         limits: KinematicLimits = DEFAULT_LIMITS) -> PlannedTrajectory:
+def surrogate_trajectory(surrogate: RobotDesign, seed: int,
+                         segment_count: int = 5) -> PlannedTrajectory:
     """Sample segment_count + 1 via points on the surrogate and plan their
-    blended trajectory; one plan serves every target and transfer mode."""
-    vias = sample_joints(surrogate, seed, segment_count + 1)
-    return plan_trajectory(vias, limits, overlap_fraction)
+    blended trajectory under the default limits; one plan serves every
+    target and transfer mode."""
+    return plan_trajectory(sample_joints(surrogate, seed, segment_count + 1))
 
 
-def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap, dt: float = 1e-3,
-                   limits: KinematicLimits = DEFAULT_LIMITS) -> DesiredStream:
-    """Retarget every tick of a planned surrogate trajectory to the transfer
-    map's target design.
+def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> DesiredStream:
+    """Retarget every tick (SimConfig's dt) of a planned surrogate trajectory
+    to the transfer map's target design.
 
     Retargeting can raise individual joint speeds (a latent direction may
     align better with a target joint than with any surrogate joint), so the
-    retargeted stream is checked against the velocity limit and, when
-    needed, the whole timeline is uniformly stretched by the smallest
-    factor restoring it; the reported dilation covers that stretch.
+    retargeted stream is checked against the default velocity limit and,
+    when needed, the whole timeline is uniformly stretched by the smallest
+    factor restoring it.
     """
     stretch = 1.0
     peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
-    if peak_speed > limits.v_max:
-        stretch = peak_speed / limits.v_max * (1.0 + 1e-12)
+    if peak_speed > DEFAULT_LIMITS.v_max:
+        stretch = peak_speed / DEFAULT_LIMITS.v_max * (1.0 + 1e-12)
     horizon = trajectory.horizon * stretch
-    ticks = int(math.floor(horizon / dt)) + 1
-    times = np.arange(ticks) * dt
+    ticks = int(math.floor(horizon / SimConfig.dt)) + 1
+    times = np.arange(ticks) * SimConfig.dt
     source_times = np.clip(times / stretch, 0.0, trajectory.horizon)
     positions, velocities, _ = evaluate(trajectory, source_times)
     return DesiredStream(times=times, positions=positions @ transfer.matrix.T,
-                         velocities=velocities @ transfer.matrix.T / stretch,
-                         dilation=trajectory.dilation * stretch)
+                         velocities=velocities @ transfer.matrix.T / stretch)
+
+
+def _simulate_modes(stream: DesiredStream, target: RobotDesign, seed: int,
+                    transfer_mode: str, modes=MODES) -> dict[str, SimRun]:
+    """Simulate each mode on one stream; the shared seed gives shared noise."""
+    return {mode: run(stream.positions, target,
+                      SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode))
+            for mode in modes}
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
-                   transfer_mode: str = "general", config: SimConfig | None = None,
-                   segment_count: int = 5, overlap_fraction: float = 0.5,
-                   limits: KinematicLimits = DEFAULT_LIMITS,
+                   transfer_mode: str = "general", segment_count: int = 5,
                    modes=MODES) -> dict[str, SimRun]:
     """Full evaluation workflow for one surrogate/target pair.
 
     Samples segment_count + 1 via points on the surrogate, plans the
-    blended trajectory under the kinematic limits, retargets the stream,
-    and simulates the requested modes (all three by default).  All modes
-    share the same seed, so the noisy ones see identical noise draws.
+    blended trajectory under the default kinematic limits, retargets the
+    stream, and simulates the requested modes (all three by default).
     """
-    base = config if config is not None else SimConfig()
-    trajectory = surrogate_trajectory(surrogate, seed, segment_count, overlap_fraction, limits)
-    stream = desired_stream(trajectory, make_transfer_map(surrogate, target, transfer_mode),
-                            base.dt, limits)
-    return {
-        mode: run(stream.positions, target,
-                  replace(base, mode=mode, seed=seed, transfer_mode=transfer_mode))
-        for mode in modes
+    trajectory = surrogate_trajectory(surrogate, seed, segment_count)
+    stream = desired_stream(trajectory, make_transfer_map(surrogate, target, transfer_mode))
+    return _simulate_modes(stream, target, seed, transfer_mode, modes)
+
+
+def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], list[PerturbationRecord], dict]:
+    """The five-robot evaluation behind `clarkekit demo`, from one plan of the
+    surrogate robot_0: every mode on each target's compensated stream, the
+    uncompensated closed loop where the two transfer modes differ, and a
+    fixed joint-location offset of robot_0 swept over a polar latent grid.
+    Returns the runs keyed by output stem, the perturbation records and the summary."""
+    designs = builtin_designs()
+    surrogate = designs["robot_0"]
+    trajectory = surrogate_trajectory(surrogate, seed)
+    runs: dict[str, SimRun] = {}
+    summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
+    for name, target in designs.items():
+        entry = design_report(target)
+        stream = desired_stream(trajectory, make_transfer_map(surrogate, target, "general"))
+        entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
+        entry["velocity_limit_mps"] = DEFAULT_V_MAX
+        entry["velocity_limit_respected"] = bool(
+            entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + 1e-9))
+        for mode, sim in _simulate_modes(stream, target, seed, "general").items():
+            runs[f"{name}_{mode}"] = sim
+            entry[f"rms_latent_{mode}"] = sim.rms_latent()
+        rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
+        entry["rms_per_joint_closed_loop_m"] = [float(x) for x in rms_comp]
+        sym_stream = desired_stream(trajectory,
+                                    make_transfer_map(surrogate, target, "symmetric"))
+        shared = min(sym_stream.positions.shape[0], stream.positions.shape[0])
+        deviation = float(np.max(np.abs(sym_stream.positions[:shared]
+                                        - stream.positions[:shared])))
+        entry["transfer_modes_equivalent"] = bool(
+            deviation < 1e-12 and sym_stream.positions.shape == stream.positions.shape)
+        entry["transfer_mode_deviation_m"] = deviation
+        if not entry["transfer_modes_equivalent"] and name != "robot_0":
+            uncomp = _simulate_modes(sym_stream, target, seed, "symmetric",
+                                     ("closed_loop",))["closed_loop"]
+            runs[f"{name}_closed_loop_uncompensated"] = uncomp
+            rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
+            entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp
+            entry["degraded_without_compensation"] = bool(
+                rms_uncomp > float(np.mean(rms_comp)))
+        summary["robots"][name] = entry
+
+    psi_offset = np.array([0.05, -0.03, 0.02])
+    d_offset_mm = np.array([0.5, -0.3, 0.2])
+    perturbed = PerturbedDesign(nominal=surrogate, true_psi=surrogate.psi + psi_offset,
+                                true_d=surrogate.d + d_offset_mm / 1000.0)
+    records = perturbation_analysis(
+        perturbed, polar_clarke_grid(float(np.min(surrogate.d)), radii=5, angles=16))
+    summary["perturbation"] = {
+        "robot": "robot_0",
+        "psi_offset_rad": [float(x) for x in psi_offset],
+        "d_offset_mm": [float(x) for x in d_offset_mm],
+        "grid_points": len(records),
+        "max_abs_dkappa_l": float(max(abs(r.dkappa_l) for r in records)),
+        "max_abs_dtheta_rad": float(max(abs(r.dtheta) for r in records)),
     }
+    return runs, records, summary

@@ -64,6 +64,25 @@ class TestDesignCheck:
         assert code == 2
 
 
+class TestNonNumericDesignFile:
+    @pytest.mark.parametrize("field, value", [
+        ("l_m", "abc"), ("psi_rad", ["a", 2, 4]), ("l_m", None), ("d_mm", {"a": 1}),
+    ], ids=["l_m-text", "psi_rad-text", "l_m-null", "d_mm-object"])
+    @pytest.mark.parametrize("command", ["design-check", "simulate"])
+    def test_exits_2_without_output(self, capsys, tmp_path, monkeypatch, command, field, value):
+        raw = {"name": "custom", "n": 3, "psi_rad": [0.0, 2.0, 4.0],
+               "d_mm": [10.0, 8.0, 6.0], "l_m": 0.1, field: value}
+        path = tmp_path / "robot.json"
+        path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("CLARKEKIT_OUT_DIR", str(out_dir))
+        designs = [str(path)] if command == "design-check" else ["robot_0", str(path)]
+        code, _, err = invoke(capsys, command, *designs)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out_dir.exists()
+
+
 class TestTransform:
     def test_clarke_to_joints(self, capsys):
         code, out, _ = invoke(capsys, "transform", "robot_0", "--clarke", "0.001", "0")
@@ -129,6 +148,14 @@ class TestTraj:
                                  "--seed", "5", "--out", str(out))
         assert code == 0
         assert "planned 3 segments" in stdout
+
+    def test_unallocatable_dt_exits_4_without_output(self, capsys, tmp_path, monkeypatch):
+        # numpy refuses a table of tens of TiB before it allocates anything
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke(capsys, "traj", "robot_0", "--dt", "1e-12")
+        assert code == 4
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -239,3 +266,18 @@ class TestDemo:
             for mode, sim in runs.items():
                 recorded = json.loads((tmp_path / f"{name}_{mode}_metrics.json").read_text())
                 assert recorded == sim.metrics(), (name, mode)
+
+
+class TestEvaluateSuite:
+    def test_matches_golden_snapshot_without_writing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runs, records, summary = simulate.evaluate_suite(42)
+        assert list(tmp_path.iterdir()) == []
+        want = json.loads(SNAPSHOT.read_text())
+        metrics_names = sorted(name for name in want if name.endswith("_metrics.json"))
+        assert len(metrics_names) == 18
+        assert sorted(f"{stem}_metrics.json" for stem in runs) == metrics_names
+        got = {f"{stem}_metrics.json": sim.metrics() for stem, sim in runs.items()}
+        got["summary.json"] = summary
+        assert_matches_snapshot(got, want)
+        assert summary["perturbation"]["grid_points"] == len(records)

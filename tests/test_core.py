@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,21 @@ class TestDesignMatrixCache:
                 arc_forward_matrix(design)
         for _ in range(2):
             assert gram_condition(design) == math.inf
+
+    def test_design_is_freed_without_the_cyclic_collector(self):
+        # the pair keeps n, not the design, so reference counting frees a
+        # design together with its cached matrices
+        gc.disable()
+        try:
+            design = builtin_designs()["robot_D"]
+            assert transform_pair(design).n == design.n
+            assert arc_forward_matrix(design).shape == (2, design.n)
+            assert arc_inverse_matrix(design).shape == (design.n, 2)
+            alive = weakref.ref(design)
+            del design
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_scalar_call_sequence_builds_each_pair_once(self, monkeypatch):
         builds = {}
