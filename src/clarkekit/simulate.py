@@ -83,7 +83,11 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SimRun:
-    """Time series and error metrics of one simulation run."""
+    """Time series and error metrics of one simulation run.
+
+    In the open-loop modes the actuators are fed the desired stream itself,
+    so commanded is the same array as desired, not a copy.
+    """
 
     design: RobotDesign
     config: SimConfig
@@ -185,7 +189,7 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
         # s[k+1] = (1 - alpha) s[k] + alpha d[k] per joint, from s[0] = d[0]
         state = np.concatenate([desired[:1], alpha * desired[:-1]])[None]
         _linear_scan(state, np.array([[1.0 - alpha]]))
-        true, commanded = state[0], desired.copy()
+        true, commanded = state[0], desired
     return SimRun(design=design, config=config, t=np.arange(ticks) * config.dt,
                   desired=desired, measured=np.add(noise, true, out=noise),
                   commanded=commanded, true=true)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import PPoly
 
-from .errors import InvalidParameter, OutOfRange
+from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 from .fileio import write_csv
 
 # Peak slope of the degree-9 smoothstep (attained mid-ramp); the realized
@@ -228,52 +228,133 @@ def _position_poly(traj: PlannedTrajectory) -> PPoly:
     return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
 
 
-def _horner(poly: PPoly, times: np.ndarray, order: int = 0) -> np.ndarray:
-    """A derivative of a piecewise polynomial at times in its domain, by
-    Horner's rule, which rounds less than PPoly's power sums where the
-    large ramp terms cancel."""
-    c = poly.derivative(order).c
-    interval = np.clip(np.searchsorted(poly.x, times, side="right") - 1, 0, c.shape[1] - 1)
-    u = (times - poly.x[interval])[:, None]
-    out = c[0, interval]
-    for row in c[1:]:
-        out = out * u + row[interval]
-    return out
+def _horner(coeffs: np.ndarray, x: np.ndarray, times: np.ndarray):
+    """Value, first and second derivative of a piecewise polynomial (PPoly
+    coefficients and breakpoints) at times in its domain, in one Horner pass,
+    which rounds less than PPoly's power sums where the large ramp terms cancel.
+    It carries half the second derivative, which doubles exactly at the end."""
+    interval = np.clip(np.searchsorted(x, times, side="right") - 1, 0, coeffs.shape[1] - 1)
+    u = (times - x[interval])[:, None]
+    pos = coeffs[0, interval]
+    vel = np.zeros_like(pos)
+    half_acc = np.zeros_like(pos)
+    for row in coeffs[1:]:
+        half_acc *= u
+        half_acc += vel
+        vel *= u
+        vel += pos
+        pos *= u
+        pos += row[interval]
+    return pos, vel, 2.0 * half_acc
 
 
 def evaluate(traj: PlannedTrajectory, t):
     """Positions, velocities and accelerations at time(s) t in [0, horizon].
 
-    Evaluates the trajectory's exact piecewise polynomial and its first two
-    derivatives; accepts a scalar or an array of query times and raises
-    OutOfRange outside the horizon.
+    One Horner pass over the trajectory's exact piecewise polynomial carries
+    the value and its first two derivatives together; accepts a scalar or an
+    array of query times and raises OutOfRange for a time outside the horizon
+    or one that is not finite.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
-    if times.size and (times.min() < -1e-9 or times.max() > traj.horizon + 1e-9):
-        raise OutOfRange(f"query time outside [0, {traj.horizon}]")
+    if times.size and not (np.isfinite(times).all() and times.min() >= -1e-9
+                           and times.max() <= traj.horizon + 1e-9):
+        raise OutOfRange(f"query time outside [0, {traj.horizon}] or not finite")
     times = np.clip(times, 0.0, traj.horizon)
-    pos, vel, acc = (_horner(traj.position_poly, times, order) for order in range(3))
+    poly = traj.position_poly
+    pos, vel, acc = _horner(poly.c, poly.x, times)
     if scalar:
         return pos[0], vel[0], acc[0]
     return pos, vel, acc
 
 
+# Degree of the velocity polynomial: the highest a peak is taken of.
+_PEAK_DEGREE = _TERMS - 2
+# Ascending power coefficients b_i of a degree-K polynomial on [0, 1] map to its
+# Bernstein coefficients as beta_j = sum_{i<=j} C(j, i) / C(K, i) b_i.  The
+# polynomial lies in the convex hull of its Bernstein coefficients, so max_j |beta_j|
+# bounds it on the piece; a lower degree uses the first columns (degree elevation).
+_BERNSTEIN = np.array([[math.comb(j, i) / math.comb(_PEAK_DEGREE, i) if i <= j else 0.0
+                        for i in range(_PEAK_DEGREE + 1)] for j in range(_PEAK_DEGREE + 1)])
+# Relative to sum |b_i|, rounding in the Bernstein conversion and in Horner's rule
+# stays far below this; a piece is searched while its bound plus this margin
+# reaches the lower bound, so rounding cannot prune the peak's piece.
+_PRUNE_MARGIN = 1e-12
+_CHANNEL_ORDER = {"velocity": 1, "acceleration": 2}
+
+
+def _piece_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """PPoly coefficients of the order-th derivative of every piece."""
+    powers = np.arange(coeffs.shape[0] - 1, order - 1, -1)
+    falling = np.array([math.perm(p, order) for p in powers], dtype=float)
+    return coeffs[:powers.size] * falling[:, None, None]
+
+
+def _piece_bounds(coeffs: np.ndarray, x: np.ndarray, order: int):
+    """Bernstein bound on |d^order/dt^order| of every (piece, column) of a
+    piecewise polynomial, and the rounding margin that goes with it.
+
+    coeffs are PPoly coefficients (highest power first) over breakpoints x;
+    both results have shape (pieces, columns).
+    """
+    ascending = _piece_derivative(coeffs, order)[::-1]
+    powers = np.arange(ascending.shape[0])
+    scaled = ascending * np.diff(x)[None, :, None] ** powers[:, None, None]
+    bernstein = np.einsum("ji,imc->jmc", _BERNSTEIN[:, :powers.size], scaled)
+    return np.abs(bernstein).max(axis=0), _PRUNE_MARGIN * np.abs(scaled).sum(axis=0)
+
+
 def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -> float:
     """Maximum absolute velocity or acceleration anywhere on the horizon.
 
-    With a weight matrix the per-joint vector is projected through it
-    first, which bounds retargeted streams instead of the planned joints.
-    The peak is exact: the candidates are the breakpoints and the real
-    roots of the next derivative on every interval.
+    With a weight matrix (one row per output, one column per joint) the
+    per-joint vector is projected through it first, which bounds retargeted
+    streams instead of the planned joints.  The peak is exact: the candidates
+    are the breakpoints, the piece midpoints and each column's real roots of
+    the next derivative.  Roots are sought only on the (piece, column) pairs
+    whose Bernstein convex-hull bound (Farouki, CAGD 29, 2012) can reach the
+    largest value at a breakpoint or midpoint; no other piece can hold the peak.
     """
-    order = {"velocity": 1, "acceleration": 2}[channel]
+    if channel not in _CHANNEL_ORDER:
+        raise InvalidParameter(f"unknown channel {channel!r}; choose from "
+                               f"{tuple(_CHANNEL_ORDER)}")
+    order = _CHANNEL_ORDER[channel]
     poly = traj.position_poly
+    coeffs = poly.c
     if weights is not None:
-        poly = PPoly(poly.c @ np.asarray(weights, dtype=float).T, poly.x)
-    roots = poly.derivative(order + 1).roots(extrapolate=False)
-    candidates = np.concatenate([poly.x, *roots])
-    return float(np.max(np.abs(_horner(poly, candidates[np.isfinite(candidates)], order))))
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != traj.n:
+            raise DimensionMismatch(
+                f"weights must have shape (rows, {traj.n}), got {weights.shape}")
+        if not np.isfinite(weights).all():
+            raise InvalidParameter("weights must be finite")
+        coeffs = coeffs @ weights.T
+    x = poly.x
+    probes = np.concatenate([x, x[:-1] + 0.5 * np.diff(x)])
+    peak = np.max(np.abs(_horner(coeffs, x, probes)[order]))
+    bound, margin = _piece_bounds(coeffs, x, order)
+    # Next derivative, with every pruned piece set to a nonzero constant: it has
+    # no roots, where an all-zero piece would report its start point and a NaN.
+    slope = _piece_derivative(coeffs, order + 1)
+    pruned = bound + margin < peak
+    slope[:, pruned] = 0.0
+    slope[-1, pruned] = 1.0
+    peak = max(peak, _peak_at_roots(coeffs, x, slope, order))
+    return float(peak)
+
+
+def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, slope: np.ndarray, order: int) -> float:
+    """Largest |d^order/dt^order| of each column at the real roots of its own
+    slope polynomial (PPoly coefficients over x); 0.0 when there are none."""
+    per_column = PPoly(slope, x).roots(extrapolate=False)
+    roots = np.concatenate(per_column)
+    column = np.repeat(np.arange(len(per_column)), [r.size for r in per_column])
+    finite = np.isfinite(roots)
+    if not finite.any():
+        return 0.0
+    values = _horner(coeffs, x, roots[finite])[order]
+    return float(np.max(np.abs(values[np.arange(values.shape[0]), column[finite]])))
 
 
 def _dilate(traj: PlannedTrajectory, factor: float) -> PlannedTrajectory:

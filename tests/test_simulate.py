@@ -128,6 +128,7 @@ class TestRun:
         desired = self.constant_stream(robot_0, [0.004, -0.002])
         sim = run(desired, robot_0, SimConfig(seed=3, mode="open_loop_noisy"))
         np.testing.assert_array_equal(sim.commanded, desired)
+        assert sim.commanded is sim.desired
 
     def test_open_loop_clean_has_no_noise(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, -0.002])

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from clarkekit import (
     DEFAULT_LIMITS,
     builtin_designs,
+    DimensionMismatch,
     InvalidParameter,
     KinematicLimits,
     OutOfRange,
@@ -20,10 +21,13 @@ from clarkekit import (
     smoothstep,
     smoothstep_integral,
     smoothstep_slope,
+    surrogate_trajectory,
     synchronize,
     write_trajectory_csv,
 )
-from trajectory_oracle import oracle_evaluate, oracle_peak_abs
+from clarkekit.retarget import TRANSFER_MODES
+from clarkekit.trajectory import _horner, _peak_at_roots, _piece_bounds, _piece_derivative
+from trajectory_oracle import horner, oracle_evaluate, oracle_peak_abs, roots_peak_abs
 
 # velocity ramp shape in ascending power order (degree 9)
 RAMP_COEFFS = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
@@ -243,6 +247,14 @@ class TestBlendAndEvaluate:
         with pytest.raises(OutOfRange):
             evaluate(traj, traj.horizon + 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, vias, bad):
+        traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
+        with pytest.raises(OutOfRange):
+            evaluate(traj, bad)
+        with pytest.raises(OutOfRange):
+            evaluate(traj, np.array([0.0, bad, traj.horizon]))
+
     def test_finite_difference_velocity_oracle(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
         h = 1e-5
@@ -324,6 +336,17 @@ class TestExactPolynomial:
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale
 
+    def test_one_pass_matches_three_horner_passes(self):
+        # positions keep the old arithmetic bit for bit; the derivatives come
+        # from the same pass instead of the derivative's own coefficients
+        for traj, _ in random_plans(10):
+            times = np.linspace(0.0, traj.horizon, 2001)
+            for order, exact in enumerate(evaluate(traj, times)):
+                reference = horner(traj.position_poly, times, order)
+                if order == 0:
+                    np.testing.assert_array_equal(exact, reference)
+                assert np.max(np.abs(exact - reference)) <= 1e-13 * np.max(np.abs(reference))
+
     def test_zero_motion_plan(self):
         traj = plan_trajectory(np.array([[0.01, -0.02], [0.01, -0.02]]))
         assert traj.horizon == 0.0
@@ -332,6 +355,153 @@ class TestExactPolynomial:
         np.testing.assert_array_equal(pos, [0.01, -0.02])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
         np.testing.assert_array_equal(acc, [0.0, 0.0])
+
+
+def probe_peak(traj, order, weights=None):
+    """Largest |derivative| over the breakpoints and piece midpoints only."""
+    poly = traj.position_poly
+    coeffs = poly.c if weights is None else poly.c @ np.asarray(weights).T
+    probes = np.concatenate([poly.x, poly.x[:-1] + 0.5 * np.diff(poly.x)])
+    return float(np.max(np.abs(_horner(coeffs, poly.x, probes)[order])))
+
+
+def unpruned_peak(traj, channel, weights=None):
+    """peak_abs with a root search on every piece, in the library's own
+    arithmetic."""
+    order = {"velocity": 1, "acceleration": 2}[channel]
+    poly = traj.position_poly
+    coeffs = poly.c if weights is None else poly.c @ np.asarray(weights).T
+    slope = _piece_derivative(coeffs, order + 1)
+    return max(probe_peak(traj, order, weights),
+               _peak_at_roots(coeffs, poly.x, slope, order))
+
+
+def assert_matches_roots_oracle(traj, channel, weights=None):
+    pruned = peak_abs(traj, channel, weights=weights)
+    oracle = roots_peak_abs(traj, channel, weights=weights)
+    assert abs(pruned - oracle) <= 1e-12 * oracle, (channel, pruned, oracle)
+    return pruned
+
+
+class TestPrunedPeak:
+    """Bernstein-pruned peaks against the root search on every interval
+    (tests/trajectory_oracle.py), and the bound the pruning rests on."""
+
+    def test_random_plans_match_roots_oracle(self):
+        for traj, weights in random_plans():
+            for channel in ("velocity", "acceleration"):
+                assert_matches_roots_oracle(traj, channel)
+                assert_matches_roots_oracle(traj, channel, weights)
+
+    def test_every_design_pair_and_transfer_mode(self, designs):
+        for surrogate in designs.values():
+            traj = surrogate_trajectory(surrogate, 11, segment_count=6)
+            for target in designs.values():
+                for mode in TRANSFER_MODES:
+                    matrix = make_transfer_map(surrogate, target, mode).matrix
+                    for channel in ("velocity", "acceleration"):
+                        assert_matches_roots_oracle(traj, channel, matrix)
+
+    def test_peak_strictly_inside_a_piece(self):
+        # two joints with different ramp timing, differenced: the projected
+        # velocity peaks between breakpoints, so only a root finds it
+        traj = plan_trajectory(np.array([[0.0, 0.0], [0.02, 0.004]]))
+        weights = np.array([[1.0, -1.0]])
+        peak = assert_matches_roots_oracle(traj, "velocity", weights)
+        assert peak > probe_peak(traj, 1, weights) * (1.0 + 1e-3)
+        grid = np.linspace(0.0, traj.horizon, 100001)
+        assert peak >= np.max(np.abs(evaluate(traj, grid)[1] @ weights.T)) * (1.0 - 1e-12)
+
+    def test_peak_at_ramp_midpoint(self):
+        # a lone ramp's acceleration peaks at its midpoint, a breakpoint
+        traj = plan_trajectory(np.array([[0.0], [0.05]]))
+        peak = assert_matches_roots_oracle(traj, "acceleration")
+        assert peak == pytest.approx(DEFAULT_LIMITS.a_max, rel=1e-12)
+        assert peak == pytest.approx(probe_peak(traj, 2), rel=1e-15)
+
+    def test_tied_peaks_across_joints(self):
+        traj = plan_trajectory(np.array([[0.0, 0.0, 0.0], [0.02, 0.02, 0.02],
+                                         [0.03, 0.03, 0.03]]))
+        single = plan_trajectory(np.array([[0.0], [0.02], [0.03]]))
+        for channel in ("velocity", "acceleration"):
+            peak = assert_matches_roots_oracle(traj, channel)
+            assert peak == peak_abs(single, channel)
+
+    def test_motionless_plan(self):
+        traj = plan_trajectory(np.array([[0.01, -0.02], [0.01, -0.02]]))
+        for channel in ("velocity", "acceleration"):
+            assert peak_abs(traj, channel) == 0.0
+            assert peak_abs(traj, channel, weights=np.eye(2)) == 0.0
+
+    def test_single_triangular_segment(self):
+        traj = plan_trajectory(np.array([[0.0], [0.001]]))
+        state = traj.states[0][0]
+        assert state.t_cr == 0.0
+        assert assert_matches_roots_oracle(traj, "velocity") == pytest.approx(state.v,
+                                                                               rel=1e-12)
+        assert assert_matches_roots_oracle(traj, "acceleration") == pytest.approx(
+            DEFAULT_LIMITS.a_max, rel=1e-12)
+
+    def test_pruning_loses_no_candidate(self, robot_D):
+        # bit for bit the peak of a search over every piece in the same
+        # arithmetic; in the two robot_D plans an interior root's value
+        # reaches the breakpoint/midpoint maximum while its piece's computed
+        # Bernstein bound lies an ulp below that maximum, so only the
+        # rounding margin keeps that piece searched
+        cases = [(traj, channel, w) for traj, weights in random_plans(20)
+                 for channel in ("velocity", "acceleration") for w in (None, weights)]
+        cases += [(surrogate_trajectory(robot_D, seed, segment_count=segments),
+                   "acceleration", None) for seed, segments in ((11, 4), (16, 9))]
+        for traj, channel, weights in cases:
+            assert peak_abs(traj, channel, weights) == unpruned_peak(traj, channel, weights)
+
+    def test_bound_covers_dense_samples(self):
+        for traj, weights in list(random_plans())[::4]:
+            poly = traj.position_poly
+            for coeffs in (poly.c, poly.c @ weights.T):
+                for order in (1, 2):
+                    bound, margin = _piece_bounds(coeffs, poly.x, order)
+                    derivative = np.stack([np.polyder(coeffs[:, p, c], order)
+                                           for p in range(coeffs.shape[1])
+                                           for c in range(coeffs.shape[2])], axis=1)
+                    width = np.repeat(np.diff(poly.x), coeffs.shape[2])
+                    offsets = np.linspace(0.0, 1.0, 257)[:, None] * width
+                    sampled = np.zeros_like(offsets)
+                    for row in derivative:
+                        sampled = sampled * offsets + row
+                    sampled = np.abs(sampled).max(axis=0).reshape(bound.shape)
+                    assert np.all(sampled <= bound + margin)
+                    assert np.all(sampled <= bound * (1.0 + 1e-12))
+
+    def test_pruning_searches_few_pieces(self):
+        pruned = total = 0
+        for traj, weights in random_plans(10):
+            poly = traj.position_poly
+            for order in (1, 2):
+                bound, margin = _piece_bounds(poly.c, poly.x, order)
+                pruned += np.count_nonzero(bound + margin < probe_peak(traj, order))
+                total += bound.size
+        assert pruned > 0.8 * total
+
+    def test_unknown_channel(self, vias):
+        traj = plan_trajectory(vias)
+        with pytest.raises(InvalidParameter):
+            peak_abs(traj, "jerk")
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3,), (1, 2, 3)])
+    def test_weight_shape(self, vias, shape):
+        traj = plan_trajectory(vias)
+        with pytest.raises(DimensionMismatch):
+            peak_abs(traj, "velocity", weights=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights(self, vias, bad, capfd):
+        traj = plan_trajectory(vias)
+        weights = np.ones((2, 3))
+        weights[1, 2] = bad
+        with pytest.raises(InvalidParameter):
+            peak_abs(traj, "acceleration", weights=weights)
+        assert capfd.readouterr().err == ""
 
 
 class TestC4Smoothness:

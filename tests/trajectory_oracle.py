@@ -1,11 +1,14 @@
 """Reference implementations of trajectory evaluation and peak search.
 
-These are the original masked per-phase evaluation and the dense-grid scan
+These are the original masked per-phase evaluation, the dense-grid scan
 with bounded scalar refinement that the exact piecewise-polynomial path in
-`clarkekit.trajectory` replaced.  Tests compare the library against them.
+`clarkekit.trajectory` replaced, and the exact peak that root-finds the next
+derivative on every interval, which Bernstein pruning replaced.  Tests
+compare the library against them.
 """
 
 import numpy as np
+from scipy.interpolate import PPoly
 from scipy.optimize import minimize_scalar
 
 from clarkekit import smoothstep, smoothstep_integral, smoothstep_slope
@@ -93,3 +96,28 @@ def oracle_peak_abs(traj, channel="velocity", weights=None):
             peak = max(peak, -float(result.fun))
         best = max(best, peak)
     return best
+
+
+def horner(poly, times, order=0):
+    """A derivative of a piecewise polynomial at times in its domain, by
+    Horner's rule over the derivative's own coefficients."""
+    c = poly.derivative(order).c
+    interval = np.clip(np.searchsorted(poly.x, times, side="right") - 1, 0, c.shape[1] - 1)
+    u = (times - poly.x[interval])[:, None]
+    out = c[0, interval]
+    for row in c[1:]:
+        out = out * u + row[interval]
+    return out
+
+
+def roots_peak_abs(traj, channel="velocity", weights=None):
+    """Exact peak from the breakpoints and the real roots of the next
+    derivative on every interval and column, each candidate evaluated in
+    every column."""
+    order = {"velocity": 1, "acceleration": 2}[channel]
+    poly = traj.position_poly
+    if weights is not None:
+        poly = PPoly(poly.c @ np.asarray(weights, dtype=float).T, poly.x)
+    roots = poly.derivative(order + 1).roots(extrapolate=False)
+    candidates = np.concatenate([poly.x, *roots])
+    return float(np.max(np.abs(horner(poly, candidates[np.isfinite(candidates)], order))))
