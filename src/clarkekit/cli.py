@@ -158,12 +158,14 @@ def cmd_traj(args) -> int:
     return EXIT_OK
 
 
-def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest) -> Path:
+def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest,
+               formatted: dict | None = None) -> Path:
     """Write one run's per-tick CSV and metrics JSON and add both to the
-    manifest; returns the metrics path."""
+    manifest; returns the metrics path.  `formatted` is the column cache of
+    `fileio.write_csv`."""
     csv_path = out_dir / f"{stem}.csv"
     metrics_path = out_dir / f"{stem}_metrics.json"
-    sim.write_csv(csv_path)
+    sim.write_csv(csv_path, formatted)
     write_json(metrics_path, sim.metrics())
     manifest.add(csv_path)
     manifest.add(metrics_path)
@@ -194,8 +196,14 @@ def cmd_demo(args) -> int:
     runs, records, summary = evaluate_suite(args.seed)
     manifest = Manifest("demo", {"seed": args.seed}, [args.seed],
                         [sim.design for sim in runs.values()])
-    for stem, sim in runs.items():
-        _write_run(out_dir, stem, sim, manifest)
+    # runs arrive in target order and share columns only within a target, so
+    # each target gets its own cache; a written run is dropped to free its arrays
+    formatted, target = {}, None
+    for stem in list(runs):
+        sim = runs.pop(stem)
+        if sim.design.name != target:
+            formatted, target = {}, sim.design.name
+        _write_run(out_dir, stem, sim, manifest, formatted)
     rows = [[r.clarke[0], r.clarke[1], r.commanded.kappa, r.commanded.theta,
              r.realized.kappa, r.realized.theta, r.dkappa_l, r.dtheta]
             for r in records]

@@ -16,6 +16,7 @@ from clarkekit import (
     SimConfig,
     arc_forward_matrix,
     desired_stream,
+    evaluate_suite,
     make_transfer_map,
     pt1_step,
     run,
@@ -189,18 +190,25 @@ class TestRun:
         assert "rho_meas_1" in lines[0] and "rho_cmd_1" in lines[0] and "rho_true_1" in lines[0]
         assert len(lines) == 51
 
-    def test_csv_bytes_match_row_by_row_formatting(self, designs, tmp_path):
-        # the table path must write the same bytes as formatting every numpy
-        # scalar of every row on its own
-        sim = run_experiment(designs["robot_0"], designs["robot_D"], 13,
-                             modes=("closed_loop",))["closed_loop"]
-        sim.write_csv(tmp_path / "table.csv")
-        header = (tmp_path / "table.csv").read_text().splitlines()[0].split(",")
-        rows = ([sim.t[k], *sim.desired[k], *sim.measured[k], *sim.commanded[k], *sim.true[k]]
-                for k in range(sim.t.size))
-        write_csv(tmp_path / "rows.csv", header, rows)
-        assert len(header) == 1 + 4 * 7
-        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    def test_csv_bytes_match_row_by_row_formatting(self, tmp_path):
+        # every run of the demo, written as the demo writes them (one column
+        # cache per target), must match formatting every cell of every row
+        # on its own
+        runs, _, _ = evaluate_suite(42)
+        assert len(runs) == 18
+        formatted, target = {}, None
+        for stem, sim in runs.items():
+            if sim.design.name != target:
+                formatted, target = {}, sim.design.name
+            sim.write_csv(tmp_path / f"{stem}.csv", formatted)
+            header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0].split(",")
+            columns = zip(sim.t.tolist(), sim.desired.tolist(), sim.measured.tolist(),
+                          sim.commanded.tolist(), sim.true.tolist())
+            rows = ([t, *d, *m, *c, *r] for t, d, m, c, r in columns)
+            write_csv(tmp_path / "rows.csv", header, rows)
+            assert len(header) == 1 + 4 * sim.design.n
+            assert ((tmp_path / f"{stem}.csv").read_bytes()
+                    == (tmp_path / "rows.csv").read_bytes()), stem
 
 
 def assert_matches_loop(desired, design, config):
