@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from . import __version__
 from .core import CONDITION_LIMIT, to_arc, transform_pair
@@ -204,12 +205,10 @@ def cmd_demo(args) -> int:
         if sim.design.name != target:
             formatted, target = {}, sim.design.name
         _write_run(out_dir, stem, sim, manifest, formatted)
-    rows = [[r.clarke[0], r.clarke[1], r.commanded.kappa, r.commanded.theta,
-             r.realized.kappa, r.realized.theta, r.dkappa_l, r.dtheta]
-            for r in records]
     pert_path = out_dir / "perturbation_robot_0.csv"
     write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
-                          "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"], rows)
+                          "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"],
+              structured_to_unstructured(records))
     manifest.add(pert_path)
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)

@@ -70,6 +70,9 @@ def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
     once, or taken from `formatted`, as NUL-padded cells; a block of rows is
     laid out with its separators in one byte grid and the padding dropped."""
     table = rows.astype(float, copy=False)
+    if table.shape[1] == 0:
+        # rows without cells: one empty line each, as the iterable path writes
+        return [b"\n" * table.shape[0]]
     if formatted is None:
         formatted = {}
     columns = []

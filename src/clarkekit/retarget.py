@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import ArcParameters, RobotDesign, check_count, check_joints, wrap_angle
+from .core import RobotDesign, check_count, check_joints, wrap_angle
 from .designs import design_from_dict, design_to_dict
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, ParseError
+from .fileio import write_atomic
 
 TRANSFER_MODES = ("symmetric", "general")
 
@@ -68,12 +68,17 @@ class TransferMap:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TransferMap":
+        if not isinstance(raw, dict):
+            raise ParseError("a transfer map must be a JSON object")
+        missing = {"source", "target", "mode"} - raw.keys()
+        if missing:
+            raise ParseError(f"transfer map: missing fields {sorted(missing)}")
         return make_transfer_map(design_from_dict(raw["source"]),
                                  design_from_dict(raw["target"]),
                                  raw["mode"])
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        write_atomic(path, self.to_json() + "\n")
 
 
 def make_transfer_map(source: RobotDesign, target: RobotDesign,
@@ -119,36 +124,27 @@ class PerturbedDesign:
     true_d: np.ndarray
 
     def __post_init__(self):
-        true_psi = np.atleast_1d(np.asarray(self.true_psi, dtype=float)).copy()
-        true_d = np.atleast_1d(np.asarray(self.true_d, dtype=float)).copy()
-        if true_psi.shape != (self.nominal.n,) or true_d.shape != (self.nominal.n,):
+        # RobotDesign copies and validates the layout and makes it read-only
+        true = RobotDesign(name=self.nominal.name + "_true", psi=self.true_psi,
+                           d=self.true_d, l=self.nominal.l)
+        if true.n != self.nominal.n:
             raise InvalidParameter("true_psi and true_d must match the nominal joint count")
-        if not np.all(np.isfinite(true_psi)):
-            raise InvalidParameter("true joint angles must be finite")
-        if not np.all(np.isfinite(true_d)) or not np.all(true_d > 0.0):
-            raise InvalidParameter("true center-line distances must be positive and finite")
-        true_psi.setflags(write=False)
-        true_d.setflags(write=False)
-        object.__setattr__(self, "true_psi", true_psi)
-        object.__setattr__(self, "true_d", true_d)
+        object.__setattr__(self, "_true", true)
+        object.__setattr__(self, "true_psi", true.psi)
+        object.__setattr__(self, "true_d", true.d)
 
     def true_design(self) -> RobotDesign:
-        return RobotDesign(name=self.nominal.name + "_true", psi=self.true_psi,
-                           d=self.true_d, l=self.nominal.l)
+        """The design at the true joint locations, built once."""
+        return self._true
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationRecord:
-    """Commanded versus realized arc for one latent grid point."""
-
-    clarke: np.ndarray
-    commanded: ArcParameters
-    realized: ArcParameters
-    dkappa_l: float   # (kappa_realized - kappa_commanded) * l, dimensionless
-    dtheta: float     # realized - commanded bending-plane angle, wrapped to [-pi, pi)
+# the fields in the column order of the demo's perturbation CSV
+PERTURBATION_DTYPE = np.dtype([("clarke", float, (2,)), ("kappa_cmd", float),
+                               ("theta_cmd", float), ("kappa_real", float),
+                               ("theta_real", float), ("dkappa_l", float), ("dtheta", float)])
 
 
-def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> list[PerturbationRecord]:
+def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> np.recarray:
     """Propagate joint-location uncertainty onto the realized arc.
 
     Each grid point (a row of an (m, 2) array, or one (2,) pair) is a
@@ -158,6 +154,10 @@ def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> list[Pertu
     design is compared against the commanded one.  With exact joint
     locations every deviation is zero.  The whole grid is processed as
     arrays.
+
+    Returns a read-only record array of PERTURBATION_DTYPE, one record per
+    grid point: dkappa_l = (kappa_real - kappa_cmd) * l is dimensionless, and
+    dtheta = theta_real - theta_cmd is wrapped to [-pi, pi).
     """
     nominal = perturbed.nominal
     points = np.atleast_2d(np.asarray(clarke_grid, dtype=float))
@@ -172,11 +172,10 @@ def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> list[Pertu
     dkappa_l = (kappa_real - kappa_cmd) * nominal.l
     # theta is 0 wherever kappa is 0, so dtheta is 0 where both curvatures are 0
     dtheta = wrap_angle(theta_real - theta_cmd)
-    return [PerturbationRecord(clarke=point, commanded=ArcParameters(kc, tc),
-                               realized=ArcParameters(kr, tr), dkappa_l=dk, dtheta=dt)
-            for point, kc, tc, kr, tr, dk, dt in zip(
-                points, kappa_cmd.tolist(), theta_cmd.tolist(), kappa_real.tolist(),
-                theta_real.tolist(), dkappa_l.tolist(), dtheta.tolist())]
+    table = np.rec.fromarrays([points, kappa_cmd, theta_cmd, kappa_real, theta_real,
+                               dkappa_l, dtheta], dtype=PERTURBATION_DTYPE)
+    table.flags.writeable = False
+    return table
 
 
 def _polar(planar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .core import RobotDesign
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .fileio import write_csv
-from .retarget import (TRANSFER_MODES, PerturbationRecord, PerturbedDesign, TransferMap,
+from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
                        make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
 from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, evaluate, peak_abs,
@@ -271,12 +271,12 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     return _simulate_modes(stream, target, seed, transfer_mode, modes)
 
 
-def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], list[PerturbationRecord], dict]:
+def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     """The five-robot evaluation behind `clarkekit demo`, from one plan of the
     surrogate robot_0: every mode on each target's compensated stream, the
     uncompensated closed loop where the two transfer modes differ, and a
     fixed joint-location offset of robot_0 swept over a polar latent grid.
-    Returns the runs keyed by output stem, the perturbation records and the summary."""
+    Returns the runs keyed by output stem, the perturbation table and the summary."""
     designs = builtin_designs()
     surrogate = designs["robot_0"]
     trajectory = surrogate_trajectory(surrogate, seed)
@@ -323,7 +323,7 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], list[PerturbationRecor
         "psi_offset_rad": [float(x) for x in psi_offset],
         "d_offset_mm": [float(x) for x in d_offset_mm],
         "grid_points": len(records),
-        "max_abs_dkappa_l": float(max(abs(r.dkappa_l) for r in records)),
-        "max_abs_dtheta_rad": float(max(abs(r.dtheta) for r in records)),
+        "max_abs_dkappa_l": float(np.max(np.abs(records.dkappa_l))),
+        "max_abs_dtheta_rad": float(np.max(np.abs(records.dtheta))),
     }
     return runs, records, summary

@@ -8,6 +8,7 @@ import pytest
 import clarkekit
 from clarkekit import builtin_designs, cli, run_experiment, simulate, trajectory
 from clarkekit.cli import main
+from clarkekit.fileio import write_csv
 
 SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
 
@@ -266,6 +267,28 @@ class TestDemo:
             for mode, sim in runs.items():
                 recorded = json.loads((tmp_path / f"{name}_{mode}_metrics.json").read_text())
                 assert recorded == sim.metrics(), (name, mode)
+
+
+    def test_perturbation_csv_matches_row_by_row_formatting(self, capsys, tmp_path,
+                                                             monkeypatch):
+        tables = []
+
+        def keeping_table(seed):
+            result = simulate.evaluate_suite(seed)
+            tables.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, "evaluate_suite", keeping_table)
+        assert main(["demo", "--seed", "42", "--out-dir", str(tmp_path / "demo")]) == 0
+        (records,) = tables
+        header = ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
+                  "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"]
+        rows = [[r.clarke[0], r.clarke[1], r.kappa_cmd, r.theta_cmd, r.kappa_real,
+                 r.theta_real, r.dkappa_l, r.dtheta] for r in records]
+        assert len(rows) == 80
+        write_csv(tmp_path / "rows.csv", header, rows)
+        assert ((tmp_path / "demo" / "perturbation_robot_0.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
 
 
 class TestEvaluateSuite:

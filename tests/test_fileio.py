@@ -37,6 +37,10 @@ class TestArrayPathMatchesRows:
         got, want = array_and_rows_bytes(tmp_path, ["a", "b"], np.zeros((0, 2)))
         assert got == want == b"a,b\n"
 
+    def test_rows_without_columns_write_empty_lines(self, tmp_path):
+        got, want = array_and_rows_bytes(tmp_path, [], np.zeros((2, 0)))
+        assert got == want == b"\n\n\n"
+
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2500])
     def test_row_blocks(self, tmp_path, rows):
         rng = np.random.default_rng(rows)

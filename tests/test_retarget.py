@@ -8,6 +8,7 @@ from clarkekit import (
     ArcParameters,
     DimensionMismatch,
     InvalidParameter,
+    ParseError,
     PerturbedDesign,
     TransferMap,
     arc_forward_matrix,
@@ -166,6 +167,23 @@ class TestTransferMap:
         restored = TransferMap.from_dict(raw)
         np.testing.assert_allclose(restored.matrix, tmap.matrix, rtol=0.0, atol=1e-15)
 
+    def test_from_dict_rejects_missing_fields_and_non_objects(self, robot_0, robot_D):
+        raw = make_transfer_map(robot_0, robot_D).to_dict()
+        for key in ("source", "target", "mode"):
+            partial = {k: v for k, v in raw.items() if k != key}
+            with pytest.raises(ParseError, match=key):
+                TransferMap.from_dict(partial)
+        for bad in ([raw], "map", None):
+            with pytest.raises(ParseError):
+                TransferMap.from_dict(bad)
+
+    def test_save_creates_missing_directories(self, robot_0, robot_D, tmp_path):
+        tmap = make_transfer_map(robot_0, robot_D)
+        path = tmp_path / "fresh" / "sub" / "map.json"
+        tmap.save(path)
+        assert path.read_text() == tmap.to_json() + "\n"
+        assert [p.name for p in path.parent.iterdir()] == ["map.json"]
+
     def test_unknown_mode(self, robot_0, robot_A):
         with pytest.raises(InvalidParameter):
             make_transfer_map(robot_0, robot_A, "latent")
@@ -186,8 +204,7 @@ class TestPerturbationAnalysis:
                                     true_d=2.0 * robot_0.d)
         grid = polar_clarke_grid(0.01, radii=3, angles=8)
         for record in perturbation_analysis(perturbed, grid):
-            assert record.realized.kappa == pytest.approx(0.5 * record.commanded.kappa,
-                                                          rel=1e-12)
+            assert record.kappa_real == pytest.approx(0.5 * record.kappa_cmd, rel=1e-12)
             assert abs(record.dtheta) < 1e-12
 
     def test_single_joint_angle_offset_golden(self, robot_0):
@@ -204,11 +221,11 @@ class TestPerturbationAnalysis:
             (18.027756377319953, -0.02747903326857966, 0.022776511883476402),
             (25.495097567963935, 0.016368380336417944, 0.03210051150015225),
         ]
-        for record, (kappa_cmd, dkappa_l, dtheta) in zip(records, golden):
-            assert record.commanded.kappa == pytest.approx(kappa_cmd, rel=1e-12)
-            assert record.dkappa_l == pytest.approx(dkappa_l, rel=1e-9)
-            assert record.dtheta == pytest.approx(dtheta, rel=1e-9)
-        assert any(abs(r.dtheta) > 1e-3 for r in records)
+        kappa_cmd, dkappa_l, dtheta = np.array(golden).T
+        assert records.kappa_cmd == pytest.approx(kappa_cmd, rel=1e-12)
+        assert records.dkappa_l == pytest.approx(dkappa_l, rel=1e-9)
+        assert records.dtheta == pytest.approx(dtheta, rel=1e-9)
+        assert np.any(np.abs(records.dtheta) > 1e-3)
 
     def test_matches_per_point_oracle(self, designs):
         rng = np.random.default_rng(47)
@@ -222,24 +239,34 @@ class TestPerturbationAnalysis:
                               rng.uniform(-radius, radius, (200, 2))])
             batched = perturbation_analysis(perturbed, grid)
             oracle = perturbation_oracle(perturbed, grid)
-            assert len(batched) == len(oracle) == len(grid)
+            assert len(batched) == len(oracle["dtheta"]) == len(grid)
+            kappa_scale = np.max(oracle["kappa_cmd"])
+            for field, tol in [("kappa_cmd", 1e-12 * kappa_scale),
+                               ("kappa_real", 1e-12 * kappa_scale),
+                               ("theta_cmd", 1e-12 * math.pi),
+                               ("theta_real", 1e-12 * math.pi),
+                               ("dkappa_l", 1e-12 * kappa_scale * design.l),
+                               ("dtheta", 1e-12)]:
+                deviation = np.abs(batched[field] - oracle[field])
+                assert np.max(deviation) <= tol, field
+            np.testing.assert_array_equal(batched.clarke, grid)
+            first = batched[0]
+            assert (first.kappa_cmd, first.theta_cmd) == (first.kappa_real,
+                                                          first.theta_real) == (0.0, 0.0)
+            assert first.dkappa_l == first.dtheta == 0.0
 
-            def column(records, field):
-                return np.array([field(r) for r in records])
-
-            kappa_scale = np.max(column(oracle, lambda r: r.commanded.kappa))
-            for field, tol in [(lambda r: r.commanded.kappa, 1e-12 * kappa_scale),
-                               (lambda r: r.realized.kappa, 1e-12 * kappa_scale),
-                               (lambda r: r.commanded.theta, 1e-12 * math.pi),
-                               (lambda r: r.realized.theta, 1e-12 * math.pi),
-                               (lambda r: r.dkappa_l, 1e-12 * kappa_scale * design.l),
-                               (lambda r: r.dtheta, 1e-12)]:
-                deviation = np.abs(column(batched, field) - column(oracle, field))
-                assert np.max(deviation) <= tol
-            for record, point in zip(batched, grid):
-                np.testing.assert_array_equal(record.clarke, point)
-            assert batched[0].commanded == batched[0].realized == (0.0, 0.0)
-            assert batched[0].dkappa_l == batched[0].dtheta == 0.0
+    def test_table_is_read_only_in_csv_order(self, robot_0):
+        perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi + 0.01,
+                                    true_d=robot_0.d)
+        records = perturbation_analysis(perturbed, polar_clarke_grid(0.01, radii=2, angles=4))
+        assert isinstance(records, np.recarray)
+        assert records.dtype.names == ("clarke", "kappa_cmd", "theta_cmd", "kappa_real",
+                                       "theta_real", "dkappa_l", "dtheta")
+        assert records.clarke.shape == (8, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            records.dtheta[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            records[0].dtheta = 1.0
 
     def test_polar_conventions_match_scalar_arcs(self):
         # signed zeros and the negative real axis: theta is 0 at kappa = 0
@@ -256,8 +283,8 @@ class TestPerturbationAnalysis:
                                     true_d=robot_0.d)
         single = perturbation_analysis(perturbed, [0.004, -0.002])
         assert len(single) == 1
-        assert single[0].dkappa_l == perturbation_oracle(perturbed, [0.004, -0.002])[0].dkappa_l
-        assert perturbation_analysis(perturbed, np.zeros((0, 2))) == []
+        assert single[0].dkappa_l == perturbation_oracle(perturbed, [0.004, -0.002])["dkappa_l"][0]
+        assert len(perturbation_analysis(perturbed, np.zeros((0, 2)))) == 0
         for bad in ([[0.01, np.nan]], [[0.01, 0.0], [np.inf, 0.0]]):
             with pytest.raises(InvalidParameter):
                 perturbation_analysis(perturbed, bad)
@@ -277,6 +304,17 @@ class TestPerturbationAnalysis:
         perturbed = PerturbedDesign(nominal=robot_0, true_psi=true_psi, true_d=robot_0.d)
         true_psi[0] += 0.05
         assert perturbed.true_psi[0] == robot_0.psi[0]
+
+    def test_true_design_is_built_once(self, robot_0):
+        perturbed = PerturbedDesign(robot_0, robot_0.psi + 0.01, 1.5 * robot_0.d)
+        true = perturbed.true_design()
+        assert perturbed.true_design() is true
+        assert true.psi is perturbed.true_psi and true.d is perturbed.true_d
+        assert true.name == "robot_0_true" and true.l == robot_0.l
+
+    def test_rejects_a_valid_layout_of_another_joint_count(self, robot_0, robot_A):
+        with pytest.raises(InvalidParameter, match="nominal joint count"):
+            PerturbedDesign(robot_0, robot_A.psi, robot_A.d)
 
     def test_rejects_mismatched_perturbation(self, robot_0):
         with pytest.raises(InvalidParameter):
