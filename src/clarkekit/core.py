@@ -95,15 +95,15 @@ class RobotDesign:
         """n x 2 arc-to-joint matrix (see arc_inverse_matrix)."""
         return _read_only(self.l * self.d[:, None] * inverse_clarke_matrix(self.psi))
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        """True when the joints are equally spaced around the cross-section."""
+    def is_symmetric(self) -> bool:
+        """True when the joints are equally spaced (gaps within 1e-9 rad of 2*pi/n)."""
         angles = np.sort(self.psi % TWO_PI)
         gaps = np.diff(angles, append=angles[0] + TWO_PI)
-        return bool(np.all(np.abs(gaps - TWO_PI / self.n) < tol))
+        return bool(np.all(np.abs(gaps - TWO_PI / self.n) < 1e-9))
 
-    def has_constant_d(self, tol: float = 1e-12) -> bool:
-        """True when all center-line distances are equal."""
-        return bool(np.ptp(self.d) <= tol * np.max(self.d))
+    def has_constant_d(self) -> bool:
+        """True when all center-line distances are equal (to 1e-12 relative)."""
+        return bool(np.ptp(self.d) <= 1e-12 * np.max(self.d))
 
 
 class ArcParameters(NamedTuple):
@@ -112,12 +112,6 @@ class ArcParameters(NamedTuple):
 
     kappa: float
     theta: float
-
-    @property
-    def planar(self) -> np.ndarray:
-        """The (kappa*cos(theta), kappa*sin(theta)) vector."""
-        return np.array([self.kappa * math.cos(self.theta),
-                         self.kappa * math.sin(self.theta)])
 
     @classmethod
     def from_planar(cls, w) -> "ArcParameters":

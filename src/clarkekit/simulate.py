@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,9 @@ from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, evalu
                          plan_trajectory)
 
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
+
+# Error metrics cover the ticks after this time (every tick of a shorter run).
+TRANSIENT_CUTOFF_S = 1.0
 
 
 def pt1_step(state, command, dt: float, time_constant: float):
@@ -96,27 +100,32 @@ class SimRun:
     measured: np.ndarray
     commanded: np.ndarray
     true: np.ndarray
-    transient_cutoff: float = 1.0
 
-    def tracking_error(self) -> np.ndarray:
-        return self.desired - self.true
-
-    def _settled(self) -> np.ndarray:
-        mask = self.t > self.transient_cutoff
-        return mask if mask.any() else np.ones_like(mask)
+    @cached_property
+    def _error_metrics(self) -> tuple[np.ndarray, float, float]:
+        """Per-joint RMS, latent RMS and max |error| of desired - true after the
+        transient cutoff, from one error and one mask (latent masked after the product)."""
+        error = self.desired - self.true
+        settled = self.t > TRANSIENT_CUTOFF_S
+        if not settled.any():
+            settled = np.ones_like(settled)
+        latent = error @ self.design.arc_forward.T
+        error = error[settled]
+        rms_per_joint = np.sqrt(np.mean(error**2, axis=0))
+        rms_per_joint.setflags(write=False)
+        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[settled]**2, axis=1)))),
+                float(np.max(np.abs(error))))
 
     def rms_per_joint(self) -> np.ndarray:
         """Per-joint RMS tracking error after the transient cutoff."""
-        err = self.tracking_error()[self._settled()]
-        return np.sqrt(np.mean(err**2, axis=0))
+        return self._error_metrics[0]
 
     def rms_latent(self) -> float:
         """RMS of the latent-space tracking-error norm after the cutoff."""
-        latent = self.tracking_error() @ self.design.arc_forward.T
-        return float(np.sqrt(np.mean(np.sum(latent[self._settled()]**2, axis=1))))
+        return self._error_metrics[1]
 
     def max_abs_error(self) -> float:
-        return float(np.max(np.abs(self.tracking_error()[self._settled()])))
+        return self._error_metrics[2]
 
     def metrics(self) -> dict:
         return {
@@ -127,7 +136,7 @@ class SimRun:
             "rms_per_joint_m": [float(x) for x in self.rms_per_joint()],
             "rms_latent": self.rms_latent(),
             "max_abs_err_m": self.max_abs_error(),
-            "transient_cutoff_s": self.transient_cutoff,
+            "transient_cutoff_s": TRANSIENT_CUTOFF_S,
         }
 
     def write_csv(self, path, formatted: dict | None = None) -> None:

@@ -7,7 +7,8 @@ both ends, so velocity is C4-continuous everywhere, including across
 segment blends.  Per segment the joints are synchronized to a common
 duration, consecutive segments may overlap by a configurable fraction of
 the adjoining ramps, and a final uniform time dilation restores the
-velocity/acceleration limits wherever superposition exceeded them.
+velocity/acceleration limits wherever superposition exceeded them.  A plan
+holds its profiles as (segments, joints) arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -79,94 +81,82 @@ class KinematicLimits:
 DEFAULT_LIMITS = KinematicLimits()
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """One joint's move within one segment.
+class TrajectoryState(NamedTuple):
+    """Move profiles as arrays of one common shape: the signed distance to
+    cover delta_rho, the peak velocity v and the phase durations t_lo/t_cr/t_sd."""
 
-    delta_rho is the signed distance to cover, v the peak velocity of the
-    profile, a and dec the acceleration/deceleration bounds it was planned
-    under, and t_lo/t_cr/t_sd the phase durations.
-    """
-
-    delta_rho: float
-    v: float
-    a: float
-    dec: float
-    t_lo: float
-    t_cr: float
-    t_sd: float
+    delta_rho: np.ndarray
+    v: np.ndarray
+    t_lo: np.ndarray
+    t_cr: np.ndarray
+    t_sd: np.ndarray
 
     @property
-    def duration(self) -> float:
+    def duration(self) -> np.ndarray:
         return self.t_lo + self.t_cr + self.t_sd
 
 
-def plan_segment(delta: float, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryState:
-    """Plan one joint's profile for a signed distance.
+def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryState:
+    """Plan the profile of each signed distance in a scalar or an array.
 
     The ramp durations satisfy PEAK_SLOPE * v / t_ramp <= bound; when the
     distance is too short for a full trapezoid the cruise phase drops out
-    and the peak velocity is reduced (triangular fallback).  Because the
-    smoothstep integrates to 1/2 over a ramp, the distance closes as
+    and the peak velocity is reduced (triangular fallback), down to v = 0
+    with zero durations for a zero distance.  Because the smoothstep
+    integrates to 1/2 over a ramp, the distance closes as
     |delta| = v * (t_lo / 2 + t_cr + t_sd / 2).
     """
-    if not math.isfinite(delta):
-        raise InvalidParameter(f"segment distance must be finite, got {delta}")
-    dist = abs(delta)
-    if dist == 0.0:
-        return TrajectoryState(delta, 0.0, limits.a_max, limits.dec_max, 0.0, 0.0, 0.0)
+    delta = np.asarray(delta, dtype=float)
+    if not np.isfinite(delta).all():
+        raise InvalidParameter("segment distances must be finite")
+    dist = np.abs(delta)
     t_lo_full = PEAK_SLOPE * limits.v_max / limits.a_max
     t_sd_full = PEAK_SLOPE * limits.v_max / limits.dec_max
     ramp_dist = 0.5 * limits.v_max * (t_lo_full + t_sd_full)
-    if dist >= ramp_dist:
-        v_peak = limits.v_max
-        t_lo, t_sd = t_lo_full, t_sd_full
-        t_cr = dist / v_peak - 0.5 * (t_lo + t_sd)
-    else:
-        v_peak = math.sqrt(2.0 * dist * limits.a_max * limits.dec_max
-                           / (PEAK_SLOPE * (limits.a_max + limits.dec_max)))
-        t_lo = PEAK_SLOPE * v_peak / limits.a_max
-        t_sd = PEAK_SLOPE * v_peak / limits.dec_max
-        t_cr = 0.0
-    return TrajectoryState(delta, v_peak, limits.a_max, limits.dec_max, t_lo, t_cr, t_sd)
+    # dist > 0 keeps a zero distance triangular where the full ramps underflow to 0;
+    # the cap keeps distances that take the full profile from overflowing below
+    full = (dist >= ramp_dist) & (dist > 0.0)
+    v = np.where(full, limits.v_max,
+                 np.sqrt(2.0 * np.minimum(dist, ramp_dist) * limits.a_max * limits.dec_max
+                         / (PEAK_SLOPE * (limits.a_max + limits.dec_max))))
+    return TrajectoryState(
+        delta, v,
+        np.where(full, t_lo_full, PEAK_SLOPE * v / limits.a_max),
+        np.where(full, dist / limits.v_max - 0.5 * (t_lo_full + t_sd_full), 0.0),
+        np.where(full, t_sd_full, PEAK_SLOPE * v / limits.dec_max))
 
 
-def synchronize(per_joint_states: list[TrajectoryState]) -> list[TrajectoryState]:
-    """Stretch the joints of one segment to a common duration.
+def synchronize(states: TrajectoryState) -> TrajectoryState:
+    """Stretch the profiles along the last axis (a segment's joints) to their common duration.
 
     Each profile is uniformly time-dilated to the slowest joint's duration,
     scaling its peak velocity down by the same factor, which preserves the
     distance closure and never increases peak velocity or acceleration.
     Zero-distance joints idle through the common duration.
     """
-    if not per_joint_states:
-        raise InvalidParameter("need at least one joint state")
-    common = max(state.duration for state in per_joint_states)
-    out = []
-    for state in per_joint_states:
-        if state.duration == 0.0:
-            out.append(replace(state, t_cr=common))
-        elif state.duration == common:
-            out.append(state)
-        else:
-            factor = common / state.duration
-            out.append(replace(state, v=state.v / factor, t_lo=state.t_lo * factor,
-                               t_cr=state.t_cr * factor, t_sd=state.t_sd * factor))
-    return out
+    duration = states.duration
+    if duration.ndim == 0 or duration.shape[-1] == 0:
+        raise InvalidParameter("need at least one joint along the last axis")
+    common = duration.max(axis=-1, keepdims=True)
+    idle = duration == 0.0
+    factor = np.divide(common, duration, out=np.ones_like(duration), where=~idle)
+    return TrajectoryState(states.delta_rho, states.v / factor, states.t_lo * factor,
+                           np.where(idle, common, states.t_cr * factor),
+                           states.t_sd * factor)
 
 
 @dataclass(frozen=True, eq=False)
 class PlannedTrajectory:
     """Blended multi-segment trajectory for all joints of one design.
 
-    states is the m x n grid of per-segment, per-joint profiles; all joints
-    of a segment share its enable time.  dilation records the uniform time
+    states holds the profiles as (segments, joints) arrays; all joints of a
+    segment share its enable time.  dilation records the uniform time
     stretch applied after blending to restore the kinematic limits (1.0
-    when superposition never exceeded them).
+    when superposition never exceeded them).  Every array is read-only.
     """
 
     start: np.ndarray
-    states: tuple[tuple[TrajectoryState, ...], ...]
+    states: TrajectoryState
     enable_times: np.ndarray
     segment_durations: np.ndarray
     horizon: float
@@ -179,7 +169,7 @@ class PlannedTrajectory:
 
     @property
     def segment_count(self) -> int:
-        return len(self.states)
+        return self.enable_times.size
 
     @cached_property
     def position_poly(self) -> PPoly:
@@ -187,18 +177,16 @@ class PlannedTrajectory:
         return _position_poly(self)
 
     def goal(self) -> np.ndarray:
-        deltas = np.array([[s.delta_rho for s in seg] for seg in self.states])
-        return self.start + deltas.sum(axis=0)
+        return self.start + self.states.delta_rho.sum(axis=0)
 
 
 def _position_poly(traj: PlannedTrajectory) -> PPoly:
     """Superpose every moving profile onto start as one piecewise polynomial:
     on each interval a profile adds its phase polynomial shifted to the
     interval start (a ramp shape, the cruise line, or its distance once done)."""
-    rows = [(enable, j, s.v, s.t_lo, s.t_cr, s.t_sd, s.delta_rho)
-            for enable, joint_states in zip(traj.enable_times, traj.states)
-            for j, s in enumerate(joint_states) if s.v != 0.0]
-    e, joint, v, t_lo, t_cr, t_sd, delta = np.array(rows, dtype=float).reshape(-1, 7).T
+    segment, joint = np.nonzero(traj.states.v)
+    e = traj.enable_times[segment]
+    delta, v, t_lo, t_cr, t_sd = (field[segment, joint] for field in traj.states)
     bounds = np.stack([e, e + t_lo, e + (t_lo + t_cr), e + (t_lo + t_cr + t_sd)])
     # Ramps are also split at their midpoints, where the monomial terms cancel
     # far less in rounding; a motionless plan still gets one interval.
@@ -224,7 +212,7 @@ def _position_poly(traj: PlannedTrajectory) -> PPoly:
     contrib *= np.sign(delta)[profile, None]
     coeffs = np.zeros((x.size - 1, traj.n, _TERMS))
     coeffs[:, :, 0] = traj.start
-    np.add.at(coeffs, (interval, joint[profile].astype(int)), contrib)
+    np.add.at(coeffs, (interval, joint[profile]), contrib)
     return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
 
 
@@ -357,80 +345,49 @@ def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, slope: np.ndarray, order: 
     return float(np.max(np.abs(values[np.arange(values.shape[0]), column[finite]])))
 
 
-def _dilate(traj: PlannedTrajectory, factor: float) -> PlannedTrajectory:
-    states = tuple(
-        tuple(replace(s, v=s.v / factor, t_lo=s.t_lo * factor, t_cr=s.t_cr * factor,
-                      t_sd=s.t_sd * factor)
-              for s in joint_states)
-        for joint_states in traj.states)
-    return replace(traj, states=states,
-                   enable_times=traj.enable_times * factor,
-                   segment_durations=traj.segment_durations * factor,
-                   horizon=traj.horizon * factor,
-                   dilation=traj.dilation * factor)
-
-
-def blend(segments: list[list[TrajectoryState]], start,
-          overlap_fraction: float = 0.5,
-          limits: KinematicLimits = DEFAULT_LIMITS) -> PlannedTrajectory:
-    """Blend synchronized segments into one trajectory per joint.
-
-    Consecutive segments overlap by overlap_fraction of the smaller of the
-    adjoining set-down and lift-off ramps (minimized over joints, so all
-    joints share each enable time); joint positions superpose the segment
-    profiles.  If the superposed velocity or acceleration exceeds the
-    limits anywhere, every duration is uniformly dilated by the smallest
-    factor restoring feasibility.
-    """
-    if not 0.0 <= overlap_fraction <= 1.0:
-        raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")
-    if not segments:
-        raise InvalidParameter("need at least one segment")
-    n = len(segments[0])
-    if any(len(joint_states) != n for joint_states in segments):
-        raise InvalidParameter("all segments must cover the same joints")
-    start = np.asarray(start, dtype=float).copy()
-    if start.shape != (n,) or not np.all(np.isfinite(start)):
-        raise InvalidParameter(f"start must hold {n} finite values")
-
-    durations = np.array([max(s.duration for s in joint_states) for joint_states in segments])
-    enable_times = np.zeros(len(segments))
-    for j in range(1, len(segments)):
-        window = min(min(prev.t_sd, nxt.t_lo)
-                     for prev, nxt in zip(segments[j - 1], segments[j]))
-        enable_times[j] = enable_times[j - 1] + durations[j - 1] - overlap_fraction * window
-    states = tuple(tuple(joint_states) for joint_states in segments)
-    start.setflags(write=False)
-    enable_times.setflags(write=False)
-    durations.setflags(write=False)
-    traj = PlannedTrajectory(start=start, states=states, enable_times=enable_times,
-                             segment_durations=durations,
-                             horizon=float(enable_times[-1] + durations[-1]),
-                             overlap_fraction=overlap_fraction)
-
-    factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
-                 math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
-    if factor > 1.0:
-        traj = _dilate(traj, factor * (1.0 + 1e-12))
-    return traj
-
-
 def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                     overlap_fraction: float = 0.5) -> PlannedTrajectory:
     """Plan a blended trajectory through an (m+1) x n table of via points.
 
-    Row 0 is the start configuration; each subsequent row adds one segment.
+    Row 0 is the start configuration; each subsequent row adds one segment,
+    whose joints are synchronized to a common duration.  Consecutive
+    segments overlap by overlap_fraction of the smaller of the adjoining
+    set-down and lift-off ramps (minimized over joints, so all joints share
+    each enable time); joint positions superpose the segment profiles.  If
+    the superposed velocity or acceleration exceeds the limits anywhere,
+    every duration is uniformly dilated by the smallest factor restoring
+    feasibility.
     """
     via = np.atleast_2d(np.asarray(via_points, dtype=float))
     if via.ndim != 2 or via.shape[0] < 2:
         raise InvalidParameter("need a 2-D via table with at least start and goal rows")
     if not np.all(np.isfinite(via)):
         raise InvalidParameter("via points must be finite")
-    segments = [
-        synchronize([plan_segment(float(delta), limits) for delta in via[j + 1] - via[j]])
-        for j in range(via.shape[0] - 1)
-    ]
-    return blend(segments, via[0], overlap_fraction, limits=limits)
+    if not 0.0 <= overlap_fraction <= 1.0:
+        raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")
+    states = synchronize(plan_segment(np.diff(via, axis=0), limits))
+    durations = states.duration.max(axis=1)
+    window = np.minimum(states.t_sd[:-1], states.t_lo[1:]).min(axis=1)
+    enable_times = np.zeros(durations.size)
+    for j in range(1, durations.size):
+        enable_times[j] = enable_times[j - 1] + durations[j - 1] - overlap_fraction * window[j - 1]
+    traj = PlannedTrajectory(start=via[0].copy(), states=states,
+                             enable_times=enable_times, segment_durations=durations,
+                             horizon=float(enable_times[-1] + durations[-1]),
+                             overlap_fraction=overlap_fraction)
+
+    factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
+                 math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
+    if factor > 1.0:
+        factor *= 1.0 + 1e-12
+        states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
+                                 t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
+        traj = replace(traj, states=states, enable_times=enable_times * factor,
+                       segment_durations=durations * factor, horizon=traj.horizon * factor,
+                       dilation=factor)
+    for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
+        array.setflags(write=False)
+    return traj
 
 
 def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> None:

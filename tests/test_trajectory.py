@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from clarkekit import (
 )
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _horner, _peak_at_roots, _piece_bounds, _piece_derivative
-from trajectory_oracle import horner, oracle_evaluate, oracle_peak_abs, roots_peak_abs
+from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_peak_abs,
+                               oracle_plan_segment, oracle_synchronize, roots_peak_abs)
 
 # velocity ramp shape in ascending power order (degree 9)
 RAMP_COEFFS = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
@@ -43,18 +46,11 @@ def ramp_derivative_peak(order: int) -> float:
 def smoothness_bounds(traj):
     """Analytic max of |d^m v / dt^m| for m = 0..5; overlapping profiles
     can superpose pairwise, hence the factor two."""
-    bounds = {}
-    for order in range(6):
-        shape_peak = ramp_derivative_peak(order)
-        worst = 0.0
-        for joint_states in traj.states:
-            for state in joint_states:
-                if state.v == 0.0:
-                    continue
-                ramp = min(state.t_lo, state.t_sd)
-                worst = max(worst, state.v * shape_peak / ramp**order)
-        bounds[order] = 2.0 * worst
-    return bounds
+    moving = traj.states.v != 0.0
+    v = traj.states.v[moving]
+    ramp = np.minimum(traj.states.t_lo, traj.states.t_sd)[moving]
+    return {order: 2.0 * np.max(v * ramp_derivative_peak(order) / ramp**order, initial=0.0)
+            for order in range(6)}
 
 
 def one_sided_derivatives(poly, order: int):
@@ -155,8 +151,8 @@ class TestPlanSegment:
         for delta in rng.uniform(-0.2, 0.2, 100):
             state = plan_segment(float(delta))
             if state.t_lo > 0.0:
-                assert PEAK_SLOPE * state.v / state.t_lo <= state.a * (1.0 + 1e-9)
-                assert PEAK_SLOPE * state.v / state.t_sd <= state.dec * (1.0 + 1e-9)
+                assert PEAK_SLOPE * state.v / state.t_lo <= DEFAULT_LIMITS.a_max * (1.0 + 1e-9)
+                assert PEAK_SLOPE * state.v / state.t_sd <= DEFAULT_LIMITS.dec_max * (1.0 + 1e-9)
 
     def test_asymmetric_deceleration(self):
         limits = KinematicLimits(v_max=0.02, a_max=0.3, dec_max=0.1)
@@ -168,33 +164,86 @@ class TestPlanSegment:
             plan_segment(math.nan)
         with pytest.raises(InvalidParameter):
             plan_segment(math.inf)
+        with pytest.raises(InvalidParameter):
+            plan_segment(np.array([[0.01, math.nan], [0.0, 0.02]]))
+
+    def test_array_matches_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        # at the boundary of the fourth limits the triangular formula rounds
+        # away from the full profile; the last underflow the full ramps to zero
+        for limits in (DEFAULT_LIMITS, KinematicLimits(v_max=0.02, a_max=0.3, dec_max=0.1),
+                       KinematicLimits(v_max=0.05, a_max=0.2, dec_max=0.9),
+                       KinematicLimits(v_max=0.01, a_max=0.05, dec_max=0.2),
+                       KinematicLimits(v_max=1e-200, a_max=1e200, dec_max=1e200)):
+            # the full/triangular boundary, in the planner's own arithmetic
+            full = 0.5 * limits.v_max * (PEAK_SLOPE * limits.v_max / limits.a_max
+                                         + PEAK_SLOPE * limits.v_max / limits.dec_max)
+            edges = [0.0, -0.0, 1e-300, -1e-300, full, np.nextafter(full, 0.0),
+                     np.nextafter(full, 1.0), -full, -np.nextafter(full, 0.0)]
+            deltas = np.concatenate([edges, rng.uniform(-0.1, 0.1, 200),
+                                     rng.uniform(-full, full, 200)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states = plan_segment(deltas.reshape(-1, 1), limits)
+            for k, delta in enumerate(deltas):
+                got = profiles(field[k] for field in states)
+                assert bits(got) == bits([oracle_plan_segment(float(delta), limits)]), delta
+
+
+def profiles(states):
+    """The profiles of a 1-D TrajectoryState as scalar oracle states."""
+    return [ScalarState(*map(float, values)) for values in zip(*states)]
+
+
+def bits(states):
+    """Every field of scalar states as exact hex, which tells -0.0 from 0.0."""
+    return [tuple(value.hex() for value in astuple(state)) for state in states]
 
 
 class TestSynchronize:
     def test_identical_deltas_unchanged(self):
-        states = [plan_segment(0.02) for _ in range(3)]
-        assert synchronize(states) == states
+        states = plan_segment(np.full(3, 0.02))
+        for before, after in zip(states, synchronize(states)):
+            np.testing.assert_array_equal(after, before)
 
     def test_zero_delta_idles(self):
-        states = synchronize([plan_segment(0.02), plan_segment(0.0)])
-        assert states[1].v == 0.0
-        assert states[1].duration == pytest.approx(states[0].duration)
+        states = synchronize(plan_segment(np.array([0.02, 0.0])))
+        assert states.v[1] == 0.0
+        assert states.duration[1] == pytest.approx(states.duration[0])
 
     def test_closure_preserved(self):
-        states = synchronize([plan_segment(d) for d in (0.05, -0.01, 0.002)])
-        assert len({round(s.duration, 9) for s in states}) == 1
-        for state in states:
+        states = synchronize(plan_segment(np.array([0.05, -0.01, 0.002])))
+        assert len({round(s.duration, 9) for s in profiles(states)}) == 1
+        for state in profiles(states):
             covered = state.v * (0.5 * state.t_lo + state.t_cr + 0.5 * state.t_sd)
             assert covered == pytest.approx(abs(state.delta_rho), rel=1e-12, abs=1e-18)
 
     def test_dilation_never_raises_peaks(self):
-        originals = [plan_segment(d) for d in (0.05, -0.01, 0.002)]
-        for before, after in zip(originals, synchronize(originals)):
+        originals = plan_segment(np.array([0.05, -0.01, 0.002]))
+        for before, after in zip(profiles(originals), profiles(synchronize(originals))):
             assert after.v <= before.v * (1.0 + 1e-12)
             if after.t_lo > 0.0:
                 peak_before = PEAK_SLOPE * before.v / before.t_lo
                 peak_after = PEAK_SLOPE * after.v / after.t_lo
                 assert peak_after <= peak_before * (1.0 + 1e-12)
+
+    def test_segments_match_scalar_oracle_bit_for_bit(self):
+        # each row is one segment; some joints idle, some segments idle entirely
+        rng = np.random.default_rng(23)
+        for limits in (DEFAULT_LIMITS, KinematicLimits(v_max=0.02, a_max=0.3, dec_max=0.1)):
+            deltas = rng.uniform(-0.05, 0.05, (60, 4))
+            deltas[rng.random(deltas.shape) < 0.3] = 0.0
+            deltas[::7] = 0.0
+            deltas[1::9, :2] = [1e-300, -1e-300]
+            states = synchronize(plan_segment(deltas, limits))
+            for row, segment in enumerate(deltas):
+                oracle = oracle_synchronize([oracle_plan_segment(float(d), limits)
+                                             for d in segment])
+                assert bits(profiles(field[row] for field in states)) == bits(oracle), row
+
+    def test_needs_a_joint(self):
+        with pytest.raises(InvalidParameter):
+            synchronize(plan_segment(np.zeros((2, 0))))
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +342,38 @@ class TestBlendAndEvaluate:
         weights = np.array([[0.4, -1.1, 0.3], [0.0, 0.7, -0.2]])
         projected = np.max(np.abs(vel @ weights.T))
         assert peak_abs(traj, "velocity", weights=weights) >= projected * (1.0 - 1e-12)
+
+    def test_zero_joints_rejected(self):
+        with pytest.raises(InvalidParameter):
+            plan_trajectory(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
+    def test_idle_middle_segment_matches_oracle(self, overlap):
+        via = np.array([[0.0, 0.01], [0.02, -0.01], [0.02, -0.01], [0.0, 0.015]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = plan_trajectory(via, DEFAULT_LIMITS, overlap)
+            times = np.concatenate([np.linspace(0.0, traj.horizon, 2001),
+                                    traj.position_poly.x])
+            got = evaluate(traj, times)
+            want = oracle_evaluate(traj, times)
+        assert np.all(traj.states.v[1] == 0.0)
+        assert traj.segment_durations[1] == 0.0
+        for exact, oracle in zip(got, want):
+            assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        np.testing.assert_allclose(evaluate(traj, traj.horizon)[0], via[-1], rtol=0.0,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("overlap", [0.5, 1.0])
+    def test_every_array_is_read_only(self, overlap):
+        # overlap 1.0 on a reversal dilates the plan, so both paths are covered
+        traj = plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                               DEFAULT_LIMITS, overlap)
+        assert (traj.dilation > 1.0) == (overlap == 1.0)
+        for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
 
     def test_negative_deltas_mirror(self):
         traj = plan_trajectory(np.array([[0.01], [-0.02]]), DEFAULT_LIMITS, 0.0)
@@ -435,9 +516,8 @@ class TestPrunedPeak:
 
     def test_single_triangular_segment(self):
         traj = plan_trajectory(np.array([[0.0], [0.001]]))
-        state = traj.states[0][0]
-        assert state.t_cr == 0.0
-        assert assert_matches_roots_oracle(traj, "velocity") == pytest.approx(state.v,
+        assert traj.states.t_cr[0, 0] == 0.0
+        assert assert_matches_roots_oracle(traj, "velocity") == pytest.approx(traj.states.v[0, 0],
                                                                                rel=1e-12)
         assert assert_matches_roots_oracle(traj, "acceleration") == pytest.approx(
             DEFAULT_LIMITS.a_max, rel=1e-12)

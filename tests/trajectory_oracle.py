@@ -1,17 +1,74 @@
-"""Reference implementations of trajectory evaluation and peak search.
+"""Reference implementations of trajectory planning, evaluation and peak search.
 
-These are the original masked per-phase evaluation, the dense-grid scan
-with bounded scalar refinement that the exact piecewise-polynomial path in
-`clarkekit.trajectory` replaced, and the exact peak that root-finds the next
-derivative on every interval, which Bernstein pruning replaced.  Tests
-compare the library against them.
+These are the original scalar per-joint planning and synchronization that
+the (segments, joints) profile arrays replaced, the masked per-phase
+evaluation, the dense-grid scan with bounded scalar refinement that the
+exact piecewise-polynomial path in `clarkekit.trajectory` replaced, and the
+exact peak that root-finds the next derivative on every interval, which
+Bernstein pruning replaced.  Tests compare the library against them.
 """
+
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import minimize_scalar
 
-from clarkekit import smoothstep, smoothstep_integral, smoothstep_slope
+from clarkekit import PEAK_SLOPE, smoothstep, smoothstep_integral, smoothstep_slope
+
+
+@dataclass(frozen=True)
+class ScalarState:
+    """One joint's move within one segment."""
+
+    delta_rho: float
+    v: float
+    t_lo: float
+    t_cr: float
+    t_sd: float
+
+    @property
+    def duration(self) -> float:
+        return self.t_lo + self.t_cr + self.t_sd
+
+
+def oracle_plan_segment(delta, limits):
+    """One joint's profile for a signed distance, with the zero distance and
+    the full/triangular choice as explicit branches."""
+    dist = abs(delta)
+    if dist == 0.0:
+        return ScalarState(delta, 0.0, 0.0, 0.0, 0.0)
+    t_lo_full = PEAK_SLOPE * limits.v_max / limits.a_max
+    t_sd_full = PEAK_SLOPE * limits.v_max / limits.dec_max
+    ramp_dist = 0.5 * limits.v_max * (t_lo_full + t_sd_full)
+    if dist >= ramp_dist:
+        v_peak = limits.v_max
+        t_lo, t_sd = t_lo_full, t_sd_full
+        t_cr = dist / v_peak - 0.5 * (t_lo + t_sd)
+    else:
+        v_peak = math.sqrt(2.0 * dist * limits.a_max * limits.dec_max
+                           / (PEAK_SLOPE * (limits.a_max + limits.dec_max)))
+        t_lo = PEAK_SLOPE * v_peak / limits.a_max
+        t_sd = PEAK_SLOPE * v_peak / limits.dec_max
+        t_cr = 0.0
+    return ScalarState(delta, v_peak, t_lo, t_cr, t_sd)
+
+
+def oracle_synchronize(per_joint_states):
+    """Stretch a list of one segment's joint profiles to their common duration."""
+    common = max(state.duration for state in per_joint_states)
+    out = []
+    for state in per_joint_states:
+        if state.duration == 0.0:
+            out.append(replace(state, t_cr=common))
+        elif state.duration == common:
+            out.append(state)
+        else:
+            factor = common / state.duration
+            out.append(replace(state, v=state.v / factor, t_lo=state.t_lo * factor,
+                               t_cr=state.t_cr * factor, t_sd=state.t_sd * factor))
+    return out
 
 
 def profile_eval(state, local):
@@ -53,10 +110,10 @@ def oracle_evaluate(traj, t):
     pos = np.tile(traj.start, (times.size, 1))
     vel = np.zeros((times.size, traj.n))
     acc = np.zeros((times.size, traj.n))
-    for enable, joint_states in zip(traj.enable_times, traj.states):
+    for enable, *fields in zip(traj.enable_times, *traj.states):
         local = times - enable
-        for i, state in enumerate(joint_states):
-            p, v, a = profile_eval(state, local)
+        for i, values in enumerate(zip(*fields)):
+            p, v, a = profile_eval(ScalarState(*map(float, values)), local)
             pos[:, i] += p
             vel[:, i] += v
             acc[:, i] += a
