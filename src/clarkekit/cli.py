@@ -25,7 +25,7 @@ from .core import CONDITION_LIMIT, to_arc, transform_pair
 from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
-from .fileio import sha256_file, sha256_text, write_csv, write_json
+from .fileio import sha256_text, write_csv, write_json
 from .sampling import sample_clarke_disk, sample_joints, write_samples_csv
 from .simulate import MODES, SimRun, evaluate_suite, run_experiment
 from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
@@ -61,8 +61,10 @@ class Manifest:
             "outputs": [],
         }
 
-    def add(self, path) -> None:
-        self.data["outputs"].append({"name": Path(path).name, "sha256": sha256_file(path)})
+    def add(self, path, digest: str) -> None:
+        """Record a written file under its name with the SHA-256 hex digest
+        that the fileio writer returned for it."""
+        self.data["outputs"].append({"name": Path(path).name, "sha256": digest})
 
     def write(self, path) -> None:
         self.data["outputs"].sort(key=lambda entry: entry["name"])
@@ -111,10 +113,10 @@ def cmd_sample(args) -> int:
     batch = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
     joints = batch.clarke @ transform_pair(design).inverse_matrix.T
     out = Path(args.out)
-    write_samples_csv(out, batch, joints)
+    digest = write_samples_csv(out, batch, joints)
     manifest = Manifest("sample", {"design": design.name, "count": args.count,
                                    "seed": args.seed}, [args.seed], [design])
-    manifest.add(out)
+    manifest.add(out, digest)
     manifest.write(out.with_name(out.name + ".manifest.json"))
     print(f"wrote {args.count} samples to {out}")
     return EXIT_OK
@@ -146,13 +148,13 @@ def cmd_traj(args) -> int:
                              dec_max=args.decmax if args.decmax is not None else args.amax)
     traj = plan_trajectory(via, limits, args.overlap)
     out = Path(args.out)
-    write_trajectory_csv(out, traj, args.dt)
+    digest = write_trajectory_csv(out, traj, args.dt)
     manifest = Manifest("traj", {"design": design.name, "segments": traj.segment_count,
                                  "seed": args.seed, "vmax": args.vmax, "amax": args.amax,
                                  "decmax": limits.dec_max, "overlap": args.overlap,
                                  "dt": args.dt, "via_file": bool(args.via_file)},
                         [args.seed], [design])
-    manifest.add(out)
+    manifest.add(out, digest)
     manifest.write(out.with_name(out.name + ".manifest.json"))
     print(f"planned {traj.segment_count} segments, horizon {traj.horizon:.3f} s, "
           f"dilation {traj.dilation:.6g}; wrote {out}")
@@ -166,10 +168,8 @@ def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest,
     `fileio.write_csv`."""
     csv_path = out_dir / f"{stem}.csv"
     metrics_path = out_dir / f"{stem}_metrics.json"
-    sim.write_csv(csv_path, formatted)
-    write_json(metrics_path, sim.metrics())
-    manifest.add(csv_path)
-    manifest.add(metrics_path)
+    manifest.add(csv_path, sim.write_csv(csv_path, formatted))
+    manifest.add(metrics_path, write_json(metrics_path, sim.metrics()))
     return metrics_path
 
 
@@ -206,13 +206,12 @@ def cmd_demo(args) -> int:
             formatted, target = {}, sim.design.name
         _write_run(out_dir, stem, sim, manifest, formatted)
     pert_path = out_dir / "perturbation_robot_0.csv"
-    write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
-                          "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"],
-              structured_to_unstructured(records))
-    manifest.add(pert_path)
+    digest = write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
+                                   "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"],
+                       structured_to_unstructured(records))
+    manifest.add(pert_path, digest)
     summary_path = out_dir / "summary.json"
-    write_json(summary_path, summary)
-    manifest.add(summary_path)
+    manifest.add(summary_path, write_json(summary_path, summary))
     manifest.write(out_dir / "manifest.json")
     print(f"demo artifacts written to {out_dir} "
           f"({len(manifest.data['outputs']) + 1} files)")

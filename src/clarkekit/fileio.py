@@ -2,6 +2,12 @@
 
 CSV cells use Python's shortest round-trip float representation so that
 re-running a command with the same seed reproduces byte-identical files.
+An array column is formatted by an exact integer kernel (float64 and int64
+numpy operations, `_block_cells`) whose cells equal `repr(float(x))` byte
+for byte; the cells it cannot decide, such as zeros, non-finite values,
+magnitudes outside [1e-6, 1e16) and exact ties, are formatted by `repr`.
+Every writer returns the SHA-256 of the bytes it wrote, so manifests need
+not read the files back.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 
-def write_atomic(path, data: str | bytes) -> None:
+def write_atomic(path, data: str | bytes) -> str:
     """Write text (UTF-8) or bytes to path via a temp file in the same
-    directory.  The file gets mode 0o666 less the process umask, as a plain
-    `open` would give it."""
+    directory and return the SHA-256 hex digest of the bytes written.  The
+    file gets mode 0o666 less the process umask, as a plain `open` would
+    give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(data, str):
@@ -33,10 +40,12 @@ def write_atomic(path, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> None:
-    """Write a CSV file with round-trip float formatting (atomic).
+def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> str:
+    """Write a CSV file with round-trip float formatting (atomic); returns
+    the SHA-256 hex digest of the file's bytes.
 
     `rows` is a 2-D array or an iterable of rows whose cells are numbers or
     preformatted strings; a number is written as its shortest round-trip
@@ -50,13 +59,12 @@ def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> N
     """
     if isinstance(rows, np.ndarray):
         head = (",".join(header) + "\n").encode()
-        write_atomic(path, b"".join([head, *_table_chunks(rows, formatted)]))
-        return
+        return write_atomic(path, b"".join([head, *_table_chunks(rows, formatted)]))
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else repr(float(cell))
                               for cell in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 # longest repr of a float64, e.g. -2.2250738585072014e-308
@@ -80,8 +88,7 @@ def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
         key = col.tobytes()
         cells = formatted.get(key)
         if cells is None:
-            text = np.array(list(map(repr, col.tolist())), dtype=f"S{_CELL}")
-            cells = formatted[key] = text.view(np.uint8).reshape(-1, _CELL)
+            cells = formatted[key] = _repr_cells(col)
         columns.append(cells)
     chunks = []
     for start in range(0, table.shape[0], _ROWS):
@@ -96,9 +103,155 @@ def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
     return chunks
 
 
-def write_json(path, obj) -> None:
-    """Write a JSON file with sorted keys (atomic, deterministic)."""
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+# Values formatted per call of _block_cells: bounds its temporaries to ~3 MB.
+_BLOCK = 8192
+# The kernel tries a value when 1e-6 <= |x| < 1e16 and its mantissa is not a
+# power of two, where the rounding interval is asymmetric.  Non-negative
+# floats order as their bit patterns do.
+_FAST_LO = np.float64(1e-6).view(np.int64)
+_FAST_HI = np.float64(1e16).view(np.int64)
+_MANTISSA = (1 << 52) - 1
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+# 10**q is exact in float64 for q <= 22; Dekker's 2**27 + 1 splits it in halves
+_SPLIT = 134217729.0
+_POW10 = np.array([float(10 ** q) for q in range(23)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_E16, _E17 = 10 ** 16, 10 ** 17
+# ASCII of 0000..9999, one uint32 word per 4-digit group, and its trailing zeros
+_GROUPS = np.arange(10_000)
+_DIGITS4 = (np.stack([_GROUPS // 1000, _GROUPS // 100 % 10, _GROUPS // 10 % 10, _GROUPS % 10],
+                     axis=1).astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+_ZEROS4 = ((_GROUPS % 10 == 0).astype(np.int64) + (_GROUPS % 100 == 0)
+           + (_GROUPS % 1000 == 0) + (_GROUPS == 0))
+# A cell is gathered from a 32-byte row: NUL at 0, the 17 digits of the
+# scaled value from 3 (so each 4-digit group is one aligned uint32 word),
+# then from 20 the other characters a kernel cell can hold.
+_ROW = 32
+_FIRST_DIGIT = 3
+_FIRST_CHAR = 20
+_CHARS = b".-e056"
+_CHAR_AT = np.zeros(256, dtype=np.intp)
+_CHAR_AT[list(_CHARS)] = np.arange(_FIRST_CHAR, _FIRST_CHAR + len(_CHARS))
+
+
+def _templates() -> np.ndarray:
+    """Row offsets of each cell byte, per (decimal exponent E in [-6, 15],
+    digit count p, sign): positional for -4 <= E < 16, else d.ddde-0X."""
+    pictures = []
+    for e in range(-6, 16):
+        for p in range(1, 18):
+            if e >= 0:
+                # past p, the digits are zeros: 100.0 takes its "0" after the point
+                pic = "d" * (e + 1) + "." + "d" * max(p - e - 1, 1)
+            elif e >= -4:
+                pic = "0." + "0" * (-e - 1) + "d" * p
+            else:
+                pic = "d" + ("." + "d" * (p - 1) if p > 1 else "") + f"e-0{-e}"
+            pictures += [pic, "-" + pic]
+    text = np.frombuffer("".join(pic.ljust(_CELL, "\0") for pic in pictures).encode(),
+                         dtype=np.uint8).reshape(-1, _CELL)
+    digit = text == ord("d")
+    offsets = _CHAR_AT[text]
+    offsets[digit] = (_FIRST_DIGIT - 1 + np.cumsum(digit, axis=1))[digit]
+    return offsets
+
+
+_TEMPLATES = _templates()
+
+
+def _block_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write repr(float(v)) of each value of x into the NUL-padded rows of
+    `out` where the exact integer kernel can decide it; returns that mask.
+
+    With E = floor(log10|v|) and q = 16 - E, y = |v| * 10**q is formed
+    exactly as hi + lo (Dekker's product) and rounded to the 17-digit
+    integer N = hi + rint(lo), y = N + r; hi is even, so a tie rounds to
+    even as in dtoa.  A decimal reads back as v when it lies within h,
+    half an ulp of v scaled by 10**q, of y.  Since h < 11.2, a 15-digit
+    candidate (a multiple of 100 in N's units) that round-trips is the
+    only one at 15 or fewer digits, so the shortest text is it with its
+    trailing zeros dropped; else the nearest 16-digit candidate, else N.
+    Each distance is rounded once at most, so a strict comparison with
+    the exact h holds for the exact distance too; a distance equal to h,
+    an exact tie of two candidates or a misjudged E leaves the cell to repr.
+    """
+    bits = x.view(np.int64)
+    mag = bits & _MAGNITUDE
+    decided = (mag >= _FAST_LO) & (mag < _FAST_HI) & ((mag & _MANTISSA) != 0)
+    a = np.where(decided, np.abs(x), 1.5)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    q = np.clip(16 - e10, 1, 22)
+    b, b_hi, b_lo = _POW10[q], _POW10_HI[q], _POW10_LO[q]
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    hi = a * b
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    rounded = np.rint(lo)
+    n17 = hi.astype(np.int64) + rounded.astype(np.int64)
+    r = lo - rounded
+    h = np.spacing(a) * (0.5 * b)
+    decided &= (n17 < _E17) & ((n17 > _E16) | ((n17 == _E16) & (r >= 0.0)))
+    # the nearest 16-digit candidate (a multiple of 10), then 15-digit (of 100):
+    # y lies rem + r above the multiple below it and s - rem - r below the next
+    cand = n17
+    fits = np.ones(x.size, dtype=bool)
+    for s in (10, 100):
+        rem = n17 % s
+        below = rem + r
+        above = (s - rem) - r
+        tried = fits
+        fits = tried & ((below < h) | (above < h))
+        # a rounded distance equal to h may be either side of it, and equal
+        # distances tie: either leaves a cell to repr where it decides the digits
+        decided &= ~(tried & ((np.minimum(below, above) == h) | (fits & (below == above))))
+        cand = np.where(fits, n17 - rem + s * (above < below), cand)
+    wrap = cand == _E17
+    cand = np.where(wrap, _E16, cand)
+    e10 += wrap
+    decided &= e10 <= 15
+    # cells left to repr get placeholder digits that index the tables safely
+    cand = np.where(decided, cand, _E16)
+    e10 = np.where(decided, e10, 0)
+    lead, rest = np.divmod(cand, _E16)
+    top, low = np.divmod(rest, 10 ** 8)
+    g1, g2 = np.divmod(top, 10_000)
+    g3, g4 = np.divmod(low, 10_000)
+    zeros = _ZEROS4[g4] + (g4 == 0) * (_ZEROS4[g3] + (g3 == 0) * (
+        _ZEROS4[g2] + (g2 == 0) * _ZEROS4[g1]))
+    rows = np.zeros((x.size, _ROW), dtype=np.uint8)
+    rows[:, _FIRST_CHAR:_FIRST_CHAR + len(_CHARS)] = np.frombuffer(_CHARS, dtype=np.uint8)
+    rows[:, _FIRST_DIGIT] = lead + ord("0")
+    words = rows.view(np.uint32)
+    for j, group in enumerate((g1, g2, g3, g4), start=1):
+        words[:, j] = _DIGITS4[group]
+    key = ((e10 + 6) * 17 + (16 - zeros)) * 2 + (bits < 0)
+    index = np.take(_TEMPLATES, key, axis=0)
+    index += (np.arange(x.size) * _ROW)[:, None]
+    np.take(rows.ravel(), index, out=out, mode="clip")
+    return decided
+
+
+def _repr_cells(col) -> np.ndarray:
+    """repr(float(v)) of every value of a 1-D array as NUL-padded (n, 24)
+    uint8 cells: the kernel's cells, block by block, and repr for the rest."""
+    col = np.ascontiguousarray(col, dtype=float)
+    out = np.empty((col.size, _CELL), dtype=np.uint8)
+    for start in range(0, col.size, _BLOCK):
+        x = col[start:start + _BLOCK]
+        cells = out[start:start + x.size]
+        rest = np.flatnonzero(~_block_cells(x, cells))
+        if rest.size:
+            text = np.array(list(map(repr, x[rest].tolist())), dtype=f"S{_CELL}")
+            cells[rest] = text.view(np.uint8).reshape(-1, _CELL)
+    return out
+
+
+def write_json(path, obj) -> str:
+    """Write a JSON file with sorted keys (atomic, deterministic); returns
+    the SHA-256 hex digest of the file's bytes."""
+    return write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def sha256_file(path) -> str:

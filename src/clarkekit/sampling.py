@@ -69,8 +69,9 @@ def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
     return batch.clarke @ design.pair.inverse_matrix.T
 
 
-def write_samples_csv(path, batch: SampleBatch, joints: np.ndarray) -> None:
-    """CSV export: sample_idx, rho_re_m, rho_im_m, rho_1..n_m."""
+def write_samples_csv(path, batch: SampleBatch, joints: np.ndarray) -> str:
+    """CSV export: sample_idx, rho_re_m, rho_im_m, rho_1..n_m; returns the
+    file's SHA-256 hex digest."""
     joints = np.asarray(joints, dtype=float)
     if joints.ndim != 2 or joints.shape[0] != batch.count:
         raise DimensionMismatch(
@@ -79,4 +80,4 @@ def write_samples_csv(path, batch: SampleBatch, joints: np.ndarray) -> None:
     header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(n)]
     rows = ([str(idx), batch.clarke[idx, 0], batch.clarke[idx, 1], *joints[idx]]
             for idx in range(batch.count))
-    write_csv(path, header, rows)
+    return write_csv(path, header, rows)

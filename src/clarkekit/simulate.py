@@ -139,15 +139,16 @@ class SimRun:
             "transient_cutoff_s": TRANSIENT_CUTOFF_S,
         }
 
-    def write_csv(self, path, formatted: dict | None = None) -> None:
-        """CSV export: t_s, rho_d_1..n, rho_meas_1..n, rho_cmd_1..n, rho_true_1..n.
+    def write_csv(self, path, formatted: dict | None = None) -> str:
+        """CSV export: t_s, rho_d_1..n, rho_meas_1..n, rho_cmd_1..n, rho_true_1..n;
+        returns the file's SHA-256 hex digest.
 
         `formatted` is passed to `fileio.write_csv`: share one dict among the
         runs of a target to format their common columns once."""
         labels = ("rho_d", "rho_meas", "rho_cmd", "rho_true")
         header = ["t_s"] + [f"{label}_{i + 1}" for label in labels for i in range(self.design.n)]
         table = np.column_stack([self.t, self.desired, self.measured, self.commanded, self.true])
-        write_csv(path, header, table, formatted)
+        return write_csv(path, header, table, formatted)
 
 
 def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:

@@ -284,11 +284,15 @@ def _piece_bounds(coeffs: np.ndarray, x: np.ndarray, order: int):
     piecewise polynomial, and the rounding margin that goes with it.
 
     coeffs are PPoly coefficients (highest power first) over breakpoints x;
-    both results have shape (pieces, columns).
+    both results have shape (pieces, columns).  Raises InvalidParameter when
+    a piece is too long for its coefficients on [0, 1] to be finite.
     """
     ascending = _piece_derivative(coeffs, order)[::-1]
     powers = np.arange(ascending.shape[0])
-    scaled = ascending * np.diff(x)[None, :, None] ** powers[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = ascending * np.diff(x)[None, :, None] ** powers[:, None, None]
+    if not np.isfinite(scaled).all():
+        raise InvalidParameter("a trajectory piece is too long to bound its peak in float64")
     bernstein = np.einsum("ji,imc->jmc", _BERNSTEIN[:, :powers.size], scaled)
     return np.abs(bernstein).max(axis=0), _PRUNE_MARGIN * np.abs(scaled).sum(axis=0)
 
@@ -303,6 +307,8 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     the next derivative.  Roots are sought only on the (piece, column) pairs
     whose Bernstein convex-hull bound (Farouki, CAGD 29, 2012) can reach the
     largest value at a breakpoint or midpoint; no other piece can hold the peak.
+    Raises InvalidParameter when a piece is too long for that bound to be
+    finite in float64, as for via distances near 1e300.
     """
     if channel not in _CHANNEL_ORDER:
         raise InvalidParameter(f"unknown channel {channel!r}; choose from "
@@ -390,8 +396,9 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     return traj
 
 
-def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> None:
-    """CSV export on an exact dt grid: t_s, then rho/vel/acc per joint."""
+def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> str:
+    """CSV export on an exact dt grid: t_s, then rho/vel/acc per joint;
+    returns the file's SHA-256 hex digest."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameter(f"dt must be positive and finite, got {dt}")
     ticks = int(math.floor(traj.horizon / dt)) + 1
@@ -400,4 +407,4 @@ def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> Non
     header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
                         for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
     per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)
-    write_csv(path, header, np.column_stack([times, per_joint]))
+    return write_csv(path, header, np.column_stack([times, per_joint]))

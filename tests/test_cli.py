@@ -8,7 +8,7 @@ import pytest
 import clarkekit
 from clarkekit import builtin_designs, cli, run_experiment, simulate, trajectory
 from clarkekit.cli import main
-from clarkekit.fileio import write_csv
+from clarkekit.fileio import sha256_file, write_csv
 
 SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
 
@@ -183,6 +183,26 @@ class TestSimulate:
                             "--mode", "open_loop_clean", "--seed", "2")
         assert code == 0
         assert (tmp_path / "robot_A_open_loop_clean_general.csv").exists()
+
+
+class TestManifestDigests:
+    @pytest.mark.parametrize("argv, manifest", [
+        (["demo", "--seed", "3", "--out-dir", "."], "manifest.json"),
+        (["traj", "robot_0", "--sample", "3", "--seed", "5", "--out", "t.csv"],
+         "t.csv.manifest.json"),
+        (["sample", "robot_0", "--count", "50", "--seed", "9", "--out", "s.csv"],
+         "s.csv.manifest.json"),
+        (["simulate", "robot_0", "robot_B", "--mode", "closed_loop", "--seed", "3",
+          "--out-dir", "."], "robot_B_closed_loop_general.manifest.json"),
+    ])
+    def test_digest_of_every_output_matches_its_file(self, capsys, tmp_path, monkeypatch,
+                                                    argv, manifest):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(capsys, *argv)[0] == 0
+        outputs = json.loads((tmp_path / manifest).read_text())["outputs"]
+        assert outputs
+        for entry in outputs:
+            assert entry["sha256"] == sha256_file(tmp_path / entry["name"]), entry["name"]
 
 
 class TestSeedValidation:

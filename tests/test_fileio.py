@@ -3,9 +3,11 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clarkekit import run_experiment
-from clarkekit.fileio import write_atomic, write_csv
+from clarkekit import cli, fileio, run_experiment
+from clarkekit.fileio import sha256_file, write_atomic, write_csv
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e+308,
                -1.7976931348623157e+308, 1e16, 9999999999999998.0, 1e-05, 0.0001,
@@ -47,6 +49,86 @@ class TestArrayPathMatchesRows:
         table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-8, 8, (rows, 4))
         got, want = array_and_rows_bytes(tmp_path, ["a", "b", "c", "d"], table)
         assert got == want
+
+
+def assert_cells_match_repr(values):
+    """_repr_cells gives repr(float(v)) of every value, NUL-padded, byte for byte."""
+    values = np.asarray(values, dtype=float)
+    got = fileio._repr_cells(values)
+    want = np.array([repr(v).encode() for v in values.tolist()], dtype="S24")
+    bad = np.flatnonzero((got != want.view(np.uint8).reshape(-1, 24)).any(axis=1))
+    assert bad.size == 0, [(values[i].hex(), bytes(got[i])) for i in bad[:5]]
+
+
+def decided(values):
+    """Mask of the values the integer kernel formats without repr."""
+    values = np.asarray(values, dtype=float)
+    return fileio._block_cells(values, np.empty((values.size, 24), dtype=np.uint8))
+
+
+class TestReprCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert_cells_match_repr(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        assert_cells_match_repr(rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+                                .view(np.float64))
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(12)
+        values = rng.choice([-1.0, 1.0], 10 ** 6) * 10.0 ** rng.uniform(-12.0, 18.0, 10 ** 6)
+        assert_cells_match_repr(values)
+        # repr takes magnitudes outside [1e-6, 1e16) and exact ties, which grow
+        # common above 1e12 where few fraction bits are left (6% near 1e14)
+        inside = (np.abs(values) >= 1e-6) & (np.abs(values) < 1e12)
+        assert decided(values[inside]).mean() > 0.999
+
+    def test_millisecond_grid_and_rounded_decimals(self):
+        rng = np.random.default_rng(13)
+        grid = np.arange(20_000) * 1e-3
+        rounded = rng.integers(-10 ** 9, 10 ** 9, 200_000) / 10.0 ** rng.integers(0, 16, 200_000)
+        assert_cells_match_repr(grid)
+        assert_cells_match_repr(rounded)
+        assert decided(grid[1:]).mean() > 0.99
+
+    def test_decade_edges_and_powers_of_two(self):
+        edges = np.array([1e-6, 1e-5, 1e-4, 1e15, 1e16])
+        steps = np.arange(-50, 51)
+        neighbours = [edge + steps * np.spacing(edge) for edge in edges]
+        neighbours += [np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = np.concatenate([*neighbours, powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        assert_cells_match_repr(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("size", [8191, 8192, 8193])
+    def test_block_boundaries(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 18, size)
+        # cells left to repr, spread over both blocks
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, 5e-324, 1e-7, 1e17]
+        values[::1000] = np.resize(specials, values[::1000].size)
+        assert_cells_match_repr(values)
+
+    def test_demo_cells_mostly_skip_repr(self, tmp_path, monkeypatch):
+        columns = []
+        real = fileio._repr_cells
+
+        def keeping(col):
+            columns.append(np.array(col))
+            return real(col)
+
+        monkeypatch.setattr(fileio, "_repr_cells", keeping)
+        assert cli.main(["demo", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+        total = sum(col.size for col in columns)
+        kept = sum(int(decided(col[start:start + 8192]).sum())
+                   for col in columns for start in range(0, col.size, 8192))
+        assert total > 10 ** 6
+        assert kept >= 0.99 * total
 
 
 class TestFormattedCache:

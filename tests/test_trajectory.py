@@ -347,6 +347,13 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter):
             plan_trajectory(np.zeros((2, 0)))
 
+    def test_piece_too_long_to_bound_rejected(self):
+        # the cruise piece's length to the ninth power overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                plan_trajectory(np.array([[0.0], [1e300]]))
+
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
     def test_idle_middle_segment_matches_oracle(self, overlap):
         via = np.array([[0.0, 0.01], [0.02, -0.01], [0.02, -0.01], [0.0, 0.015]])
