@@ -26,7 +26,7 @@ from .fileio import write_csv
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
                        make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
-from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, evaluate, peak_abs,
+from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, _horner, peak_abs,
                          plan_trajectory)
 
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
@@ -90,7 +90,11 @@ class SimRun:
     """Time series and error metrics of one simulation run.
 
     In the open-loop modes the actuators are fed the desired stream itself,
-    so commanded is the same array as desired, not a copy.
+    so commanded is the same array as desired, not a copy.  The runs of one
+    stream (`run_experiment`, `evaluate_suite`) also share arrays: desired
+    and t in every mode, the open-loop true states (and so the error metrics)
+    in both open-loop modes, and the noise draw behind measured in
+    open_loop_noisy and closed_loop.
     """
 
     design: RobotDesign
@@ -104,16 +108,17 @@ class SimRun:
     @cached_property
     def _error_metrics(self) -> tuple[np.ndarray, float, float]:
         """Per-joint RMS, latent RMS and max |error| of desired - true after the
-        transient cutoff, from one error and one mask (latent masked after the product)."""
+        transient cutoff, from one error sliced at the first settled tick (t
+        increases; latent sliced after the product)."""
         error = self.desired - self.true
-        settled = self.t > TRANSIENT_CUTOFF_S
-        if not settled.any():
-            settled = np.ones_like(settled)
+        first = int(np.searchsorted(self.t, TRANSIENT_CUTOFF_S, side="right"))
+        if first == self.t.size:
+            first = 0
         latent = error @ self.design.arc_forward.T
-        error = error[settled]
+        error = error[first:]
         rms_per_joint = np.sqrt(np.mean(error**2, axis=0))
         rms_per_joint.setflags(write=False)
-        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[settled]**2, axis=1)))),
+        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[first:]**2, axis=1)))),
                 float(np.max(np.abs(error))))
 
     def rms_per_joint(self) -> np.ndarray:
@@ -162,6 +167,14 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     The actuators start on the desired state at t = 0.  A log-depth scan
     solves the loop in closed form; it is not stepped tick by tick.
     """
+    return _simulate(desired, design, (config,))[0]
+
+
+def _simulate(desired, design: RobotDesign, configs) -> list[SimRun]:
+    """Simulate configs that differ in mode only over one desired stream, as
+    `run` does each, computing once what their runs share: the tick grid, the
+    noise draw (the config's seed and the stream's shape) and the open-loop
+    state scan with its error metrics."""
     desired = np.asarray(desired, dtype=float)
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(
@@ -171,41 +184,66 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
         raise InvalidParameter("desired stream is empty")
     if not np.isfinite(desired).all():
         raise InvalidParameter("desired stream must be finite")
-    alpha, kd_over_dt, a1, a2 = config._recurrence()
-    noise = np.zeros_like(desired)
-    if config.mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0:
-        noise = np.random.default_rng(config.seed).uniform(-config.noise_eps, config.noise_eps,
+    shared = configs[0]
+    t = np.arange(ticks) * shared.dt
+    noise = 0.0
+    if shared.noise_eps > 0.0 and any(c.mode != "open_loop_clean" for c in configs):
+        noise = np.random.default_rng(shared.seed).uniform(-shared.noise_eps, shared.noise_eps,
                                                            size=desired.shape)
+    runs, open_loop = [], None
+    for config in configs:
+        if config.mode == "closed_loop":
+            true, commanded = _closed_loop(desired, noise, design, config)
+        else:
+            if open_loop is None:
+                open_loop = _open_loop(desired, config)
+            true, commanded = open_loop, desired
+        measured = (0.0 if config.mode == "open_loop_clean" else noise) + true
+        runs.append(SimRun(design=design, config=config, t=t, desired=desired,
+                           measured=measured, commanded=commanded, true=true))
+    # both open-loop modes track desired with the same true states
+    opened = [sim for sim in runs if sim.true is open_loop]
+    for sim in opened[1:]:
+        sim.__dict__["_error_metrics"] = opened[0]._error_metrics
+    return runs
 
-    if config.mode == "closed_loop":
-        # E @ D = I2 leaves one recurrence per latent channel: with z = E s, r = E (d - w),
-        # e = r - z and g = kd/dt, z[k+1] = a1 z[k] + a2 z[k-1] + alpha ((kp + g) r[k] - g r[k-1]);
-        # the first tick takes z[-1] = z[0] and r[-1] = r[0], i.e. e[-1] = e[0].
-        encode = design.arc_forward
-        reference = (desired - noise) @ encode.T
-        latent0 = encode @ desired[0]
-        # companion state (z[k], z[k-1]) = A (z[k-1], z[k-2]) + (forcing[k-1], 0)
-        companion = np.zeros((2, ticks, 2))
-        companion[:, 0] = latent0
-        companion[0, 1:] = alpha * ((config.kp + kd_over_dt) * reference[:-1]
-                                    - kd_over_dt * np.vstack([reference[:1], reference[:-2]]))
-        _linear_scan(companion, np.array([[a1, a2], [1.0, 0.0]]))
-        error = reference - companion[0]
-        command = config.kp * error + kd_over_dt * np.diff(error, axis=0, prepend=error[:1])
-        # D E is a projector: the part of s outside D's range decays as (1 - alpha)**k
-        decay = np.power(1.0 - alpha, np.arange(ticks))[:, None]
-        decode = design.arc_inverse.T
-        true = (companion[0] - decay * latent0) @ decode
-        true += decay * desired[0]
-        commanded = command @ decode
-    else:
-        # s[k+1] = (1 - alpha) s[k] + alpha d[k] per joint, from s[0] = d[0]
-        state = np.concatenate([desired[:1], alpha * desired[:-1]])[None]
-        _linear_scan(state, np.array([[1.0 - alpha]]))
-        true, commanded = state[0], desired
-    return SimRun(design=design, config=config, t=np.arange(ticks) * config.dt,
-                  desired=desired, measured=np.add(noise, true, out=noise),
-                  commanded=commanded, true=true)
+
+def _open_loop(desired: np.ndarray, config: SimConfig) -> np.ndarray:
+    """True states when the actuators are fed desired:
+    s[k+1] = (1 - alpha) s[k] + alpha d[k] per joint, from s[0] = d[0]."""
+    alpha = config._recurrence()[0]
+    state = np.concatenate([desired[:1], alpha * desired[:-1]])[None]
+    _linear_scan(state, np.array([[1.0 - alpha]]))
+    return state[0]
+
+
+def _closed_loop(desired: np.ndarray, noise, design: RobotDesign, config: SimConfig):
+    """True states and joint commands of the latent PD loop.
+
+    E @ D = I2 leaves one recurrence per latent channel: with z = E s,
+    r = E (d - w), e = r - z and g = kd/dt,
+    z[k+1] = a1 z[k] + a2 z[k-1] + alpha ((kp + g) r[k] - g r[k-1]);
+    the first tick takes z[-1] = z[0] and r[-1] = r[0], i.e. e[-1] = e[0].
+    """
+    alpha, kd_over_dt, a1, a2 = config._recurrence()
+    ticks = desired.shape[0]
+    encode = design.arc_forward
+    reference = (desired - noise) @ encode.T
+    latent0 = encode @ desired[0]
+    # companion state (z[k], z[k-1]) = A (z[k-1], z[k-2]) + (forcing[k-1], 0)
+    companion = np.zeros((2, ticks, 2))
+    companion[:, 0] = latent0
+    companion[0, 1:] = alpha * ((config.kp + kd_over_dt) * reference[:-1]
+                                - kd_over_dt * np.vstack([reference[:1], reference[:-2]]))
+    _linear_scan(companion, np.array([[a1, a2], [1.0, 0.0]]))
+    error = reference - companion[0]
+    command = config.kp * error + kd_over_dt * np.diff(error, axis=0, prepend=error[:1])
+    # D E is a projector: the part of s outside D's range decays as (1 - alpha)**k
+    decay = np.power(1.0 - alpha, np.arange(ticks))[:, None]
+    decode = design.arc_inverse.T
+    true = (companion[0] - decay * latent0) @ decode
+    true += decay * desired[0]
+    return true, command @ decode
 
 
 def _linear_scan(x: np.ndarray, transition: np.ndarray) -> None:
@@ -254,7 +292,8 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
     ticks = int(math.floor(horizon / SimConfig.dt)) + 1
     times = np.arange(ticks) * SimConfig.dt
     source_times = np.clip(times / stretch, 0.0, trajectory.horizon)
-    positions, velocities, _ = evaluate(trajectory, source_times)
+    poly = trajectory.position_poly
+    positions, velocities = _horner(poly.c, poly.x, source_times, 1)
     return DesiredStream(times=times, positions=positions @ transfer.matrix.T,
                          velocities=velocities @ transfer.matrix.T / stretch)
 
@@ -262,9 +301,8 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
 def _simulate_modes(stream: DesiredStream, target: RobotDesign, seed: int,
                     transfer_mode: str, modes=MODES) -> dict[str, SimRun]:
     """Simulate each mode on one stream; the shared seed gives shared noise."""
-    return {mode: run(stream.positions, target,
-                      SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode))
-            for mode in modes}
+    configs = [SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode) for mode in modes]
+    return dict(zip(modes, _simulate(stream.positions, target, configs)))
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,

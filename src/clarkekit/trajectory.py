@@ -116,14 +116,21 @@ def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryS
     # dist > 0 keeps a zero distance triangular where the full ramps underflow to 0;
     # the cap keeps distances that take the full profile from overflowing below
     full = (dist >= ramp_dist) & (dist > 0.0)
-    v = np.where(full, limits.v_max,
-                 np.sqrt(2.0 * np.minimum(dist, ramp_dist) * limits.a_max * limits.dec_max
-                         / (PEAK_SLOPE * (limits.a_max + limits.dec_max))))
-    return TrajectoryState(
-        delta, v,
-        np.where(full, t_lo_full, PEAK_SLOPE * v / limits.a_max),
-        np.where(full, dist / limits.v_max - 0.5 * (t_lo_full + t_sd_full), 0.0),
-        np.where(full, t_sd_full, PEAK_SLOPE * v / limits.dec_max))
+    # a timing that overflows is rejected below, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.where(full, limits.v_max,
+                     np.sqrt(2.0 * np.minimum(dist, ramp_dist) * limits.a_max * limits.dec_max
+                             / (PEAK_SLOPE * (limits.a_max + limits.dec_max))))
+        states = TrajectoryState(
+            delta, v,
+            np.where(full, t_lo_full, PEAK_SLOPE * v / limits.a_max),
+            np.where(full, dist / limits.v_max - 0.5 * (t_lo_full + t_sd_full), 0.0),
+            np.where(full, t_sd_full, PEAK_SLOPE * v / limits.dec_max))
+        finite = np.isfinite(states.duration).all()
+    if not finite:
+        raise InvalidParameter("a segment's timing is not finite in float64: "
+                               "the distance is too long for the limits")
+    return states
 
 
 def synchronize(states: TrajectoryState) -> TrajectoryState:
@@ -216,24 +223,28 @@ def _position_poly(traj: PlannedTrajectory) -> PPoly:
     return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray, times: np.ndarray):
-    """Value, first and second derivative of a piecewise polynomial (PPoly
-    coefficients and breakpoints) at times in its domain, in one Horner pass,
-    which rounds less than PPoly's power sums where the large ramp terms cancel.
-    It carries half the second derivative, which doubles exactly at the end."""
+def _horner(coeffs: np.ndarray, x: np.ndarray, times: np.ndarray, order: int = 2):
+    """Value and derivatives up to `order` (at most 2) of a piecewise polynomial
+    (PPoly coefficients and breakpoints) at times in its domain, in one Horner
+    pass, which rounds less than PPoly's power sums where the large ramp terms
+    cancel.  It carries half the second derivative, which doubles exactly at the
+    end.  Rows are gathered with np.take and the offset spans every column, so
+    numpy's inner loops run over whole rows."""
     interval = np.clip(np.searchsorted(x, times, side="right") - 1, 0, coeffs.shape[1] - 1)
-    u = (times - x[interval])[:, None]
-    pos = coeffs[0, interval]
-    vel = np.zeros_like(pos)
-    half_acc = np.zeros_like(pos)
+    pos = coeffs[0].take(interval, axis=0)
+    u = np.empty_like(pos)
+    u[...] = (times - x[interval])[:, None]
+    # chain[k] holds the k-th derivative (halved for k = 2) of the part seen so far
+    chain = [pos] + [np.zeros_like(pos) for _ in range(order)]
     for row in coeffs[1:]:
-        half_acc *= u
-        half_acc += vel
-        vel *= u
-        vel += pos
+        for k in range(order, 0, -1):
+            chain[k] *= u
+            chain[k] += chain[k - 1]
         pos *= u
-        pos += row[interval]
-    return pos, vel, 2.0 * half_acc
+        pos += row.take(interval, axis=0)
+    if order == 2:
+        chain[2] *= 2.0
+    return tuple(chain)
 
 
 def evaluate(traj: PlannedTrajectory, t):
@@ -326,7 +337,7 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
         coeffs = coeffs @ weights.T
     x = poly.x
     probes = np.concatenate([x, x[:-1] + 0.5 * np.diff(x)])
-    peak = np.max(np.abs(_horner(coeffs, x, probes)[order]))
+    peak = np.max(np.abs(_horner(coeffs, x, probes, order)[order]))
     bound, margin = _piece_bounds(coeffs, x, order)
     # Next derivative, with every pruned piece set to a nonzero constant: it has
     # no roots, where an all-zero piece would report its start point and a NaN.
@@ -347,7 +358,7 @@ def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, slope: np.ndarray, order: 
     finite = np.isfinite(roots)
     if not finite.any():
         return 0.0
-    values = _horner(coeffs, x, roots[finite])[order]
+    values = _horner(coeffs, x, roots[finite], order)[order]
     return float(np.max(np.abs(values[np.arange(values.shape[0]), column[finite]])))
 
 
@@ -375,12 +386,17 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     durations = states.duration.max(axis=1)
     window = np.minimum(states.t_sd[:-1], states.t_lo[1:]).min(axis=1)
     enable_times = np.zeros(durations.size)
-    for j in range(1, durations.size):
-        enable_times[j] = enable_times[j - 1] + durations[j - 1] - overlap_fraction * window[j - 1]
+    with np.errstate(over="ignore"):
+        for j in range(1, durations.size):
+            enable_times[j] = (enable_times[j - 1] + durations[j - 1]
+                               - overlap_fraction * window[j - 1])
+        horizon = float(enable_times[-1] + durations[-1])
+    if not math.isfinite(horizon):
+        raise InvalidParameter("the trajectory's timing is not finite in float64: "
+                               "the segments are too long for the limits")
     traj = PlannedTrajectory(start=via[0].copy(), states=states,
                              enable_times=enable_times, segment_durations=durations,
-                             horizon=float(enable_times[-1] + durations[-1]),
-                             overlap_fraction=overlap_fraction)
+                             horizon=horizon, overlap_fraction=overlap_fraction)
 
     factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
                  math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))

@@ -25,6 +25,7 @@ from clarkekit import (
     transform_pair,
 )
 from clarkekit.fileio import write_csv
+from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate_modes
 from simulate_oracle import run_loop
 
 
@@ -325,3 +326,70 @@ class TestRunExperiment:
         np.testing.assert_allclose(noisy.measured - noisy.true,
                                    closed.measured - closed.true,
                                    rtol=0.0, atol=1e-16)
+
+
+def assert_runs_match_independent_runs(runs, stream, target, seed, transfer_mode):
+    """Runs that share one stream's work equal a separate `run` per mode, bit for bit."""
+    for mode, shared in runs.items():
+        alone = run(stream.positions, target,
+                    SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode))
+        for field in ("t", "desired", "measured", "commanded", "true"):
+            np.testing.assert_array_equal(getattr(shared, field), getattr(alone, field),
+                                          err_msg=f"{mode} {field}")
+        assert shared.metrics() == alone.metrics(), mode
+        np.testing.assert_array_equal(shared.rms_per_joint(), alone.rms_per_joint())
+
+
+ORDERED_PAIRS = [(s, t) for s in ("robot_0", "robot_A", "robot_B", "robot_C", "robot_D")
+                 for t in ("robot_0", "robot_A", "robot_B", "robot_C", "robot_D")]
+
+
+class TestRunsShareStreamWork:
+    """run_experiment computes the tick grid, the noise draw and the open-loop
+    scan with its metrics once per stream; the results must not change."""
+
+    @pytest.mark.parametrize("transfer_mode", ["general", "symmetric"])
+    @pytest.mark.parametrize("pair", range(len(ORDERED_PAIRS)))
+    def test_every_design_pair(self, designs, pair, transfer_mode):
+        surrogate, target = (designs[name] for name in ORDERED_PAIRS[pair])
+        seed, segments = 9001 + 7 * pair, 3 + pair % 4
+        runs = run_experiment(surrogate, target, seed, transfer_mode, segments)
+        assert tuple(runs) == MODES
+        stream = desired_stream(surrogate_trajectory(surrogate, seed, segments),
+                                make_transfer_map(surrogate, target, transfer_mode))
+        assert_runs_match_independent_runs(runs, stream, target, seed, transfer_mode)
+        # what the open-loop runs share is the same array, not a copy
+        clean, noisy = runs["open_loop_clean"], runs["open_loop_noisy"]
+        assert noisy.true is clean.true and noisy.t is runs["closed_loop"].t
+
+    @pytest.mark.parametrize("modes, transfer_mode", [
+        (("closed_loop",), "symmetric"),   # evaluate_suite's uncompensated run
+        (("open_loop_noisy",), "general"),
+        (("open_loop_noisy", "open_loop_clean"), "general"),
+    ])
+    def test_mode_subsets(self, designs, modes, transfer_mode):
+        surrogate, target = designs["robot_0"], designs["robot_B"]
+        runs = run_experiment(surrogate, target, 314, transfer_mode, modes=modes)
+        assert tuple(runs) == modes
+        stream = desired_stream(surrogate_trajectory(surrogate, 314),
+                                make_transfer_map(surrogate, target, transfer_mode))
+        assert_runs_match_independent_runs(runs, stream, target, 314, transfer_mode)
+
+    @pytest.mark.parametrize("ticks", [1, 2, 999, 1001, 1002])
+    def test_streams_around_the_transient_cutoff(self, robot_D, ticks):
+        # 1001 ticks end on t = 1.0 s, which is not past the cutoff, so every
+        # tick counts; 1002 ticks leave only the last one
+        desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
+        stream = DesiredStream(times=np.arange(ticks) * 1e-3, positions=desired,
+                               velocities=np.zeros_like(desired))
+        runs = _simulate_modes(stream, robot_D, 6, "general")
+        assert_runs_match_independent_runs(runs, stream, robot_D, 6, "general")
+        for sim in runs.values():
+            settled = sim.t > TRANSIENT_CUTOFF_S
+            if not settled.any():
+                settled[:] = True
+            assert settled.sum() == (1 if ticks == 1002 else ticks)
+            error = (sim.desired - sim.true)[settled]
+            np.testing.assert_array_equal(sim.rms_per_joint(),
+                                          np.sqrt(np.mean(error**2, axis=0)))
+            assert sim.max_abs_error() == np.max(np.abs(error))

@@ -29,8 +29,9 @@ from clarkekit import (
 )
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _horner, _peak_at_roots, _piece_bounds, _piece_derivative
-from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_peak_abs,
-                               oracle_plan_segment, oracle_synchronize, roots_peak_abs)
+from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
+                               oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
+                               roots_peak_abs)
 
 # velocity ramp shape in ascending power order (degree 9)
 RAMP_COEFFS = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
@@ -354,6 +355,28 @@ class TestBlendAndEvaluate:
             with pytest.raises(InvalidParameter):
                 plan_trajectory(np.array([[0.0], [1e300]]))
 
+    @pytest.mark.parametrize("filter", ["error", "always"])
+    @pytest.mark.parametrize("via", [[[0.0], [1e308]], [[0.0], [-1e308]],
+                                     [[0.0, 0.0], [1e308, 0.01]], [[0.0], [5e306], [0.0]]])
+    def test_timing_too_long_for_float64_rejected(self, via, filter):
+        # 1e308 m at v_max overflows a cruise duration, and two 5e306 m moves
+        # overflow the horizon; either is rejected before any warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(filter)
+            with pytest.raises(InvalidParameter, match="timing is not finite"):
+                plan_trajectory(np.array(via))
+        assert caught == []
+
+    def test_segment_timing_too_long_for_float64_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="timing is not finite"):
+                plan_segment(np.array([0.01, 1e308]))
+            # extreme but finite limits overflow the triangular ramps
+            with pytest.raises(InvalidParameter, match="timing is not finite"):
+                plan_segment(1e300, KinematicLimits(v_max=1e-300, a_max=1e300,
+                                                    dec_max=1e300))
+
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
     def test_idle_middle_segment_matches_oracle(self, overlap):
         via = np.array([[0.0, 0.01], [0.02, -0.01], [0.02, -0.01], [0.0, 0.015]])
@@ -443,6 +466,39 @@ class TestExactPolynomial:
         np.testing.assert_array_equal(pos, [0.01, -0.02])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
         np.testing.assert_array_equal(acc, [0.0, 0.0])
+
+
+class TestHornerMatchesOracle:
+    """The contiguous Horner pass, stopped at each order, against the pass it
+    replaced (tests/trajectory_oracle.py), bit for bit."""
+
+    @staticmethod
+    def assert_every_order_matches(coeffs, x, times):
+        expected = oracle_horner(coeffs, x, times)
+        for order in (0, 1, 2):
+            got = _horner(coeffs, x, times, order)
+            assert len(got) == order + 1
+            for exact, reference in zip(got, expected):
+                np.testing.assert_array_equal(exact, reference)
+
+    def test_random_plans(self):
+        for traj, weights in random_plans():
+            poly = traj.position_poly
+            x = poly.x
+            times = np.concatenate([np.arange(0.0, traj.horizon, 1e-3), x,
+                                    x[:-1] + 0.5 * np.diff(x)])
+            self.assert_every_order_matches(poly.c, x, times)
+            # peak_abs evaluates projected coefficients
+            self.assert_every_order_matches(poly.c @ weights.T, x, times)
+
+    def test_motionless_plan(self):
+        poly = plan_trajectory(np.array([[0.01, -0.02], [0.01, -0.02]])).position_poly
+        self.assert_every_order_matches(poly.c, poly.x, np.array([0.0, 0.5, 1.0]))
+
+    def test_single_time_query(self, vias):
+        poly = plan_trajectory(vias).position_poly
+        for time in (0.0, 0.5 * poly.x[-1], poly.x[-1]):
+            self.assert_every_order_matches(poly.c, poly.x, np.array([time]))
 
 
 def probe_peak(traj, order, weights=None):

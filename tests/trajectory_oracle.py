@@ -5,7 +5,9 @@ the (segments, joints) profile arrays replaced, the masked per-phase
 evaluation, the dense-grid scan with bounded scalar refinement that the
 exact piecewise-polynomial path in `clarkekit.trajectory` replaced, and the
 exact peak that root-finds the next derivative on every interval, which
-Bernstein pruning replaced.  Tests compare the library against them.
+Bernstein pruning replaced, and the Horner pass that gathered rows by fancy
+indexing and broadcast a (points, 1) offset, which the contiguous pass
+replaced.  Tests compare the library against them.
 """
 
 import math
@@ -178,3 +180,23 @@ def roots_peak_abs(traj, channel="velocity", weights=None):
     roots = poly.derivative(order + 1).roots(extrapolate=False)
     candidates = np.concatenate([poly.x, *roots])
     return float(np.max(np.abs(horner(poly, candidates[np.isfinite(candidates)], order))))
+
+
+def oracle_horner(coeffs, x, times):
+    """Value, first and second derivative of a piecewise polynomial (PPoly
+    coefficients and breakpoints) in one Horner pass: each coefficient row
+    gathered by fancy indexing, the offset broadcast from one column, half the
+    second derivative carried and doubled at the end."""
+    interval = np.clip(np.searchsorted(x, times, side="right") - 1, 0, coeffs.shape[1] - 1)
+    u = (times - x[interval])[:, None]
+    pos = coeffs[0, interval]
+    vel = np.zeros_like(pos)
+    half_acc = np.zeros_like(pos)
+    for row in coeffs[1:]:
+        half_acc *= u
+        half_acc += vel
+        vel *= u
+        vel += pos
+        pos *= u
+        pos += row[interval]
+    return pos, vel, 2.0 * half_acc
