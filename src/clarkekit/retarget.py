@@ -6,8 +6,9 @@ latent pair is the Clarke coordinates and only the joint angles enter; in
 general mode the robot-dependent normalization removes the source's
 kinematic design parameters and adds the target's, so the latent pair is
 the planar arc pair and the mapping is geometrically exact for any two
-designs.  Both modes collapse to a single m x n matrix that can be applied
-per time step.
+designs.  Each mode is an encoder (2 x n) of the source and a decoder
+(m x 2) of the target, whose product is one m x n matrix that can be
+applied per time step.
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ class TransferMap:
     target: RobotDesign
     mode: str
     matrix: np.ndarray
+
+    @property
+    def encoder(self) -> np.ndarray:
+        """2 x n_s joint-to-latent matrix of the source: its Clarke forward
+        matrix in symmetric mode, its arc_forward in general mode."""
+        return _factors(self.source, self.target, self.mode)[0]
+
+    @property
+    def decoder(self) -> np.ndarray:
+        """n_t x 2 latent-to-joint matrix of the target: its Clarke inverse
+        matrix in symmetric mode, its arc_inverse in general mode; matrix is
+        decoder @ encoder."""
+        return _factors(self.source, self.target, self.mode)[1]
 
     def apply(self, joints) -> np.ndarray:
         """Retarget one joint vector or a (..., n) stack of joint vectors.
@@ -81,15 +95,20 @@ class TransferMap:
         write_atomic(path, self.to_json() + "\n")
 
 
+def _factors(source: RobotDesign, target: RobotDesign, mode: str):
+    """The (encoder, decoder) pair of one ordered design pair and transfer mode."""
+    if mode == "symmetric":
+        return source.pair.forward_matrix, target.pair.inverse_matrix
+    if mode == "general":
+        return source.arc_forward, target.arc_inverse
+    raise InvalidParameter(f"unknown transfer mode {mode!r}; choose from {TRANSFER_MODES}")
+
+
 def make_transfer_map(source: RobotDesign, target: RobotDesign,
                       mode: str = "general") -> TransferMap:
     """Build the retargeting matrix for one ordered design pair."""
-    if mode == "symmetric":
-        matrix = target.pair.inverse_matrix @ source.pair.forward_matrix
-    elif mode == "general":
-        matrix = target.arc_inverse @ source.arc_forward
-    else:
-        raise InvalidParameter(f"unknown transfer mode {mode!r}; choose from {TRANSFER_MODES}")
+    encoder, decoder = _factors(source, target, mode)
+    matrix = decoder @ encoder
     matrix.setflags(write=False)
     return TransferMap(source, target, mode, matrix)
 
@@ -101,8 +120,8 @@ def transfer_symmetric(source: RobotDesign, target: RobotDesign, joints) -> np.n
     target's inverse matrix; center-line distances and segment lengths are
     ignored, so the Clarke coordinates are preserved exactly.
     """
-    return target.pair.inverse_matrix @ (source.pair.forward_matrix
-                                         @ check_joints(joints, source.n))
+    encoder, decoder = _factors(source, target, "symmetric")
+    return decoder @ (encoder @ check_joints(joints, source.n))
 
 
 def transfer_general(source: RobotDesign, target: RobotDesign, joints) -> np.ndarray:
@@ -111,8 +130,8 @@ def transfer_general(source: RobotDesign, target: RobotDesign, joints) -> np.nda
     The source's kinematic design parameters are stripped and the target's
     added, so both robots realize the same arc.
     """
-    w = source.arc_forward @ check_joints(joints, source.n)
-    return target.arc_inverse @ w
+    encoder, decoder = _factors(source, target, "general")
+    return decoder @ (encoder @ check_joints(joints, source.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,8 +73,11 @@ class SimConfig:
         if self.transfer_mode not in TRANSFER_MODES:
             raise InvalidParameter(
                 f"unknown transfer mode {self.transfer_mode!r}; choose from {TRANSFER_MODES}")
-        poles = np.roots([1.0, *(-c for c in self._recurrence()[2:])])
-        if np.any(np.abs(poles) >= 1.0):
+        # Jury's conditions: both poles lie strictly inside the unit circle
+        a1, a2 = self._recurrence()[2:]
+        if not (abs(a2) < 1.0 and abs(a1) < 1.0 - a2):
+            poles = (np.roots([1.0, -a1, -a2]) if math.isfinite(a1) and math.isfinite(a2)
+                     else "that are not finite")
             raise InvalidParameter(f"kp={self.kp}, kd={self.kd} give unstable poles {poles}")
 
     def _recurrence(self) -> tuple[float, float, float, float]:
@@ -282,7 +285,8 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
     align better with a target joint than with any surrogate joint), so the
     retargeted stream is checked against the default velocity limit and,
     when needed, the whole timeline is uniformly stretched by the smallest
-    factor restoring it.
+    factor restoring it.  The stream is evaluated on the two latent columns
+    of the encoded polynomial and then decoded.
     """
     stretch = 1.0
     peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
@@ -293,9 +297,10 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
     times = np.arange(ticks) * SimConfig.dt
     source_times = np.clip(times / stretch, 0.0, trajectory.horizon)
     poly = trajectory.position_poly
-    positions, velocities = _horner(poly.c, poly.x, source_times, 1)
-    return DesiredStream(times=times, positions=positions @ transfer.matrix.T,
-                         velocities=velocities @ transfer.matrix.T / stretch)
+    decode = transfer.decoder.T
+    positions, velocities = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 1)
+    return DesiredStream(times=times, positions=positions @ decode,
+                         velocities=velocities @ decode / stretch)
 
 
 def _simulate_modes(stream: DesiredStream, target: RobotDesign, seed: int,

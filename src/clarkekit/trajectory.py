@@ -180,7 +180,8 @@ class PlannedTrajectory:
 
     @cached_property
     def position_poly(self) -> PPoly:
-        """Joint positions as one exact piecewise polynomial in t (degree 10)."""
+        """Joint positions as one exact piecewise polynomial in t (degree 10).
+        plan_trajectory gives a dilated plan its planned polynomial in t / dilation."""
         return _position_poly(self)
 
     def goal(self) -> np.ndarray:
@@ -402,11 +403,18 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                  math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
     if factor > 1.0:
         factor *= 1.0 + 1e-12
+        poly = traj.position_poly
         states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
                                  t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
         traj = replace(traj, states=states, enable_times=enable_times * factor,
                        segment_durations=durations * factor, horizon=traj.horizon * factor,
                        dilation=factor)
+        # the dilated positions are the planned polynomial in t / factor; scaling
+        # may merge breakpoints an ulp apart into a zero-width piece, which PPoly,
+        # _horner and peak_abs accept
+        powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
+        traj.__dict__["position_poly"] = PPoly(poly.c / factor ** powers[:, None, None],
+                                               poly.x * factor)
     for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
         array.setflags(write=False)
     return traj
@@ -419,7 +427,7 @@ def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> str
         raise InvalidParameter(f"dt must be positive and finite, got {dt}")
     ticks = int(math.floor(traj.horizon / dt)) + 1
     times = np.arange(ticks) * dt
-    pos, vel, acc = evaluate(traj, np.clip(times, 0.0, traj.horizon))
+    pos, vel, acc = evaluate(traj, times)
     header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
                         for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
     per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)

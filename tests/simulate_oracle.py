@@ -1,16 +1,21 @@
-"""Reference implementation of the control-loop simulation.
+"""Reference implementations of the control-loop simulation and its stream.
 
 This is the original per-tick loop that stepped every joint of the PT1
 actuators and formed the PD error in the latent space, one tick at a time.
 `clarkekit.simulate.run` replaced it with a closed-form scan of the latent
-recurrence; tests compare the library against it.
+recurrence.  The desired stream evaluated on every surrogate joint and
+mapped through the transfer matrix is what `desired_stream` replaced with an
+evaluation on the two latent columns.  Tests compare the library against them.
 """
 
 import math
 
 import numpy as np
 
-from clarkekit import SimRun, arc_forward_matrix, arc_inverse_matrix
+from clarkekit import (DEFAULT_LIMITS, SimConfig, SimRun, arc_forward_matrix,
+                       arc_inverse_matrix, peak_abs)
+from clarkekit.simulate import DesiredStream
+from clarkekit.trajectory import _horner
 
 
 def run_loop(desired, design, config) -> SimRun:
@@ -51,3 +56,19 @@ def run_loop(desired, design, config) -> SimRun:
         state = state + alpha * (command - state)
     return SimRun(design=design, config=config, t=np.arange(ticks) * config.dt,
                   desired=desired, measured=measured, commanded=commanded, true=true)
+
+
+def joint_space_stream(trajectory, transfer):
+    """The desired stream evaluated on the surrogate's joints and mapped
+    through transfer.matrix, and the retarget stretch behind its timeline."""
+    stretch = 1.0
+    peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
+    if peak_speed > DEFAULT_LIMITS.v_max:
+        stretch = peak_speed / DEFAULT_LIMITS.v_max * (1.0 + 1e-12)
+    ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
+    times = np.arange(ticks) * SimConfig.dt
+    poly = trajectory.position_poly
+    positions, velocities = _horner(poly.c, poly.x,
+                                    np.clip(times / stretch, 0.0, trajectory.horizon), 1)
+    return DesiredStream(times, positions @ transfer.matrix.T,
+                         velocities @ transfer.matrix.T / stretch), stretch

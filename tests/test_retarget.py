@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from clarkekit import (
     transfer_symmetric,
     transform_pair,
 )
+from clarkekit.designs import design_to_dict
 from clarkekit.retarget import _polar
 from conftest import random_design
 from retarget_oracle import perturbation_analysis as perturbation_oracle
@@ -183,6 +185,24 @@ class TestTransferMap:
         tmap.save(path)
         assert path.read_text() == tmap.to_json() + "\n"
         assert [p.name for p in path.parent.iterdir()] == ["map.json"]
+
+    @pytest.mark.parametrize("mode", ["symmetric", "general"])
+    def test_encoder_decoder_factor_the_matrix(self, designs, mode):
+        for source, target in itertools.product(designs.values(), repeat=2):
+            tmap = make_transfer_map(source, target, mode)
+            assert tmap.encoder.shape == (2, source.n)
+            assert tmap.decoder.shape == (target.n, 2)
+            assert not (tmap.encoder.flags.writeable or tmap.decoder.flags.writeable)
+            np.testing.assert_array_equal(tmap.decoder @ tmap.encoder, tmap.matrix)
+            # the matrix and its JSON as built from the designs directly
+            if mode == "symmetric":
+                expected = target.pair.inverse_matrix @ source.pair.forward_matrix
+            else:
+                expected = target.arc_inverse @ source.arc_forward
+            np.testing.assert_array_equal(tmap.matrix, expected)
+            raw = {"source": design_to_dict(source), "target": design_to_dict(target),
+                   "mode": mode, "matrix": expected.tolist()}
+            assert tmap.to_json() == json.dumps(raw, indent=2)
 
     def test_unknown_mode(self, robot_0, robot_A):
         with pytest.raises(InvalidParameter):

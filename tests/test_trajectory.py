@@ -1,10 +1,11 @@
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.interpolate import PPoly
 
 from clarkekit import (
     DEFAULT_LIMITS,
@@ -28,7 +29,8 @@ from clarkekit import (
     write_trajectory_csv,
 )
 from clarkekit.retarget import TRANSFER_MODES
-from clarkekit.trajectory import _horner, _peak_at_roots, _piece_bounds, _piece_derivative
+from clarkekit.trajectory import (_horner, _peak_at_roots, _piece_bounds, _piece_derivative,
+                                  _position_poly)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs)
@@ -466,6 +468,98 @@ class TestExactPolynomial:
         np.testing.assert_array_equal(pos, [0.01, -0.02])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
         np.testing.assert_array_equal(acc, [0.0, 0.0])
+
+
+def with_poly(traj, poly):
+    """A copy of traj whose cached position_poly is poly."""
+    copy = replace(traj)
+    copy.__dict__["position_poly"] = poly
+    return copy
+
+
+def scaled(poly, factor):
+    """poly in t / factor, as plan_trajectory seeds a dilated plan."""
+    powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
+    return PPoly(poly.c / factor ** powers[:, None, None], poly.x * factor)
+
+
+def shift_piece(coeffs, offset):
+    """PPoly coefficients (highest power first) of one piece re-expanded about
+    offset: row k from the end holds the k-th derivative at offset over k!."""
+    piece = PPoly(coeffs[:, None], [0.0, 2.0 * offset])
+    return np.stack([piece(offset, nu=k) / math.factorial(k)
+                     for k in range(coeffs.shape[0] - 1, -1, -1)])
+
+
+class TestDilatedPolynomial:
+    """A dilated plan reuses its planned polynomial in t / dilation instead of
+    superposing its profiles again."""
+
+    @staticmethod
+    def dilated_plans():
+        reversal = plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                                   DEFAULT_LIMITS, 1.0)
+        return [reversal] + [traj for traj, _ in random_plans() if traj.dilation > 1.0]
+
+    def test_matches_rebuilt_polynomial(self):
+        plans = self.dilated_plans()
+        assert len(plans) > 20
+        for traj in plans:
+            # planned once: the plan comes with its polynomial
+            assert traj.dilation > 1.0 and "position_poly" in vars(traj)
+            seeded, rebuilt = traj.position_poly, _position_poly(traj)
+            times = np.concatenate([np.arange(0.0, traj.horizon, 1e-3), seeded.x, rebuilt.x])
+            for got, expected in zip(_horner(seeded.c, seeded.x, times),
+                                     _horner(rebuilt.c, rebuilt.x, times)):
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    def test_undilated_plan_builds_its_own(self):
+        # short triangular moves stay below the limits; so does the reversal at 0.5
+        plans = [plan_trajectory(np.array([[0.0, 0.0], [1e-4, -2e-4], [3e-4, 0.0]]),
+                                 DEFAULT_LIMITS, overlap) for overlap in (0.0, 0.5)]
+        plans.append(plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                                     DEFAULT_LIMITS, 0.5))
+        for traj in plans:
+            assert traj.dilation == 1.0
+            rebuilt = _position_poly(traj)
+            np.testing.assert_array_equal(traj.position_poly.c, rebuilt.c)
+            np.testing.assert_array_equal(traj.position_poly.x, rebuilt.x)
+
+    def test_merged_breakpoints_change_nothing(self, vias):
+        # Split a piece at two breakpoints one ulp apart just below a power of
+        # two, which the dilation padding 1 + 1e-12 carries across it: the
+        # scaled breakpoints merge into a zero-width piece.
+        traj = plan_trajectory(vias)
+        poly, factor = traj.position_poly, 1.0 + 1e-12
+        checked = 0
+        for edge in 2.0 ** np.arange(-3.0, math.floor(math.log2(traj.horizon)) + 1.0):
+            near = np.nextafter(edge / factor, 0.0)
+            for _ in range(8):
+                after = np.nextafter(near, np.inf)
+                if near * factor == after * factor:
+                    break
+                near = after
+            i = int(np.searchsorted(poly.x, near, side="right")) - 1
+            assert near * factor == after * factor and poly.x[i] < near < after < poly.x[i + 1]
+            pieces = [poly.c[:, i]] + [shift_piece(poly.c[:, i], at - poly.x[i])
+                                       for at in (near, after)]
+            split = PPoly(np.concatenate([poly.c[:, :i], np.stack(pieces, axis=1),
+                                          poly.c[:, i + 1:]], axis=1),
+                          np.concatenate([poly.x[:i + 1], [near, after], poly.x[i + 1:]]))
+            merged = scaled(split, factor)
+            assert np.diff(merged.x)[i + 1] == 0.0
+            unmerged = PPoly(np.delete(merged.c, i + 1, axis=1), np.delete(merged.x, i + 1))
+            a, b = with_poly(traj, merged), with_poly(traj, unmerged)
+            times = np.concatenate([np.linspace(0.0, merged.x[-1], 501), merged.x])
+            for got, expected in zip(evaluate(a, times), evaluate(b, times)):
+                np.testing.assert_array_equal(got, expected)
+            for channel in ("velocity", "acceleration"):
+                assert peak_abs(a, channel) == peak_abs(b, channel)
+                # pruning drops the zero-width piece; a search of every piece does not
+                assert unpruned_peak(a, channel) == unpruned_peak(b, channel)
+            checked += 1
+        assert checked >= 4
 
 
 class TestHornerMatchesOracle:
