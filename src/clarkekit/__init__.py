@@ -9,137 +9,20 @@ actuators.
 
 __version__ = "0.1.0"
 
-from .core import (
-    ArcParameters,
-    CONDITION_LIMIT,
-    RobotDesign,
-    TransformPair,
-    arc_forward_matrix,
-    arc_inverse_matrix,
-    from_arc,
-    gram_condition,
-    inverse_clarke_matrix,
-    symmetric_design,
-    to_arc,
-    transform_pair,
-    wrap_angle,
-)
-from .designs import (
-    builtin_designs,
-    design_report,
-    design_to_dict,
-    get_design,
-    load_design,
-)
-from .errors import (
-    ClarkeError,
-    DegenerateDesign,
-    DimensionMismatch,
-    InvalidParameter,
-    OutOfRange,
-    ParseError,
-)
-from .retarget import (
-    PerturbedDesign,
-    TransferMap,
-    make_transfer_map,
-    perturbation_analysis,
-    polar_clarke_grid,
-    transfer_general,
-    transfer_symmetric,
-)
-from .sampling import SampleBatch, sample_clarke_disk, sample_joints, write_samples_csv
-from .simulate import (
-    MODES,
-    DesiredStream,
-    SimConfig,
-    SimRun,
-    desired_stream,
-    evaluate_suite,
-    pt1_step,
-    run,
-    run_experiment,
-    surrogate_trajectory,
-)
-from .trajectory import (
-    DEFAULT_A_MAX,
-    DEFAULT_LIMITS,
-    DEFAULT_V_MAX,
-    PEAK_SLOPE,
-    KinematicLimits,
-    PlannedTrajectory,
-    TrajectoryState,
-    evaluate,
-    peak_abs,
-    plan_segment,
-    plan_trajectory,
-    smoothstep,
-    smoothstep_integral,
-    smoothstep_slope,
-    synchronize,
-    write_trajectory_csv,
-)
+from . import core, designs, errors, retarget, sampling, simulate, trajectory
+from .core import *
+from .designs import *
+from .errors import *
+from .retarget import *
+from .sampling import *
+from .simulate import *
+from .trajectory import *
 
-__all__ = [
-    "ArcParameters",
-    "CONDITION_LIMIT",
-    "ClarkeError",
-    "DEFAULT_A_MAX",
-    "DEFAULT_LIMITS",
-    "DEFAULT_V_MAX",
-    "DegenerateDesign",
-    "DesiredStream",
-    "DimensionMismatch",
-    "InvalidParameter",
-    "KinematicLimits",
-    "MODES",
-    "OutOfRange",
-    "PEAK_SLOPE",
-    "ParseError",
-    "PerturbedDesign",
-    "PlannedTrajectory",
-    "RobotDesign",
-    "SampleBatch",
-    "SimConfig",
-    "SimRun",
-    "TrajectoryState",
-    "TransferMap",
-    "TransformPair",
-    "arc_forward_matrix",
-    "arc_inverse_matrix",
-    "builtin_designs",
-    "design_report",
-    "design_to_dict",
-    "desired_stream",
-    "evaluate",
-    "evaluate_suite",
-    "from_arc",
-    "get_design",
-    "gram_condition",
-    "inverse_clarke_matrix",
-    "load_design",
-    "make_transfer_map",
-    "peak_abs",
-    "perturbation_analysis",
-    "plan_segment",
-    "plan_trajectory",
-    "polar_clarke_grid",
-    "pt1_step",
-    "run",
-    "run_experiment",
-    "sample_clarke_disk",
-    "sample_joints",
-    "smoothstep",
-    "smoothstep_integral",
-    "smoothstep_slope",
-    "surrogate_trajectory",
-    "symmetric_design",
-    "synchronize",
-    "to_arc",
-    "transfer_general",
-    "transfer_symmetric",
-    "transform_pair",
-    "wrap_angle",
-    "write_samples_csv",
-    "write_trajectory_csv",
-]
+__all__ = []
+__all__ += core.__all__
+__all__ += designs.__all__
+__all__ += errors.__all__
+__all__ += retarget.__all__
+__all__ += sampling.__all__
+__all__ += simulate.__all__
+__all__ += trajectory.__all__

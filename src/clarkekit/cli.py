@@ -86,25 +86,27 @@ def cmd_design_check(args) -> int:
 def cmd_transform(args) -> int:
     design = get_design(args.design)
     pair = transform_pair(design)
-    if args.clarke is not None:
-        clarke = np.asarray(args.clarke, dtype=float)
-        joints = pair.inverse(clarke)
+    # an overflow shows as a value that is not finite, rejected before anything prints
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.clarke is not None:
+            clarke = np.asarray(args.clarke, dtype=float)
+            joints = pair.inverse(clarke)
+            values = {"clarke_m": clarke, "joints_m": joints,
+                      "joints_mm": [round(float(x) * 1000.0, 9) for x in joints]}
+            label, roundtrip = "roundtrip_clarke_m", pair.forward(joints)
+        else:
+            joints = np.asarray(args.joints, dtype=float)
+            clarke = pair.forward(joints)
+            values = {"joints_m": joints, "clarke_m": clarke}
+            label, roundtrip = "reprojected_joints_m", pair.inverse(clarke)
         arc = to_arc(design, joints)
-        print(f"clarke_m: [{float(clarke[0])!r}, {float(clarke[1])!r}]")
-        print("joints_m:", json.dumps([float(x) for x in joints]))
-        print("joints_mm:", json.dumps([round(float(x) * 1000.0, 9) for x in joints]))
-    else:
-        joints = np.asarray(args.joints, dtype=float)
-        clarke = pair.forward(joints)
-        arc = to_arc(design, joints)
-        print("joints_m:", json.dumps([float(x) for x in joints]))
-        print(f"clarke_m: [{float(clarke[0])!r}, {float(clarke[1])!r}]")
-    print(f"kappa_1pm: {float(arc.kappa)!r}")
-    print(f"theta_rad: {float(arc.theta)!r}")
-    print(f"kappa_l: {float(arc.kappa * design.l)!r}")
-    roundtrip = pair.forward(pair.inverse(clarke)) if args.clarke is not None else pair.inverse(clarke)
-    label = "roundtrip_clarke_m" if args.clarke is not None else "reprojected_joints_m"
-    print(f"{label}:", json.dumps([float(x) for x in roundtrip]))
+        values.update({"kappa_1pm": arc.kappa, "theta_rad": arc.theta,
+                       "kappa_l": arc.kappa * design.l, label: roundtrip})
+    if not all(np.isfinite(value).all() for value in values.values()):
+        raise InvalidParameter("the transform of these values is not finite in float64")
+    for key, value in values.items():
+        text = json.dumps([float(x) for x in value]) if np.ndim(value) else repr(float(value))
+        print(f"{key}: {text}")
     return EXIT_OK
 
 

@@ -27,6 +27,10 @@ import numpy as np
 
 from .errors import DegenerateDesign, DimensionMismatch, InvalidParameter
 
+__all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "TransformPair",
+           "arc_forward_matrix", "arc_inverse_matrix", "from_arc", "gram_condition",
+           "inverse_clarke_matrix", "symmetric_design", "to_arc", "transform_pair", "wrap_angle"]
+
 TWO_PI = 2.0 * math.pi
 
 # Gram matrices with a 2-norm condition number at or above this limit are

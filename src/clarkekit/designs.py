@@ -22,6 +22,8 @@ import numpy as np
 from .core import RobotDesign, gram_condition
 from .errors import InvalidParameter, ParseError
 
+__all__ = ["builtin_designs", "design_report", "design_to_dict", "get_design", "load_design"]
+
 TWO_PI = 2.0 * math.pi
 
 _BUILTIN_TABLE = [

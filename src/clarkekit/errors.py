@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["ClarkeError", "DegenerateDesign", "DimensionMismatch", "InvalidParameter",
+           "OutOfRange", "ParseError"]
+
 
 class ClarkeError(Exception):
     """Base class for all clarkekit errors."""

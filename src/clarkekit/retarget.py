@@ -24,6 +24,9 @@ from .designs import design_from_dict, design_to_dict
 from .errors import DimensionMismatch, InvalidParameter, ParseError
 from .fileio import write_atomic
 
+__all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
+           "polar_clarke_grid", "transfer_general", "transfer_symmetric"]
+
 TRANSFER_MODES = ("symmetric", "general")
 
 

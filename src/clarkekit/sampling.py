@@ -25,6 +25,8 @@ from .core import RobotDesign, check_count
 from .errors import DimensionMismatch, InvalidParameter
 from .fileio import write_csv
 
+__all__ = ["SampleBatch", "sample_clarke_disk", "sample_joints", "write_samples_csv"]
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:

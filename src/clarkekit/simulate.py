@@ -13,7 +13,7 @@ two gains serve any joint count and any design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -29,18 +29,13 @@ from .sampling import sample_joints
 from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, _horner, peak_abs,
                          plan_trajectory)
 
+__all__ = ["MODES", "DesiredStream", "SimConfig", "SimRun", "desired_stream", "evaluate_suite",
+           "run", "run_experiment", "surrogate_trajectory"]
+
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
 
 # Error metrics cover the ticks after this time (every tick of a shorter run).
 TRANSIENT_CUTOFF_S = 1.0
-
-
-def pt1_step(state, command, dt: float, time_constant: float):
-    """Exact discrete update of a first-order lag over one hold interval:
-    state + (1 - exp(-dt/T)) * (command - state)."""
-    if dt <= 0.0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
-    return state - math.expm1(-dt / time_constant) * (command - state)
 
 
 @dataclass(frozen=True)
@@ -170,12 +165,12 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     The actuators start on the desired state at t = 0.  A log-depth scan
     solves the loop in closed form; it is not stepped tick by tick.
     """
-    return _simulate(desired, design, (config,))[0]
+    return _simulate(desired, design, config, (config.mode,))[config.mode]
 
 
-def _simulate(desired, design: RobotDesign, configs) -> list[SimRun]:
-    """Simulate configs that differ in mode only over one desired stream, as
-    `run` does each, computing once what their runs share: the tick grid, the
+def _simulate(desired, design: RobotDesign, config: SimConfig, modes) -> dict[str, SimRun]:
+    """Simulate each mode over one desired stream, as `run` does with config
+    set to that mode, computing once what their runs share: the tick grid, the
     noise draw (the config's seed and the stream's shape) and the open-loop
     state scan with its error metrics."""
     desired = np.asarray(desired, dtype=float)
@@ -187,25 +182,24 @@ def _simulate(desired, design: RobotDesign, configs) -> list[SimRun]:
         raise InvalidParameter("desired stream is empty")
     if not np.isfinite(desired).all():
         raise InvalidParameter("desired stream must be finite")
-    shared = configs[0]
-    t = np.arange(ticks) * shared.dt
+    t = np.arange(ticks) * config.dt
     noise = 0.0
-    if shared.noise_eps > 0.0 and any(c.mode != "open_loop_clean" for c in configs):
-        noise = np.random.default_rng(shared.seed).uniform(-shared.noise_eps, shared.noise_eps,
+    if config.noise_eps > 0.0 and any(mode != "open_loop_clean" for mode in modes):
+        noise = np.random.default_rng(config.seed).uniform(-config.noise_eps, config.noise_eps,
                                                            size=desired.shape)
-    runs, open_loop = [], None
-    for config in configs:
-        if config.mode == "closed_loop":
+    runs, open_loop = {}, None
+    for mode in modes:
+        if mode == "closed_loop":
             true, commanded = _closed_loop(desired, noise, design, config)
         else:
             if open_loop is None:
                 open_loop = _open_loop(desired, config)
             true, commanded = open_loop, desired
-        measured = (0.0 if config.mode == "open_loop_clean" else noise) + true
-        runs.append(SimRun(design=design, config=config, t=t, desired=desired,
-                           measured=measured, commanded=commanded, true=true))
+        measured = (0.0 if mode == "open_loop_clean" else noise) + true
+        runs[mode] = SimRun(design=design, config=replace(config, mode=mode), t=t,
+                            desired=desired, measured=measured, commanded=commanded, true=true)
     # both open-loop modes track desired with the same true states
-    opened = [sim for sim in runs if sim.true is open_loop]
+    opened = [sim for sim in runs.values() if sim.true is open_loop]
     for sim in opened[1:]:
         sim.__dict__["_error_metrics"] = opened[0]._error_metrics
     return runs
@@ -303,13 +297,6 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
                          velocities=velocities @ decode / stretch)
 
 
-def _simulate_modes(stream: DesiredStream, target: RobotDesign, seed: int,
-                    transfer_mode: str, modes=MODES) -> dict[str, SimRun]:
-    """Simulate each mode on one stream; the shared seed gives shared noise."""
-    configs = [SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode) for mode in modes]
-    return dict(zip(modes, _simulate(stream.positions, target, configs)))
-
-
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
                    transfer_mode: str = "general", segment_count: int = 5,
                    modes=MODES) -> dict[str, SimRun]:
@@ -321,7 +308,8 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     """
     trajectory = surrogate_trajectory(surrogate, seed, segment_count)
     stream = desired_stream(trajectory, make_transfer_map(surrogate, target, transfer_mode))
-    return _simulate_modes(stream, target, seed, transfer_mode, modes)
+    return _simulate(stream.positions, target,
+                     SimConfig(seed=seed, transfer_mode=transfer_mode), modes)
 
 
 def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
@@ -333,6 +321,7 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     designs = builtin_designs()
     surrogate = designs["robot_0"]
     trajectory = surrogate_trajectory(surrogate, seed)
+    config = SimConfig(seed=seed)
     runs: dict[str, SimRun] = {}
     summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
     for name, target in designs.items():
@@ -342,7 +331,7 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
             entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + 1e-9))
-        for mode, sim in _simulate_modes(stream, target, seed, "general").items():
+        for mode, sim in _simulate(stream.positions, target, config, MODES).items():
             runs[f"{name}_{mode}"] = sim
             entry[f"rms_latent_{mode}"] = sim.rms_latent()
         rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
@@ -356,8 +345,9 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
             deviation < 1e-12 and sym_stream.positions.shape == stream.positions.shape)
         entry["transfer_mode_deviation_m"] = deviation
         if not entry["transfer_modes_equivalent"] and name != "robot_0":
-            uncomp = _simulate_modes(sym_stream, target, seed, "symmetric",
-                                     ("closed_loop",))["closed_loop"]
+            uncomp = _simulate(sym_stream.positions, target,
+                               replace(config, transfer_mode="symmetric"),
+                               ("closed_loop",))["closed_loop"]
             runs[f"{name}_closed_loop_uncompensated"] = uncomp
             rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
             entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp

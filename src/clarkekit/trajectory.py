@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +23,10 @@ from scipy.interpolate import PPoly
 
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 from .fileio import write_csv
+
+__all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
+           "PlannedTrajectory", "TrajectoryState", "evaluate", "peak_abs", "plan_segment",
+           "plan_trajectory", "synchronize", "write_trajectory_csv"]
 
 # Peak slope of the degree-9 smoothstep (attained mid-ramp); the realized
 # peak acceleration of a ramp is PEAK_SLOPE * v_peak / t_ramp.
@@ -43,24 +46,6 @@ _TERMS = _RAMP_POSITION.size
 _SHIFT = {phase: np.array([[shape[i + j] * math.comb(i + j, j) if i + j < _TERMS else 0.0
                             for j in range(_TERMS)] for i in range(_TERMS)])
           for phase, shape in ((1, _RAMP_POSITION), (3, npoly.polysub([0, 1], _RAMP_POSITION)))}
-
-
-def smoothstep(tau):
-    """Degree-9 smoothstep on [0, 1], clamped outside."""
-    tau = np.clip(tau, 0.0, 1.0)
-    return tau**5 * (126.0 + tau * (-420.0 + tau * (540.0 + tau * (-315.0 + tau * 70.0))))
-
-
-def smoothstep_slope(tau):
-    """First derivative of the smoothstep; equals 630 * tau^4 * (1 - tau)^4."""
-    tau = np.clip(tau, 0.0, 1.0)
-    return 630.0 * tau**4 * (1.0 - tau)**4
-
-
-def smoothstep_integral(tau):
-    """Running integral of the smoothstep from 0; equals 1/2 at tau = 1."""
-    tau = np.clip(tau, 0.0, 1.0)
-    return tau**6 * (21.0 + tau * (-60.0 + tau * (67.5 + tau * (-35.0 + tau * 7.0))))
 
 
 @dataclass(frozen=True)
@@ -159,7 +144,9 @@ class PlannedTrajectory:
     states holds the profiles as (segments, joints) arrays; all joints of a
     segment share its enable time.  dilation records the uniform time
     stretch applied after blending to restore the kinematic limits (1.0
-    when superposition never exceeded them).  Every array is read-only.
+    when superposition never exceeded them).  position_poly holds the joint
+    positions as one exact piecewise polynomial in t (degree 10); a dilated
+    plan holds its planned polynomial in t / dilation.  Every array is read-only.
     """
 
     start: np.ndarray
@@ -167,7 +154,7 @@ class PlannedTrajectory:
     enable_times: np.ndarray
     segment_durations: np.ndarray
     horizon: float
-    overlap_fraction: float
+    position_poly: PPoly
     dilation: float = 1.0
 
     @property
@@ -178,28 +165,20 @@ class PlannedTrajectory:
     def segment_count(self) -> int:
         return self.enable_times.size
 
-    @cached_property
-    def position_poly(self) -> PPoly:
-        """Joint positions as one exact piecewise polynomial in t (degree 10).
-        plan_trajectory gives a dilated plan its planned polynomial in t / dilation."""
-        return _position_poly(self)
 
-    def goal(self) -> np.ndarray:
-        return self.start + self.states.delta_rho.sum(axis=0)
-
-
-def _position_poly(traj: PlannedTrajectory) -> PPoly:
+def _position_poly(start: np.ndarray, states: TrajectoryState, enable_times: np.ndarray,
+                   horizon: float) -> PPoly:
     """Superpose every moving profile onto start as one piecewise polynomial:
     on each interval a profile adds its phase polynomial shifted to the
     interval start (a ramp shape, the cruise line, or its distance once done)."""
-    segment, joint = np.nonzero(traj.states.v)
-    e = traj.enable_times[segment]
-    delta, v, t_lo, t_cr, t_sd = (field[segment, joint] for field in traj.states)
+    segment, joint = np.nonzero(states.v)
+    e = enable_times[segment]
+    delta, v, t_lo, t_cr, t_sd = (field[segment, joint] for field in states)
     bounds = np.stack([e, e + t_lo, e + (t_lo + t_cr), e + (t_lo + t_cr + t_sd)])
     # Ramps are also split at their midpoints, where the monomial terms cancel
     # far less in rounding; a motionless plan still gets one interval.
     mids = np.stack([e + 0.5 * t_lo, bounds[2] + 0.5 * t_sd])
-    x = np.unique(np.concatenate([[0.0, traj.horizon or 1.0], bounds.ravel(), mids.ravel()]))
+    x = np.unique(np.concatenate([[0.0, horizon or 1.0], bounds.ravel(), mids.ravel()]))
     # phase per interval and profile: 0 idle, 1 lift-off, 2 cruise, 3 set-down, 4 done
     phase = (np.arange(x.size - 1)[:, None] >= np.searchsorted(x, bounds)[:, None, :]).sum(0)
     interval, profile = np.nonzero(phase)
@@ -218,8 +197,8 @@ def _position_poly(traj: PlannedTrajectory) -> PPoly:
     contrib[phase == 3, 0] += (v * (0.5 * t_lo + t_cr))[profile[phase == 3]]
     contrib[phase == 4, 0] = np.abs(delta)[profile[phase == 4]]
     contrib *= np.sign(delta)[profile, None]
-    coeffs = np.zeros((x.size - 1, traj.n, _TERMS))
-    coeffs[:, :, 0] = traj.start
+    coeffs = np.zeros((x.size - 1, start.size, _TERMS))
+    coeffs[:, :, 0] = start
     np.add.at(coeffs, (interval, joint[profile]), contrib)
     return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
 
@@ -395,26 +374,31 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     if not math.isfinite(horizon):
         raise InvalidParameter("the trajectory's timing is not finite in float64: "
                                "the segments are too long for the limits")
-    traj = PlannedTrajectory(start=via[0].copy(), states=states,
-                             enable_times=enable_times, segment_durations=durations,
-                             horizon=horizon, overlap_fraction=overlap_fraction)
+    # ramps too short for float64 give non-finite coefficients, rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        poly = _position_poly(via[0], states, enable_times, horizon)
+    if not np.isfinite(poly.c).all():
+        raise InvalidParameter(
+            f"the limits v_max={limits.v_max}, a_max={limits.a_max}, dec_max={limits.dec_max} "
+            "give ramps too short for the trajectory's polynomial to be finite in float64")
+    traj = PlannedTrajectory(start=via[0].copy(), states=states, enable_times=enable_times,
+                             segment_durations=durations, horizon=horizon, position_poly=poly)
 
     factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
                  math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
     if factor > 1.0:
         factor *= 1.0 + 1e-12
-        poly = traj.position_poly
         states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
                                  t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
-        traj = replace(traj, states=states, enable_times=enable_times * factor,
-                       segment_durations=durations * factor, horizon=traj.horizon * factor,
-                       dilation=factor)
         # the dilated positions are the planned polynomial in t / factor; scaling
         # may merge breakpoints an ulp apart into a zero-width piece, which PPoly,
         # _horner and peak_abs accept
         powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
-        traj.__dict__["position_poly"] = PPoly(poly.c / factor ** powers[:, None, None],
-                                               poly.x * factor)
+        traj = replace(traj, states=states, enable_times=enable_times * factor,
+                       segment_durations=durations * factor, horizon=horizon * factor,
+                       position_poly=PPoly(poly.c / factor ** powers[:, None, None],
+                                           poly.x * factor),
+                       dilation=factor)
     for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
         array.setflags(write=False)
     return traj
@@ -425,7 +409,11 @@ def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> str
     returns the file's SHA-256 hex digest."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameter(f"dt must be positive and finite, got {dt}")
-    ticks = int(math.floor(traj.horizon / dt)) + 1
+    steps = traj.horizon / dt
+    # numpy rejects an array whose byte count overflows intp with a ValueError
+    if not steps < np.iinfo(np.intp).max / 8:
+        raise MemoryError(f"Unable to allocate {steps:.3g} rows of trajectory output")
+    ticks = int(math.floor(steps)) + 1
     times = np.arange(ticks) * dt
     pos, vel, acc = evaluate(traj, times)
     header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)

@@ -1,21 +1,30 @@
 """Reference implementations of the control-loop simulation and its stream.
 
-This is the original per-tick loop that stepped every joint of the PT1
-actuators and formed the PD error in the latent space, one tick at a time.
-`clarkekit.simulate.run` replaced it with a closed-form scan of the latent
-recurrence.  The desired stream evaluated on every surrogate joint and
-mapped through the transfer matrix is what `desired_stream` replaced with an
-evaluation on the two latent columns.  Tests compare the library against them.
+These are the exact PT1 step and the original per-tick loop that stepped
+every joint of the PT1 actuators and formed the PD error in the latent space,
+one tick at a time.  `clarkekit.simulate.run` replaced the loop with a
+closed-form scan of the latent recurrence.  The desired stream evaluated on
+every surrogate joint and mapped through the transfer matrix is what
+`desired_stream` replaced with an evaluation on the two latent columns.
+Tests compare the library against them.
 """
 
 import math
 
 import numpy as np
 
-from clarkekit import (DEFAULT_LIMITS, SimConfig, SimRun, arc_forward_matrix,
-                       arc_inverse_matrix, peak_abs)
+from clarkekit import (DEFAULT_LIMITS, InvalidParameter, SimConfig, SimRun,
+                       arc_forward_matrix, arc_inverse_matrix, peak_abs)
 from clarkekit.simulate import DesiredStream
 from clarkekit.trajectory import _horner
+
+
+def pt1_step(state, command, dt: float, time_constant: float):
+    """Exact discrete update of a first-order lag over one hold interval:
+    state + (1 - exp(-dt/T)) * (command - state)."""
+    if dt <= 0.0:
+        raise InvalidParameter(f"dt must be positive, got {dt}")
+    return state - math.expm1(-dt / time_constant) * (command - state)
 
 
 def run_loop(desired, design, config) -> SimRun:

@@ -21,7 +21,6 @@ from clarkekit import (
     evaluate,
     make_transfer_map,
     plan_trajectory,
-    pt1_step,
     run,
     run_experiment,
     sample_clarke_disk,
@@ -35,6 +34,7 @@ from clarkekit import (
 from clarkekit.cli import main as cli_main
 from clarkekit.fileio import sha256_file
 from conftest import random_design
+from simulate_oracle import pt1_step
 from test_trajectory import assert_c4_velocity, one_sided_derivatives, smoothness_bounds
 
 

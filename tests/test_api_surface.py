@@ -1,6 +1,7 @@
 """The public names, and the names the benchmark harness binds, stay in place."""
 
 import importlib
+import types
 from pathlib import Path
 
 import clarkekit
@@ -12,6 +13,15 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def test_all_names_resolve():
     missing = [name for name in clarkekit.__all__ if not hasattr(clarkekit, name)]
     assert missing == []
+
+
+def test_all_lists_every_public_name_once():
+    # the package builds __all__ from its modules' lists, so a name imported
+    # into the package but not listed, or listed twice, shows here
+    assert len(clarkekit.__all__) == len(set(clarkekit.__all__))
+    public = {name for name, value in vars(clarkekit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(clarkekit.__all__) == public
 
 
 def test_traced_names_exist(monkeypatch):

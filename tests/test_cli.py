@@ -103,6 +103,17 @@ class TestTransform:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["robot_D", "--clarke", "1e306", "0"],
+        ["robot_0", "--joints", "1e308", "1e308", "1e307"],
+    ], ids=lambda argv: argv[1])
+    def test_overflow_exits_2_without_inf_or_nan(self, capsys, argv):
+        # finite input whose curvature or joints overflow float64
+        code, out, err = invoke(capsys, "transform", *argv)
+        assert code == 2
+        assert not any(word in out.lower() for word in ("inf", "nan"))
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestSample:
     def test_deterministic_files(self, capsys, tmp_path):
@@ -156,6 +167,24 @@ class TestTraj:
         code, _, err = invoke(capsys, "traj", "robot_0", "--dt", "1e-12")
         assert code == 4
         assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["--dt", "1e-300"], 4),
+        (["--dt", "5e-324"], 4),
+        (["--amax", "1e300"], 2),
+        (["--vmax", "1e-300"], 2),
+    ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
+    def test_extreme_input_exits_without_traceback(self, capsys, tmp_path, monkeypatch,
+                                                   argv, exit_code):
+        # a grid too fine to index, or ramps too short for the polynomial in float64
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "traj", "robot_0", *argv)
+        assert code == exit_code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        if exit_code == 2:
+            assert "the limits v_max=" in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -18,16 +18,15 @@ from clarkekit import (
     desired_stream,
     evaluate_suite,
     make_transfer_map,
-    pt1_step,
     run,
     run_experiment,
     surrogate_trajectory,
     transform_pair,
 )
 from clarkekit.fileio import write_csv
-from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate_modes
+from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
 from clarkekit.retarget import TRANSFER_MODES
-from simulate_oracle import joint_space_stream, run_loop
+from simulate_oracle import joint_space_stream, pt1_step, run_loop
 
 
 class TestPt1:
@@ -431,7 +430,7 @@ class TestRunsShareStreamWork:
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
         stream = DesiredStream(times=np.arange(ticks) * 1e-3, positions=desired,
                                velocities=np.zeros_like(desired))
-        runs = _simulate_modes(stream, robot_D, 6, "general")
+        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), MODES)
         assert_runs_match_independent_runs(runs, stream, robot_D, 6, "general")
         for sim in runs.values():
             settled = sim.t > TRANSIENT_CUTOFF_S

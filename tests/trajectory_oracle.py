@@ -1,13 +1,15 @@
 """Reference implementations of trajectory planning, evaluation and peak search.
 
-These are the original scalar per-joint planning and synchronization that
-the (segments, joints) profile arrays replaced, the masked per-phase
-evaluation, the dense-grid scan with bounded scalar refinement that the
-exact piecewise-polynomial path in `clarkekit.trajectory` replaced, and the
-exact peak that root-finds the next derivative on every interval, which
-Bernstein pruning replaced, and the Horner pass that gathered rows by fancy
-indexing and broadcast a (points, 1) offset, which the contiguous pass
-replaced.  Tests compare the library against them.
+These are the degree-9 smoothstep with its slope and running integral, which
+planning replaced with shifted ramp polynomials, the original scalar
+per-joint planning and synchronization that the (segments, joints) profile
+arrays replaced, the masked per-phase evaluation, the dense-grid scan with
+bounded scalar refinement that the exact piecewise-polynomial path in
+`clarkekit.trajectory` replaced, and the exact peak that root-finds the next
+derivative on every interval, which Bernstein pruning replaced, and the
+Horner pass that gathered rows by fancy indexing and broadcast a (points, 1)
+offset, which the contiguous pass replaced.  Tests compare the library
+against them.
 """
 
 import math
@@ -17,7 +19,25 @@ import numpy as np
 from scipy.interpolate import PPoly
 from scipy.optimize import minimize_scalar
 
-from clarkekit import PEAK_SLOPE, smoothstep, smoothstep_integral, smoothstep_slope
+from clarkekit import PEAK_SLOPE
+
+
+def smoothstep(tau):
+    """Degree-9 smoothstep on [0, 1], clamped outside."""
+    tau = np.clip(tau, 0.0, 1.0)
+    return tau**5 * (126.0 + tau * (-420.0 + tau * (540.0 + tau * (-315.0 + tau * 70.0))))
+
+
+def smoothstep_slope(tau):
+    """First derivative of the smoothstep; equals 630 * tau^4 * (1 - tau)^4."""
+    tau = np.clip(tau, 0.0, 1.0)
+    return 630.0 * tau**4 * (1.0 - tau)**4
+
+
+def smoothstep_integral(tau):
+    """Running integral of the smoothstep from 0; equals 1/2 at tau = 1."""
+    tau = np.clip(tau, 0.0, 1.0)
+    return tau**6 * (21.0 + tau * (-60.0 + tau * (67.5 + tau * (-35.0 + tau * 7.0))))
 
 
 @dataclass(frozen=True)
