@@ -1,9 +1,10 @@
 """Command-line interface wiring all toolkit capabilities.
 
 Subcommands: design-check, transform, sample, traj, simulate, and demo
-(the five-robot evaluation suite).  Every file-producing command also
-emits a manifest with the config snapshot, seeds, design hashes, and
-output hashes, sufficient to replay the run bit-exactly.
+(the five-robot evaluation suite).  The library writes no file; this module
+writes every output, and each file-producing command also emits a manifest
+with the config snapshot, seeds, design hashes, and output hashes,
+sufficient to replay the run bit-exactly.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 degenerate design,
 4 runtime failure.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,10 +28,10 @@ from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
 from .fileio import sha256_text, write_csv, write_json
-from .sampling import sample_clarke_disk, sample_joints, write_samples_csv
+from .sampling import sample_clarke_disk, sample_joints
 from .simulate import MODES, SimRun, evaluate_suite, run_experiment
-from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
-                         plan_trajectory, write_trajectory_csv)
+from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits, PlannedTrajectory,
+                         evaluate, plan_trajectory)
 
 OUT_DIR_ENV = "CLARKEKIT_OUT_DIR"
 
@@ -115,7 +117,10 @@ def cmd_sample(args) -> int:
     batch = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
     joints = batch.clarke @ transform_pair(design).inverse_matrix.T
     out = Path(args.out)
-    digest = write_samples_csv(out, batch, joints)
+    header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(design.n)]
+    # rows, not an array, so that sample_idx is written as an integer
+    digest = write_csv(out, header, ([str(idx), *batch.clarke[idx], *joints[idx]]
+                                     for idx in range(batch.count)))
     manifest = Manifest("sample", {"design": design.name, "count": args.count,
                                    "seed": args.seed}, [args.seed], [design])
     manifest.add(out, digest)
@@ -140,6 +145,24 @@ def _read_via_file(path, n: int) -> np.ndarray:
     return via
 
 
+def _write_trajectory_csv(path, traj: PlannedTrajectory, dt: float) -> str:
+    """Trajectory CSV on an exact dt grid: t_s, then rho/vel/acc per joint;
+    returns the file's SHA-256 hex digest."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
+    steps = traj.horizon / dt
+    # numpy rejects an array whose byte count overflows intp with a ValueError
+    if not steps < np.iinfo(np.intp).max / 8:
+        raise MemoryError(f"Unable to allocate {steps:.3g} rows of trajectory output")
+    ticks = int(math.floor(steps)) + 1
+    times = np.arange(ticks) * dt
+    pos, vel, acc = evaluate(traj, times)
+    header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
+                        for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
+    per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)
+    return write_csv(path, header, np.column_stack([times, per_joint]))
+
+
 def cmd_traj(args) -> int:
     design = get_design(args.design)
     if args.via_file:
@@ -150,7 +173,7 @@ def cmd_traj(args) -> int:
                              dec_max=args.decmax if args.decmax is not None else args.amax)
     traj = plan_trajectory(via, limits, args.overlap)
     out = Path(args.out)
-    digest = write_trajectory_csv(out, traj, args.dt)
+    digest = _write_trajectory_csv(out, traj, args.dt)
     manifest = Manifest("traj", {"design": design.name, "segments": traj.segment_count,
                                  "seed": args.seed, "vmax": args.vmax, "amax": args.amax,
                                  "decmax": limits.dec_max, "overlap": args.overlap,
@@ -165,12 +188,16 @@ def cmd_traj(args) -> int:
 
 def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest,
                formatted: dict | None = None) -> Path:
-    """Write one run's per-tick CSV and metrics JSON and add both to the
+    """Write one run's per-tick CSV (t_s, rho_d_1..n, rho_meas_1..n,
+    rho_cmd_1..n, rho_true_1..n) and metrics JSON and add both to the
     manifest; returns the metrics path.  `formatted` is the column cache of
     `fileio.write_csv`."""
     csv_path = out_dir / f"{stem}.csv"
     metrics_path = out_dir / f"{stem}_metrics.json"
-    manifest.add(csv_path, sim.write_csv(csv_path, formatted))
+    labels = ("rho_d", "rho_meas", "rho_cmd", "rho_true")
+    header = ["t_s"] + [f"{label}_{i + 1}" for label in labels for i in range(sim.design.n)]
+    table = np.column_stack([sim.t, sim.desired, sim.measured, sim.commanded, sim.true])
+    manifest.add(csv_path, write_csv(csv_path, header, table, formatted))
     manifest.add(metrics_path, write_json(metrics_path, sim.metrics()))
     return metrics_path
 

@@ -22,7 +22,6 @@ import numpy as np
 from .core import RobotDesign, check_count, check_joints, wrap_angle
 from .designs import design_from_dict, design_to_dict
 from .errors import DimensionMismatch, InvalidParameter, ParseError
-from .fileio import write_atomic
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
            "polar_clarke_grid", "transfer_general", "transfer_symmetric"]
@@ -93,9 +92,6 @@ class TransferMap:
         return make_transfer_map(design_from_dict(raw["source"]),
                                  design_from_dict(raw["target"]),
                                  raw["mode"])
-
-    def save(self, path) -> None:
-        write_atomic(path, self.to_json() + "\n")
 
 
 def _factors(source: RobotDesign, target: RobotDesign, mode: str):

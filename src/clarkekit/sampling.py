@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RobotDesign, check_count
-from .errors import DimensionMismatch, InvalidParameter
-from .fileio import write_csv
+from .errors import InvalidParameter
 
-__all__ = ["SampleBatch", "sample_clarke_disk", "sample_joints", "write_samples_csv"]
+__all__ = ["SampleBatch", "sample_clarke_disk", "sample_joints"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +68,3 @@ def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
     """
     batch = sample_clarke_disk(seed, count, d_ref=float(np.min(design.d)))
     return batch.clarke @ design.pair.inverse_matrix.T
-
-
-def write_samples_csv(path, batch: SampleBatch, joints: np.ndarray) -> str:
-    """CSV export: sample_idx, rho_re_m, rho_im_m, rho_1..n_m; returns the
-    file's SHA-256 hex digest."""
-    joints = np.asarray(joints, dtype=float)
-    if joints.ndim != 2 or joints.shape[0] != batch.count:
-        raise DimensionMismatch(
-            f"joints must have one row per sample, got shape {joints.shape}")
-    n = joints.shape[1]
-    header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(n)]
-    rows = ([str(idx), batch.clarke[idx, 0], batch.clarke[idx, 1], *joints[idx]]
-            for idx in range(batch.count))
-    return write_csv(path, header, rows)

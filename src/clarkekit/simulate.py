@@ -22,7 +22,6 @@ import numpy as np
 from .core import RobotDesign
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
-from .fileio import write_csv
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
                        make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
@@ -142,17 +141,6 @@ class SimRun:
             "transient_cutoff_s": TRANSIENT_CUTOFF_S,
         }
 
-    def write_csv(self, path, formatted: dict | None = None) -> str:
-        """CSV export: t_s, rho_d_1..n, rho_meas_1..n, rho_cmd_1..n, rho_true_1..n;
-        returns the file's SHA-256 hex digest.
-
-        `formatted` is passed to `fileio.write_csv`: share one dict among the
-        runs of a target to format their common columns once."""
-        labels = ("rho_d", "rho_meas", "rho_cmd", "rho_true")
-        header = ["t_s"] + [f"{label}_{i + 1}" for label in labels for i in range(self.design.n)]
-        table = np.column_stack([self.t, self.desired, self.measured, self.commanded, self.true])
-        return write_csv(path, header, table, formatted)
-
 
 def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     """Simulate one mode over a per-tick, finite desired joint stream.
@@ -258,7 +246,6 @@ class DesiredStream(NamedTuple):
     """Per-tick desired joints for a target robot, derived from a surrogate
     trajectory pushed through a transfer map."""
 
-    times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
 
@@ -288,13 +275,11 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
         stretch = peak_speed / DEFAULT_LIMITS.v_max * (1.0 + 1e-12)
     horizon = trajectory.horizon * stretch
     ticks = int(math.floor(horizon / SimConfig.dt)) + 1
-    times = np.arange(ticks) * SimConfig.dt
-    source_times = np.clip(times / stretch, 0.0, trajectory.horizon)
+    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
     poly = trajectory.position_poly
     decode = transfer.decoder.T
     positions, velocities = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 1)
-    return DesiredStream(times=times, positions=positions @ decode,
-                         velocities=velocities @ decode / stretch)
+    return DesiredStream(positions=positions @ decode, velocities=velocities @ decode / stretch)
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,

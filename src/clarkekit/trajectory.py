@@ -22,11 +22,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import PPoly
 
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
-from .fileio import write_csv
 
 __all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
            "PlannedTrajectory", "TrajectoryState", "evaluate", "peak_abs", "plan_segment",
-           "plan_trajectory", "synchronize", "write_trajectory_csv"]
+           "plan_trajectory", "synchronize"]
 
 # Peak slope of the degree-9 smoothstep (attained mid-ramp); the realized
 # peak acceleration of a ramp is PEAK_SLOPE * v_peak / t_ramp.
@@ -115,6 +114,10 @@ def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryS
     if not finite:
         raise InvalidParameter("a segment's timing is not finite in float64: "
                                "the distance is too long for the limits")
+    if np.any((v == 0.0) & (dist > 0.0)):
+        raise InvalidParameter(f"the limits v_max={limits.v_max}, a_max={limits.a_max}, "
+                               f"dec_max={limits.dec_max} give a nonzero distance a peak "
+                               "velocity of 0 in float64")
     return states
 
 
@@ -386,6 +389,14 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
 
     factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
                  math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
+    # a ramp shorter than half an ulp of its start time rounds away and leaves a
+    # velocity step (a long move ends at full speed); a lost cruise leaves none
+    e = enable_times[:, None]
+    if np.any(((e + states.t_lo == e) & (states.t_lo > 0.0))
+              | ((e + states.duration == e + (states.t_lo + states.t_cr)) & (states.t_sd > 0.0))):
+        raise InvalidParameter(f"the limits v_max={limits.v_max}, a_max={limits.a_max}, "
+                               f"dec_max={limits.dec_max} give a ramp too short for float64 "
+                               "to resolve at its start time")
     if factor > 1.0:
         factor *= 1.0 + 1e-12
         states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
@@ -402,21 +413,3 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
         array.setflags(write=False)
     return traj
-
-
-def write_trajectory_csv(path, traj: PlannedTrajectory, dt: float = 1e-3) -> str:
-    """CSV export on an exact dt grid: t_s, then rho/vel/acc per joint;
-    returns the file's SHA-256 hex digest."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
-    steps = traj.horizon / dt
-    # numpy rejects an array whose byte count overflows intp with a ValueError
-    if not steps < np.iinfo(np.intp).max / 8:
-        raise MemoryError(f"Unable to allocate {steps:.3g} rows of trajectory output")
-    ticks = int(math.floor(steps)) + 1
-    times = np.arange(ticks) * dt
-    pos, vel, acc = evaluate(traj, times)
-    header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
-                        for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
-    per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)
-    return write_csv(path, header, np.column_stack([times, per_joint]))

@@ -68,8 +68,8 @@ def run_loop(desired, design, config) -> SimRun:
 
 
 def joint_space_stream(trajectory, transfer):
-    """The desired stream evaluated on the surrogate's joints and mapped
-    through transfer.matrix, and the retarget stretch behind its timeline."""
+    """The desired positions and velocities evaluated on the surrogate's joints
+    and mapped through transfer.matrix, and the retarget stretch behind their timeline."""
     stretch = 1.0
     peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
     if peak_speed > DEFAULT_LIMITS.v_max:
@@ -79,5 +79,5 @@ def joint_space_stream(trajectory, transfer):
     poly = trajectory.position_poly
     positions, velocities = _horner(poly.c, poly.x,
                                     np.clip(times / stretch, 0.0, trajectory.horizon), 1)
-    return DesiredStream(times, positions @ transfer.matrix.T,
+    return DesiredStream(positions @ transfer.matrix.T,
                          velocities @ transfer.matrix.T / stretch), stretch

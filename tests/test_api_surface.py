@@ -1,5 +1,6 @@
 """The public names, and the names the benchmark harness binds, stay in place."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -22,6 +23,24 @@ def test_all_lists_every_public_name_once():
     public = {name for name, value in vars(clarkekit).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(clarkekit.__all__) == public
+
+
+def test_only_the_cli_imports_fileio():
+    # the library takes and returns arrays; writing files is the CLI's job
+    package = Path(clarkekit.__file__).parent
+    importers = []
+    for name in ("core", "designs", "errors", "retarget", "sampling", "simulate", "trajectory"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["clarkekit" if node.level else "", node.module]))
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "clarkekit.fileio" in modules:
+                importers.append(name)
+    assert importers == []
 
 
 def test_traced_names_exist(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,24 @@ class TestTraj:
         code, _, err = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
                               "--out", str(tmp_path / "t.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, via", [(["--amax", "1e-300"], None),
+                                           ([], "0 0 0\n1e14 0 0\n")], ids=["amax", "via"])
+    def test_plan_without_motion_or_set_down_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                      argv, via):
+        # underflowing limits would plan no motion, and a 1e14 m move would end
+        # at full speed; both exit 2 before any file is written
+        monkeypatch.chdir(tmp_path)
+        if via is not None:
+            (tmp_path / "via.txt").write_text(via)
+            argv = ["--via-file", "via.txt"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "traj", "robot_0", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: the limits v_max=")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if via is None else ["via.txt"])
 
     def test_sampled_vias(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

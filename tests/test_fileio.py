@@ -157,7 +157,7 @@ class TestFormattedCache:
             sim = run_experiment(designs["robot_0"], designs[name], 5,
                                  modes=("open_loop_clean",))["open_loop_clean"]
             formatted = {}
-            sim.write_csv(tmp_path / f"{name}.csv", formatted)
+            cli._write_run(tmp_path, name, sim, cli.Manifest("simulate", {}, [], []), formatted)
             assert len(formatted) == 1 + 2 * sim.design.n
 
 

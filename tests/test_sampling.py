@@ -9,8 +9,8 @@ from clarkekit import (
     sample_clarke_disk,
     sample_joints,
     transform_pair,
-    write_samples_csv,
 )
+from clarkekit.cli import main
 
 HALF_CIRCLE = math.pi * 0.01
 
@@ -108,20 +108,12 @@ class TestJointSampling:
 
 class TestSampleCsv:
     def test_schema_and_content(self, robot_0, tmp_path):
-        batch = sample_clarke_disk(5, 10, 0.01)
-        joints = batch.clarke @ transform_pair(robot_0).inverse_matrix.T
+        batch = sample_clarke_disk(5, 10, float(np.min(robot_0.d)))
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, batch, joints)
+        assert main(["sample", "robot_0", "--count", "10", "--seed", "5", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_idx,rho_re_m,rho_im_m,rho_1_m,rho_2_m,rho_3_m"
         assert len(lines) == 11
         cells = lines[3].split(",")
         assert int(cells[0]) == 2
         assert float(cells[1]) == batch.clarke[2, 0]  # round-trip formatting
-
-    def test_rejects_mismatched_joints(self, robot_0, tmp_path):
-        from clarkekit import DimensionMismatch
-
-        batch = sample_clarke_disk(5, 10, 0.01)
-        with pytest.raises(DimensionMismatch):
-            write_samples_csv(tmp_path / "bad.csv", batch, np.zeros((3, 3)))

@@ -23,6 +23,7 @@ from clarkekit import (
     surrogate_trajectory,
     transform_pair,
 )
+from clarkekit.cli import Manifest, _write_run
 from clarkekit.fileio import write_csv
 from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
 from clarkekit.retarget import TRANSFER_MODES
@@ -214,7 +215,7 @@ class TestRun:
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=50)
         sim = run(desired, robot_0, SimConfig(seed=2))
         path = tmp_path / "run.csv"
-        sim.write_csv(path)
+        _write_run(tmp_path, "run", sim, Manifest("simulate", {}, [], []))
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:4] == ["t_s", "rho_d_1", "rho_d_2", "rho_d_3"]
         assert "rho_meas_1" in lines[0] and "rho_cmd_1" in lines[0] and "rho_true_1" in lines[0]
@@ -226,11 +227,11 @@ class TestRun:
         # on its own
         runs, _, _ = evaluate_suite(42)
         assert len(runs) == 18
-        formatted, target = {}, None
+        formatted, target, manifest = {}, None, Manifest("demo", {}, [], [])
         for stem, sim in runs.items():
             if sim.design.name != target:
                 formatted, target = {}, sim.design.name
-            sim.write_csv(tmp_path / f"{stem}.csv", formatted)
+            _write_run(tmp_path, stem, sim, manifest, formatted)
             header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0].split(",")
             columns = zip(sim.t.tolist(), sim.desired.tolist(), sim.measured.tolist(),
                           sim.commanded.tolist(), sim.true.tolist())
@@ -333,7 +334,6 @@ class TestDesiredStream:
             stream = desired_stream(trajectory, transfer)
             expected, stretch = joint_space_stream(trajectory, transfer)
             stretched += stretch > 1.0
-            np.testing.assert_array_equal(stream.times, expected.times)
             for got, reference in ((stream.positions, expected.positions),
                                    (stream.velocities, expected.velocities)):
                 assert got.shape == reference.shape
@@ -341,11 +341,11 @@ class TestDesiredStream:
         assert stretched > 0
 
     def test_tick_grid(self, designs):
-        stream = desired_stream(surrogate_trajectory(designs["robot_0"], 7),
-                                make_transfer_map(designs["robot_0"], designs["robot_B"]))
-        assert stream.times[0] == 0.0
-        np.testing.assert_allclose(np.diff(stream.times), 1e-3, rtol=1e-12)
-        assert stream.positions.shape == (stream.times.size, 3)
+        sim = run_experiment(designs["robot_0"], designs["robot_B"], 7,
+                             modes=("open_loop_clean",))["open_loop_clean"]
+        assert sim.t[0] == 0.0
+        np.testing.assert_allclose(np.diff(sim.t), 1e-3, rtol=1e-12)
+        assert sim.desired.shape == (sim.t.size, 3)
 
 
 class TestRunExperiment:
@@ -428,8 +428,7 @@ class TestRunsShareStreamWork:
         # 1001 ticks end on t = 1.0 s, which is not past the cutoff, so every
         # tick counts; 1002 ticks leave only the last one
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
-        stream = DesiredStream(times=np.arange(ticks) * 1e-3, positions=desired,
-                               velocities=np.zeros_like(desired))
+        stream = DesiredStream(positions=desired, velocities=np.zeros_like(desired))
         runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), MODES)
         assert_runs_match_independent_runs(runs, stream, robot_D, 6, "general")
         for sim in runs.values():

@@ -23,8 +23,8 @@ from clarkekit import (
     sample_joints,
     surrogate_trajectory,
     synchronize,
-    write_trajectory_csv,
 )
+from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import (_horner, _peak_at_roots, _piece_bounds, _piece_derivative,
                                   _position_poly)
@@ -377,6 +377,34 @@ class TestBlendAndEvaluate:
             with pytest.raises(InvalidParameter, match="timing is not finite"):
                 plan_segment(1e300, KinematicLimits(v_max=1e-300, a_max=1e300,
                                                     dec_max=1e300))
+
+    def test_underflowing_acceleration_product_rejected(self, robot_0):
+        # a_max * dec_max underflows to 0, so every triangular profile would get
+        # v = 0 and the plan would never leave its start
+        limits = KinematicLimits(a_max=1e-300, dec_max=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="a_max=1e-300, dec_max=1e-300"):
+                plan_trajectory(sample_joints(robot_0, 42, 6), limits)
+            with pytest.raises(InvalidParameter, match="peak velocity of 0"):
+                plan_segment(np.array([0.0, -0.01]), limits)
+            assert plan_segment(0.0, limits).v == 0.0
+
+    @pytest.mark.parametrize("distance", [1e14, 1e15, 1e16, -1e15])
+    def test_set_down_lost_in_rounding_rejected(self, distance):
+        # the 0.197 s set-down is less than half an ulp of its start time, so
+        # the plan would end moving at v_max
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameter, match="too short for float64"):
+                plan_trajectory(np.array([[0.0], [distance]]))
+        assert caught == []
+
+    def test_lift_off_lost_in_rounding_rejected(self, vias):
+        # a 4e-22 s lift-off vanishes at the later segments' enable times, while
+        # the 0.197 s set-down stays
+        with pytest.raises(InvalidParameter, match=r"a_max=1e\+20"):
+            plan_trajectory(vias, KinematicLimits(a_max=1e20))
 
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
     def test_idle_middle_segment_matches_oracle(self, overlap):
@@ -765,7 +793,7 @@ class TestTrajectoryCsv:
         vias = sample_joints(robot_0, 3, 3)
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj, dt=1e-3)
+        _write_trajectory_csv(path, traj, 1e-3)
         lines = path.read_text().splitlines()
         assert lines[0] == ("t_s,rho_1_m,vel_1_mps,acc_1_mps2,rho_2_m,vel_2_mps,acc_2_mps2,"
                             "rho_3_m,vel_3_mps,acc_3_mps2")
