@@ -13,7 +13,6 @@ from clarkekit import (
     from_arc,
     symmetric_design,
     to_arc,
-    transform_pair,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -24,7 +23,7 @@ robot_0 = designs["robot_0"]
 # The inverse Clarke matrix has one row [cos(psi_i), sin(psi_i)] per joint;
 # the forward matrix is its pseudoinverse.  For the classic three-joint
 # symmetric layout these are the familiar 2/3-scaled matrices.
-pair = transform_pair(robot_0)
+pair = robot_0.pair
 print("inverse Clarke matrix (n x 2):")
 print(pair.inverse_matrix)
 print("forward Clarke matrix (2 x n):")
@@ -55,7 +54,7 @@ print("decoded back from the arc:", again * 1000, "mm")
 # Arbitrary layouts work the same way; only fully collinear joint angles
 # (all equal modulo pi) are rejected.
 robot_D = designs["robot_D"]
-pair_D = transform_pair(robot_D)
+pair_D = robot_D.pair
 print(f"\nrobot_D: n = {robot_D.n}, Gram condition = {pair_D.condition:.3f}")
 print("right-inverse residue:",
       np.max(np.abs(pair_D.forward_matrix @ pair_D.inverse_matrix - np.eye(2))))

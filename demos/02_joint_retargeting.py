@@ -46,13 +46,10 @@ print("\ntransfer matrix shape:", tmap.matrix.shape)
 print("rank (factors through a 2-D latent space):",
       np.linalg.matrix_rank(tmap.matrix))
 print("matrix application matches the operation:",
-      np.allclose(tmap(rho), out, atol=1e-15))
+      np.allclose(tmap.apply(rho), out, atol=1e-15))
 
 # Chaining designs composes exactly: A -> B -> C equals A -> C.
 robot_B = designs["robot_B"]
 direct = transfer_general(robot_0, robot_D, rho)
 chained = transfer_general(robot_B, robot_D, transfer_general(robot_0, robot_B, rho))
 print("composition deviation:", np.max(np.abs(direct - chained)))
-
-# The map serializes to JSON for audit and replay.
-print("\nJSON export starts with:", tmap.to_json()[:80], "...")

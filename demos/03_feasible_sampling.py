@@ -9,7 +9,7 @@ capped at the half-circle bound pi*d.
 
 import numpy as np
 
-from clarkekit import builtin_designs, sample_clarke_disk, sample_joints, transform_pair
+from clarkekit import builtin_designs, sample_clarke_disk, sample_joints
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -39,6 +39,6 @@ again = sample_joints(robot_0, seed=42, count=100000)
 print("bit-identical re-run:", np.array_equal(joints, again))
 
 # Every decoded sample reconstructs its source latent pair exactly.
-back = joints @ transform_pair(robot_0).forward_matrix.T
+back = joints @ robot_0.pair.forward_matrix.T
 print("max decode/encode roundtrip error:",
       np.max(np.abs(back - batch.clarke)), "m")

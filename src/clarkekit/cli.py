@@ -23,11 +23,12 @@ import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
 
 from . import __version__
-from .core import CONDITION_LIMIT, to_arc, transform_pair
+from .core import CONDITION_LIMIT, to_arc
 from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
 from .fileio import sha256_text, write_csv, write_json
+from .retarget import TRANSFER_MODES
 from .sampling import sample_clarke_disk, sample_joints
 from .simulate import MODES, SimRun, evaluate_suite, run_experiment
 from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits, PlannedTrajectory,
@@ -87,7 +88,7 @@ def cmd_design_check(args) -> int:
 
 def cmd_transform(args) -> int:
     design = get_design(args.design)
-    pair = transform_pair(design)
+    pair = design.pair
     # an overflow shows as a value that is not finite, rejected before anything prints
     with np.errstate(over="ignore", invalid="ignore"):
         if args.clarke is not None:
@@ -115,7 +116,7 @@ def cmd_transform(args) -> int:
 def cmd_sample(args) -> int:
     design = get_design(args.design)
     batch = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
-    joints = batch.clarke @ transform_pair(design).inverse_matrix.T
+    joints = batch.clarke @ design.pair.inverse_matrix.T
     out = Path(args.out)
     header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(design.n)]
     # rows, not an array, so that sample_idx is written as an integer
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("surrogate")
     simulate.add_argument("target")
     simulate.add_argument("--mode", choices=MODES, default="closed_loop")
-    simulate.add_argument("--transfer", choices=("symmetric", "general"), default="general")
+    simulate.add_argument("--transfer", choices=TRANSFER_MODES, default="general")
     simulate.add_argument("--seed", type=_seed, default=42)
     simulate.add_argument("--out-dir", default=None)
     simulate.set_defaults(handler=cmd_simulate)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateDesign, DimensionMismatch, InvalidParameter
 
 __all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "TransformPair",
-           "arc_forward_matrix", "arc_inverse_matrix", "from_arc", "gram_condition",
+           "arc_forward_matrix", "from_arc", "gram_condition",
            "inverse_clarke_matrix", "symmetric_design", "to_arc", "transform_pair", "wrap_angle"]
 
 TWO_PI = 2.0 * math.pi
@@ -85,19 +85,28 @@ class RobotDesign:
 
     @cached_property
     def pair(self) -> "TransformPair":
-        """Forward/inverse Clarke matrix pair (see transform_pair).  A
-        degenerate design raises DegenerateDesign on every access."""
+        """Forward/inverse Clarke matrix pair of the design.
+
+        The forward matrix is the Moore-Penrose pseudoinverse of the inverse
+        matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
+        computed through its closed-form inverse; a condition number at or
+        above CONDITION_LIMIT raises DegenerateDesign, on every access.  For
+        symmetric layouts the result equals (2/n) times the transposed
+        inverse matrix.
+        """
         return _build_pair(self)
 
     @cached_property
     def arc_forward(self) -> np.ndarray:
-        """2 x n joint-to-arc matrix (see arc_forward_matrix)."""
+        """2 x n map from joint displacements to the planar arc pair
+        (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i."""
         return _read_only(self.pair.forward_matrix / self.d[None, :] / self.l)
 
     @cached_property
     def arc_inverse(self) -> np.ndarray:
-        """n x 2 arc-to-joint matrix (see arc_inverse_matrix)."""
-        return _read_only(self.l * self.d[:, None] * inverse_clarke_matrix(self.psi))
+        """n x 2 map from the planar arc pair back to joint displacements;
+        adds l, d_i and psi_i."""
+        return _read_only(self.l * self.d[:, None] * self.pair.inverse_matrix)
 
     def is_symmetric(self) -> bool:
         """True when the joints are equally spaced (gaps within 1e-9 rad of 2*pi/n)."""
@@ -175,6 +184,13 @@ def check_count(value, name: str) -> int:
     return int(value)
 
 
+def check_seed(value) -> int:
+    """Validate and return a random seed, a non-negative integer of any size."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def inverse_clarke_matrix(psi) -> np.ndarray:
     """n x 2 matrix with rows [cos(psi_i), sin(psi_i)].
 
@@ -221,15 +237,7 @@ def _build_pair(design: RobotDesign) -> TransformPair:
 
 
 def transform_pair(design: RobotDesign) -> TransformPair:
-    """The forward/inverse Clarke matrix pair of a design.
-
-    The forward matrix is the Moore-Penrose pseudoinverse of the inverse
-    matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
-    computed through its closed-form inverse; a condition number at or
-    above CONDITION_LIMIT raises DegenerateDesign.  For symmetric layouts
-    the result equals (2/n) times the transposed inverse matrix.  The pair
-    is built once per design and its arrays are read-only.
-    """
+    """Alias of `RobotDesign.pair`, the spelling to use."""
     return design.pair
 
 
@@ -241,16 +249,8 @@ def gram_condition(design: RobotDesign) -> float:
 
 
 def arc_forward_matrix(design: RobotDesign) -> np.ndarray:
-    """2 x n map from joint displacements to the planar arc pair
-    (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i.
-    Built once per design, read-only."""
+    """Alias of `RobotDesign.arc_forward`, the spelling to use."""
     return design.arc_forward
-
-
-def arc_inverse_matrix(design: RobotDesign) -> np.ndarray:
-    """n x 2 map from the planar arc pair back to joint displacements;
-    adds l, d_i and psi_i.  Built once per design, read-only."""
-    return design.arc_inverse
 
 
 def to_arc(design: RobotDesign, joints) -> ArcParameters:
@@ -264,7 +264,13 @@ def to_arc(design: RobotDesign, joints) -> ArcParameters:
 
 def from_arc(design: RobotDesign, arc) -> np.ndarray:
     """Joint vector realizing the given (kappa, theta) arc parameters."""
-    kappa, theta = arc
+    try:
+        kappa, theta = arc
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"expected a (kappa, theta) pair, got {arc!r}") from None
+    kappa, theta = float(kappa), float(theta)
+    if not (math.isfinite(kappa) and math.isfinite(theta)):
+        raise InvalidParameter(f"arc parameters must be finite, got ({kappa}, {theta})")
     w = np.array([kappa * math.cos(theta), kappa * math.sin(theta)])
     return design.arc_inverse @ w
 

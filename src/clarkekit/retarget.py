@@ -13,15 +13,13 @@ applied per time step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RobotDesign, check_count, check_joints, wrap_angle
-from .designs import design_from_dict, design_to_dict
-from .errors import DimensionMismatch, InvalidParameter, ParseError
+from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
            "polar_clarke_grid", "transfer_general", "transfer_symmetric"]
@@ -67,31 +65,6 @@ class TransferMap:
             raise DimensionMismatch(
                 f"expected {self.source.n} source joint values, got shape {values.shape}")
         return values @ self.matrix.T
-
-    def __call__(self, joints) -> np.ndarray:
-        return self.apply(joints)
-
-    def to_dict(self) -> dict:
-        return {
-            "source": design_to_dict(self.source),
-            "target": design_to_dict(self.target),
-            "mode": self.mode,
-            "matrix": [[float(x) for x in row] for row in self.matrix],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TransferMap":
-        if not isinstance(raw, dict):
-            raise ParseError("a transfer map must be a JSON object")
-        missing = {"source", "target", "mode"} - raw.keys()
-        if missing:
-            raise ParseError(f"transfer map: missing fields {sorted(missing)}")
-        return make_transfer_map(design_from_dict(raw["source"]),
-                                 design_from_dict(raw["target"]),
-                                 raw["mode"])
 
 
 def _factors(source: RobotDesign, target: RobotDesign, mode: str):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign
+from .core import RobotDesign, check_seed
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
@@ -53,6 +53,7 @@ class SimConfig:
     transfer_mode: str = "general"
 
     def __post_init__(self):
+        check_seed(self.seed)
         for label in ("dt", "time_constant", "noise_eps", "kp", "kd"):
             if not math.isfinite(getattr(self, label)):
                 raise InvalidParameter(f"{label} must be finite, got {getattr(self, label)}")

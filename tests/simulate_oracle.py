@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from clarkekit import (DEFAULT_LIMITS, InvalidParameter, SimConfig, SimRun,
-                       arc_forward_matrix, arc_inverse_matrix, peak_abs)
+                       arc_forward_matrix, peak_abs)
 from clarkekit.simulate import DesiredStream
 from clarkekit.trajectory import _horner
 
@@ -32,7 +32,7 @@ def run_loop(desired, design, config) -> SimRun:
     desired = np.asarray(desired, dtype=float)
     ticks = desired.shape[0]
     encode = arc_forward_matrix(design)
-    decode = arc_inverse_matrix(design)
+    decode = design.arc_inverse
     alpha = -math.expm1(-config.dt / config.time_constant)
     closed = config.mode == "closed_loop"
     noisy = config.mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0

@@ -12,7 +12,6 @@ from clarkekit import (
     InvalidParameter,
     RobotDesign,
     arc_forward_matrix,
-    arc_inverse_matrix,
     builtin_designs,
     from_arc,
     gram_condition,
@@ -114,13 +113,13 @@ class TestDesignMatrixCache:
         for design in designs.values():
             assert transform_pair(design) is transform_pair(design)
             assert arc_forward_matrix(design) is arc_forward_matrix(design)
-            assert arc_inverse_matrix(design) is arc_inverse_matrix(design)
+            assert design.arc_inverse is design.arc_inverse
 
     def test_cached_matrices_are_read_only(self, designs):
         for design in designs.values():
             pair = transform_pair(design)
             for matrix in (pair.forward_matrix, pair.inverse_matrix, pair.gram,
-                           arc_forward_matrix(design), arc_inverse_matrix(design)):
+                           arc_forward_matrix(design), design.arc_inverse):
                 with pytest.raises(ValueError):
                     matrix[0, 0] = 1.0
 
@@ -129,7 +128,7 @@ class TestDesignMatrixCache:
         np.testing.assert_array_equal(arc_forward_matrix(robot_D),
                                       pair.forward_matrix / robot_D.d[None, :] / robot_D.l)
         np.testing.assert_array_equal(
-            arc_inverse_matrix(robot_D),
+            robot_D.arc_inverse,
             robot_D.l * robot_D.d[:, None] * inverse_clarke_matrix(robot_D.psi))
 
     def test_degenerate_design_raises_on_every_call(self):
@@ -139,6 +138,8 @@ class TestDesignMatrixCache:
                 transform_pair(design)
             with pytest.raises(DegenerateDesign):
                 arc_forward_matrix(design)
+            with pytest.raises(DegenerateDesign):
+                design.arc_inverse
         for _ in range(2):
             assert gram_condition(design) == math.inf
 
@@ -150,7 +151,7 @@ class TestDesignMatrixCache:
             design = builtin_designs()["robot_D"]
             assert transform_pair(design).n == design.n
             assert arc_forward_matrix(design).shape == (2, design.n)
-            assert arc_inverse_matrix(design).shape == (design.n, 2)
+            assert design.arc_inverse.shape == (design.n, 2)
             alive = weakref.ref(design)
             del design
             assert alive() is None
@@ -253,6 +254,23 @@ class TestArcMapping:
             expected = robot_B.l * robot_B.d[i] * (math.cos(robot_B.psi[i]) * kx
                                                    + math.sin(robot_B.psi[i]) * ky)
             assert joints[i] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("arc", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                     (1.0, math.inf), (0.0, math.nan)])
+    def test_from_arc_rejects_non_finite_values(self, robot_D, arc):
+        with pytest.raises(InvalidParameter, match="finite"):
+            from_arc(robot_D, arc)
+
+    @pytest.mark.parametrize("arc", [(1, 2, 3), (1.0,), (), 5.0, None])
+    def test_from_arc_rejects_a_wrong_length(self, robot_D, arc):
+        with pytest.raises(DimensionMismatch):
+            from_arc(robot_D, arc)
+
+    def test_from_arc_accepts_any_numeric_pair(self, robot_D):
+        expected = from_arc(robot_D, ArcParameters(12.0, 0.7))
+        for arc in ((12, 0.7), [12.0, 0.7], np.array([12.0, 0.7]),
+                    (np.int64(12), np.float64(0.7))):
+            np.testing.assert_array_equal(from_arc(robot_D, arc), expected)
 
     def test_arc_roundtrip(self, designs):
         rng = np.random.default_rng(17)

@@ -167,6 +167,12 @@ class TestWriteAtomic:
         write_atomic(tmp_path / "bytes.txt", b"a,b\n1.0,2.0\n")
         assert (tmp_path / "text.txt").read_bytes() == (tmp_path / "bytes.txt").read_bytes()
 
+    def test_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "fresh" / "sub" / "map.json"
+        write_atomic(path, '{"mode": "general"}\n')
+        assert path.read_text() == '{"mode": "general"}\n'
+        assert [p.name for p in path.parent.iterdir()] == ["map.json"]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_mode_follows_umask(self, tmp_path, umask, mode):
         previous = os.umask(umask)

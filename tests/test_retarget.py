@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -9,9 +8,7 @@ from clarkekit import (
     ArcParameters,
     DimensionMismatch,
     InvalidParameter,
-    ParseError,
     PerturbedDesign,
-    TransferMap,
     arc_forward_matrix,
     make_transfer_map,
     perturbation_analysis,
@@ -22,8 +19,6 @@ from clarkekit import (
     transfer_symmetric,
     transform_pair,
 )
-from clarkekit.designs import design_to_dict
-from clarkekit.fileio import write_atomic
 from clarkekit.retarget import _polar
 from conftest import random_design
 from retarget_oracle import perturbation_analysis as perturbation_oracle
@@ -131,7 +126,7 @@ class TestTransferMap:
             rho = rng.uniform(-0.02, 0.02, source.n)
             for mode, op in (("symmetric", transfer_symmetric), ("general", transfer_general)):
                 tmap = make_transfer_map(source, target, mode)
-                assert np.max(np.abs(tmap(rho) - op(source, target, rho))) < 1e-13
+                assert np.max(np.abs(tmap.apply(rho) - op(source, target, rho))) < 1e-13
 
     def test_shape_and_rank(self, designs):
         tmap = make_transfer_map(designs["robot_0"], designs["robot_A"], "general")
@@ -149,41 +144,15 @@ class TestTransferMap:
         tmap = make_transfer_map(robot_0, robot_A)
         rng = np.random.default_rng(23)
         stack = rng.uniform(-0.01, 0.01, (7, 3))
-        batch = tmap(stack)
+        batch = tmap.apply(stack)
         assert batch.shape == (7, 4)
-        np.testing.assert_allclose(batch[2], tmap(stack[2]), rtol=1e-14, atol=1e-20)
+        np.testing.assert_allclose(batch[2], tmap.apply(stack[2]), rtol=1e-14, atol=1e-20)
 
     def test_wrong_joint_count_is_dimension_mismatch(self, robot_0, robot_A):
         tmap = make_transfer_map(robot_0, robot_A)
         for joints in (np.zeros(4), np.zeros((5, 2)), 0.01):
             with pytest.raises(DimensionMismatch):
                 tmap.apply(joints)
-
-    def test_json_round_trip(self, robot_0, robot_D):
-        tmap = make_transfer_map(robot_0, robot_D, "general")
-        import json
-        raw = json.loads(tmap.to_json())
-        assert raw["mode"] == "general"
-        assert raw["source"]["name"] == "robot_0"
-        restored = TransferMap.from_dict(raw)
-        np.testing.assert_allclose(restored.matrix, tmap.matrix, rtol=0.0, atol=1e-15)
-
-    def test_from_dict_rejects_missing_fields_and_non_objects(self, robot_0, robot_D):
-        raw = make_transfer_map(robot_0, robot_D).to_dict()
-        for key in ("source", "target", "mode"):
-            partial = {k: v for k, v in raw.items() if k != key}
-            with pytest.raises(ParseError, match=key):
-                TransferMap.from_dict(partial)
-        for bad in ([raw], "map", None):
-            with pytest.raises(ParseError):
-                TransferMap.from_dict(bad)
-
-    def test_save_creates_missing_directories(self, robot_0, robot_D, tmp_path):
-        tmap = make_transfer_map(robot_0, robot_D)
-        path = tmp_path / "fresh" / "sub" / "map.json"
-        write_atomic(path, tmap.to_json() + "\n")
-        assert path.read_text() == tmap.to_json() + "\n"
-        assert [p.name for p in path.parent.iterdir()] == ["map.json"]
 
     @pytest.mark.parametrize("mode", ["symmetric", "general"])
     def test_encoder_decoder_factor_the_matrix(self, designs, mode):
@@ -193,15 +162,12 @@ class TestTransferMap:
             assert tmap.decoder.shape == (target.n, 2)
             assert not (tmap.encoder.flags.writeable or tmap.decoder.flags.writeable)
             np.testing.assert_array_equal(tmap.decoder @ tmap.encoder, tmap.matrix)
-            # the matrix and its JSON as built from the designs directly
+            # the matrix as built from the designs directly
             if mode == "symmetric":
                 expected = target.pair.inverse_matrix @ source.pair.forward_matrix
             else:
                 expected = target.arc_inverse @ source.arc_forward
             np.testing.assert_array_equal(tmap.matrix, expected)
-            raw = {"source": design_to_dict(source), "target": design_to_dict(target),
-                   "mode": mode, "matrix": expected.tolist()}
-            assert tmap.to_json() == json.dumps(raw, indent=2)
 
     def test_unknown_mode(self, robot_0, robot_A):
         with pytest.raises(InvalidParameter):

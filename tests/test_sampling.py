@@ -74,6 +74,21 @@ class TestClarkeDiskSampling:
         with pytest.raises(InvalidParameter):
             sample_clarke_disk(0, count, 0.01)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, "7", None])
+    def test_invalid_seed(self, robot_0, seed):
+        with pytest.raises(InvalidParameter, match="seed"):
+            sample_clarke_disk(seed, 10, 0.01)
+        with pytest.raises(InvalidParameter, match="seed"):
+            sample_joints(robot_0, seed, 10)
+
+    def test_numpy_and_large_integer_seeds(self):
+        expected = sample_clarke_disk(5, 10, 0.01).clarke
+        for seed in (np.int64(5), np.uint8(5)):
+            np.testing.assert_array_equal(sample_clarke_disk(seed, 10, 0.01).clarke, expected)
+        big = sample_clarke_disk(2**70, 10, 0.01)
+        np.testing.assert_array_equal(big.clarke, sample_clarke_disk(2**70, 10, 0.01).clarke)
+        assert not np.array_equal(big.clarke, sample_clarke_disk(0, 10, 0.01).clarke)
+
 
 class TestJointSampling:
     def test_shape_and_determinism(self, robot_0):

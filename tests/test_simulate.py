@@ -89,6 +89,15 @@ class TestSimConfig:
         with pytest.raises(InvalidParameter):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, "3", None])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(InvalidParameter, match="seed"):
+            SimConfig(seed=seed)
+
+    def test_numpy_and_large_integer_seeds(self):
+        for seed in (np.int64(3), np.uint32(3), 2**70):
+            assert SimConfig(seed=seed).seed == seed
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("gains", [{"kp": 1e5}, {"kd": -1.0}, {"kp": -1.0}])
     def test_unstable_loop_rejected(self, gains, mode):
@@ -349,6 +358,17 @@ class TestDesiredStream:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_invalid_seed(self, robot_0, seed):
+        with pytest.raises(InvalidParameter, match="seed"):
+            surrogate_trajectory(robot_0, seed)
+        with pytest.raises(InvalidParameter, match="seed"):
+            run_experiment(robot_0, robot_0, seed)
+
+    def test_large_integer_seed(self, robot_0):
+        runs = run_experiment(robot_0, robot_0, 2**70, segment_count=1, modes=("closed_loop",))
+        assert np.isfinite(runs["closed_loop"].true).all()
+
     def test_closed_loop_beats_open_loop(self, robot_0):
         runs = run_experiment(robot_0, robot_0, 42)
         assert set(runs) == {"open_loop_clean", "open_loop_noisy", "closed_loop"}
