@@ -157,9 +157,28 @@ class TransformPair:
         return self.inverse_matrix @ check_clarke(clarke)
 
 
+def check_real(value, name: str) -> float:
+    """Validate and return a real scalar as a float; a string, None, or any
+    other value that is not a number within float64's range raises InvalidParameter."""
+    try:
+        math.isfinite(value)
+    except (TypeError, OverflowError):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}") from None
+    return float(value)
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """values as a float array of at least one dimension; raises
+    InvalidParameter when an entry is not a number."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{what} must be real numbers, got {values!r}") from None
+
+
 def check_joints(joints, n: int) -> np.ndarray:
     """Validate and return a joint vector as a float array of length n."""
-    values = np.atleast_1d(np.asarray(joints, dtype=float))
+    values = _float_array(joints, "joint values")
     if values.shape != (n,):
         raise DimensionMismatch(f"expected {n} joint values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -169,7 +188,7 @@ def check_joints(joints, n: int) -> np.ndarray:
 
 def check_clarke(clarke) -> np.ndarray:
     """Validate and return a Clarke coordinate pair as a float array of length 2."""
-    pair = np.atleast_1d(np.asarray(clarke, dtype=float))
+    pair = _float_array(clarke, "Clarke coordinates")
     if pair.shape != (2,):
         raise DimensionMismatch(f"expected a Clarke pair, got shape {pair.shape}")
     if not np.all(np.isfinite(pair)):
@@ -268,7 +287,7 @@ def from_arc(design: RobotDesign, arc) -> np.ndarray:
         kappa, theta = arc
     except (TypeError, ValueError):
         raise DimensionMismatch(f"expected a (kappa, theta) pair, got {arc!r}") from None
-    kappa, theta = float(kappa), float(theta)
+    kappa, theta = check_real(kappa, "kappa"), check_real(theta, "theta")
     if not (math.isfinite(kappa) and math.isfinite(theta)):
         raise InvalidParameter(f"arc parameters must be finite, got ({kappa}, {theta})")
     w = np.array([kappa * math.cos(theta), kappa * math.sin(theta)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_joints, wrap_angle
+from .core import RobotDesign, check_count, check_joints, check_real, wrap_angle
 from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
@@ -183,7 +183,7 @@ def polar_clarke_grid(d_ref: float, radii: int = 5, angles: int = 16) -> np.ndar
     Convenience for perturbation studies: `radii` rings (excluding the
     center) crossed with `angles` equally spaced bending-plane directions.
     """
-    if not (math.isfinite(d_ref) and d_ref > 0.0):
+    if not (math.isfinite(check_real(d_ref, "d_ref")) and d_ref > 0.0):
         raise InvalidParameter(f"d_ref must be positive and finite, got {d_ref}")
     radii, angles = check_count(radii, "radii"), check_count(angles, "angles")
     r = math.pi * d_ref * np.arange(1, radii + 1) / radii

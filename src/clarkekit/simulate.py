@@ -19,14 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, check_seed
+from .core import RobotDesign, check_real, check_seed
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
                        make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
-from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, _horner, peak_abs,
-                         plan_trajectory)
+from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, _dilation, _horner,
+                         peak_abs, plan_trajectory)
 
 __all__ = ["MODES", "DesiredStream", "SimConfig", "SimRun", "desired_stream", "evaluate_suite",
            "run", "run_experiment", "surrogate_trajectory"]
@@ -55,7 +55,7 @@ class SimConfig:
     def __post_init__(self):
         check_seed(self.seed)
         for label in ("dt", "time_constant", "noise_eps", "kp", "kd"):
-            if not math.isfinite(getattr(self, label)):
+            if not math.isfinite(check_real(getattr(self, label), label)):
                 raise InvalidParameter(f"{label} must be finite, got {getattr(self, label)}")
         if self.dt <= 0.0:
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
@@ -266,14 +266,13 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
     Retargeting can raise individual joint speeds (a latent direction may
     align better with a target joint than with any surrogate joint), so the
     retargeted stream is checked against the default velocity limit and,
-    when needed, the whole timeline is uniformly stretched by the smallest
-    factor restoring it.  The stream is evaluated on the two latent columns
-    of the encoded polynomial and then decoded.
+    when its peak exceeds the limit by more than 1e-9 relative (the rule the
+    planner's dilation follows), the whole timeline is uniformly stretched
+    by the smallest factor restoring it.  The stream is evaluated on the two
+    latent columns of the encoded polynomial and then decoded.
     """
-    stretch = 1.0
-    peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
-    if peak_speed > DEFAULT_LIMITS.v_max:
-        stretch = peak_speed / DEFAULT_LIMITS.v_max * (1.0 + 1e-12)
+    stretch = _dilation(peak_abs(trajectory, "velocity", weights=transfer.matrix)
+                        / DEFAULT_LIMITS.v_max)
     horizon = trajectory.horizon * stretch
     ticks = int(math.floor(horizon / SimConfig.dt)) + 1
     source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)

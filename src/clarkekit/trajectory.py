@@ -21,6 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import PPoly
 
+from .core import check_real
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 
 __all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
@@ -58,7 +59,7 @@ class KinematicLimits:
     def __post_init__(self):
         for label, value in (("v_max", self.v_max), ("a_max", self.a_max),
                              ("dec_max", self.dec_max)):
-            if not (math.isfinite(value) and value > 0.0):
+            if not (math.isfinite(check_real(value, label)) and value > 0.0):
                 raise InvalidParameter(f"{label} must be positive and finite, got {value}")
 
 
@@ -146,10 +147,11 @@ class PlannedTrajectory:
 
     states holds the profiles as (segments, joints) arrays; all joints of a
     segment share its enable time.  dilation records the uniform time
-    stretch applied after blending to restore the kinematic limits (1.0
-    when superposition never exceeded them).  position_poly holds the joint
-    positions as one exact piecewise polynomial in t (degree 10); a dilated
-    plan holds its planned polynomial in t / dilation.  Every array is read-only.
+    stretch applied after blending to restore the kinematic limits (exactly
+    1.0 unless a peak exceeded its limit by more than 1e-9 relative).
+    position_poly holds the joint positions as one exact piecewise
+    polynomial in t (degree 10); a dilated plan holds its planned
+    polynomial in t / dilation.  Every array is read-only.
     """
 
     start: np.ndarray
@@ -260,8 +262,9 @@ _PEAK_DEGREE = _TERMS - 2
 _BERNSTEIN = np.array([[math.comb(j, i) / math.comb(_PEAK_DEGREE, i) if i <= j else 0.0
                         for i in range(_PEAK_DEGREE + 1)] for j in range(_PEAK_DEGREE + 1)])
 # Relative to sum |b_i|, rounding in the Bernstein conversion and in Horner's rule
-# stays far below this; a piece is searched while its bound plus this margin
-# reaches the lower bound, so rounding cannot prune the peak's piece.
+# stays far below this.  A (piece, column) whose bound exceeds the breakpoint and
+# midpoint peak by no more than this margin (a tie) can raise the peak by rounding
+# only, so its bound settles it without a root search.
 _PRUNE_MARGIN = 1e-12
 _CHANNEL_ORDER = {"velocity": 1, "acceleration": 2}
 
@@ -296,11 +299,14 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
 
     With a weight matrix (one row per output, one column per joint) the
     per-joint vector is projected through it first, which bounds retargeted
-    streams instead of the planned joints.  The peak is exact: the candidates
-    are the breakpoints, the piece midpoints and each column's real roots of
-    the next derivative.  Roots are sought only on the (piece, column) pairs
-    whose Bernstein convex-hull bound (Farouki, CAGD 29, 2012) can reach the
-    largest value at a breakpoint or midpoint; no other piece can hold the peak.
+    streams instead of the planned joints.  The peak is exact to within the
+    rounding margin of its pieces (1e-12 of a piece's coefficient sum): the
+    candidates are the breakpoints, the piece midpoints and each column's real
+    roots of the next derivative.  Roots are sought only on the (piece, column)
+    pairs whose Bernstein convex-hull bound (Farouki, CAGD 29, 2012) exceeds
+    the largest value at a breakpoint or midpoint by more than that margin.
+    Any other pair is a tie: it raises the peak at most to its bound, which no
+    value on its piece exceeds.
     Raises InvalidParameter when a piece is too long for that bound to be
     finite in float64, as for via distances near 1e300.
     """
@@ -322,13 +328,15 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     probes = np.concatenate([x, x[:-1] + 0.5 * np.diff(x)])
     peak = np.max(np.abs(_horner(coeffs, x, probes, order)[order]))
     bound, margin = _piece_bounds(coeffs, x, order)
-    # Next derivative, with every pruned piece set to a nonzero constant: it has
-    # no roots, where an all-zero piece would report its start point and a NaN.
-    slope = _piece_derivative(coeffs, order + 1)
-    pruned = bound + margin < peak
-    slope[:, pruned] = 0.0
-    slope[-1, pruned] = 1.0
-    peak = max(peak, _peak_at_roots(coeffs, x, slope, order))
+    tie = bound <= peak + margin
+    peak = max(peak, np.max(bound, where=tie, initial=0.0))
+    if not tie.all():
+        # Next derivative, with every tie set to a nonzero constant: it has no
+        # roots, where an all-zero piece would report its start point and a NaN.
+        slope = _piece_derivative(coeffs, order + 1)
+        slope[:, tie] = 0.0
+        slope[-1, tie] = 1.0
+        peak = max(peak, _peak_at_roots(coeffs, x, slope, order))
     return float(peak)
 
 
@@ -343,6 +351,26 @@ def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, slope: np.ndarray, order: 
         return 0.0
     values = _horner(coeffs, x, roots[finite], order)[order]
     return float(np.max(np.abs(values[np.arange(values.shape[0]), column[finite]])))
+
+
+# A peak at most this far above its limit, relative, does not bind.  The per-tick
+# limit checks allow the same tolerance, and a peak that only touches its limit
+# overshoots it by a few ulps plus peak_abs's margin (1e-12 relative to a piece's
+# coefficients), about a thousand times less.
+_BINDING_TOLERANCE = 1e-9
+
+
+def _dilation(velocity_ratio: float, acceleration_ratio: float = 0.0) -> float:
+    """Uniform time stretch that brings peaks at these peak-to-limit ratios
+    within their limits: velocity falls as 1/factor, acceleration as 1/factor**2.
+
+    Exactly 1.0 when no ratio exceeds 1 + _BINDING_TOLERANCE; a binding factor
+    is padded by 1 + 1e-12, so that rounding in the stretched timeline cannot
+    leave a peak above its limit.
+    """
+    if max(velocity_ratio, acceleration_ratio) <= 1.0 + _BINDING_TOLERANCE:
+        return 1.0
+    return max(velocity_ratio, math.sqrt(acceleration_ratio)) * (1.0 + 1e-12)
 
 
 def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
@@ -387,8 +415,8 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     traj = PlannedTrajectory(start=via[0].copy(), states=states, enable_times=enable_times,
                              segment_durations=durations, horizon=horizon, position_poly=poly)
 
-    factor = max(1.0, peak_abs(traj, "velocity") / limits.v_max,
-                 math.sqrt(peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max)))
+    factor = _dilation(peak_abs(traj, "velocity") / limits.v_max,
+                       peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max))
     # a ramp shorter than half an ulp of its start time rounds away and leaves a
     # velocity step (a long move ends at full speed); a lost cruise leaves none
     e = enable_times[:, None]
@@ -398,7 +426,6 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                                f"dec_max={limits.dec_max} give a ramp too short for float64 "
                                "to resolve at its start time")
     if factor > 1.0:
-        factor *= 1.0 + 1e-12
         states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
                                  t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
         # the dilated positions are the planned polynomial in t / factor; scaling

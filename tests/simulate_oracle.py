@@ -69,11 +69,13 @@ def run_loop(desired, design, config) -> SimRun:
 
 def joint_space_stream(trajectory, transfer):
     """The desired positions and velocities evaluated on the surrogate's joints
-    and mapped through transfer.matrix, and the retarget stretch behind their timeline."""
+    and mapped through transfer.matrix, and the retarget stretch behind their
+    timeline: none while the peak speed stays within 1e-9 of the limit, else
+    the peak-to-limit ratio padded by 1 + 1e-12."""
     stretch = 1.0
-    peak_speed = peak_abs(trajectory, "velocity", weights=transfer.matrix)
-    if peak_speed > DEFAULT_LIMITS.v_max:
-        stretch = peak_speed / DEFAULT_LIMITS.v_max * (1.0 + 1e-12)
+    ratio = peak_abs(trajectory, "velocity", weights=transfer.matrix) / DEFAULT_LIMITS.v_max
+    if ratio > 1.0 + 1e-9:
+        stretch = ratio * (1.0 + 1e-12)
     ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
     times = np.arange(ticks) * SimConfig.dt
     poly = trajectory.position_poly

@@ -173,6 +173,13 @@ class TestTraj:
         assert len(err.splitlines()) == 1 and err.startswith("error: the limits v_max=")
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if via is None else ["via.txt"])
 
+    def test_plan_within_limits_reports_no_dilation(self, capsys, tmp_path, monkeypatch):
+        # the demo plan's peaks only touch their limits, which does not bind
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = invoke(capsys, "traj", "robot_0", "--seed", "42")
+        assert code == 0
+        assert "dilation 1;" in stdout
+
     def test_sampled_vias(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         code, stdout, _ = invoke(capsys, "traj", "robot_0", "--sample", "3",

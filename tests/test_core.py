@@ -266,6 +266,14 @@ class TestArcMapping:
         with pytest.raises(DimensionMismatch):
             from_arc(robot_D, arc)
 
+    def test_from_arc_rejects_non_numeric_values(self, robot_D):
+        with pytest.raises(InvalidParameter, match="kappa must be a real number"):
+            from_arc(robot_D, ("a", "b"))
+
+    def test_to_arc_rejects_non_numeric_joints(self, robot_D):
+        with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
+            to_arc(robot_D, ["a", "b", "c"])
+
     def test_from_arc_accepts_any_numeric_pair(self, robot_D):
         expected = from_arc(robot_D, ArcParameters(12.0, 0.7))
         for arc in ((12, 0.7), [12.0, 0.7], np.array([12.0, 0.7]),

@@ -320,6 +320,11 @@ class TestPolarClarkeGrid:
         with pytest.raises(InvalidParameter):
             polar_clarke_grid(d_ref)
 
+    @pytest.mark.parametrize("d_ref", ["0.01", None])
+    def test_rejects_non_numeric_d_ref(self, d_ref):
+        with pytest.raises(InvalidParameter, match="d_ref must be a real number"):
+            polar_clarke_grid(d_ref)
+
     @pytest.mark.parametrize("radii,angles", [(2.5, 16), (5, 2.5), (5.0, 16), (0, 16), (5, -1)])
     def test_rejects_non_integer_or_empty_counts(self, radii, angles):
         with pytest.raises(InvalidParameter):

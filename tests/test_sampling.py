@@ -69,6 +69,11 @@ class TestClarkeDiskSampling:
         with pytest.raises(InvalidParameter):
             sample_clarke_disk(0, 10, -0.01)
 
+    @pytest.mark.parametrize("d_ref", ["0.01", None])
+    def test_non_numeric_d_ref(self, d_ref):
+        with pytest.raises(InvalidParameter, match="d_ref must be a real number"):
+            sample_clarke_disk(0, 10, d_ref)
+
     @pytest.mark.parametrize("count", [2.5, 10.0, "10", None])
     def test_non_integer_count(self, count):
         with pytest.raises(InvalidParameter):

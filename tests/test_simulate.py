@@ -9,6 +9,7 @@ from scipy import stats
 
 import clarkekit
 from clarkekit import (
+    DEFAULT_LIMITS,
     DEFAULT_V_MAX,
     MODES,
     DimensionMismatch,
@@ -18,6 +19,7 @@ from clarkekit import (
     desired_stream,
     evaluate_suite,
     make_transfer_map,
+    peak_abs,
     run,
     run_experiment,
     surrogate_trajectory,
@@ -27,6 +29,7 @@ from clarkekit.cli import Manifest, _write_run
 from clarkekit.fileio import write_csv
 from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
 from clarkekit.retarget import TRANSFER_MODES
+from clarkekit.trajectory import _dilation
 from simulate_oracle import joint_space_stream, pt1_step, run_loop
 
 
@@ -87,6 +90,11 @@ class TestSimConfig:
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"dt": "1"}, {"kp": None}, {"noise_eps": 10**400}])
+    def test_non_numeric_fields(self, kwargs):
+        with pytest.raises(InvalidParameter, match="must be a real number"):
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, "3", None])
@@ -309,6 +317,42 @@ def test_import_and_experiment_leave_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def rule_cases(designs):
+    """The dilation rule's case list, fixed in advance: every design's
+    surrogate plan at overlap 0.5 for seeds 0-59, seed s with 3 + s % 10
+    segments (each count 3-12 six times per design)."""
+    return [(design, seed, surrogate_trajectory(design, seed, 3 + seed % 10))
+            for design in designs.values() for seed in range(60)]
+
+
+class TestOneDilationRule:
+    """Plans and retargeted streams share one rule: a peak within 1e-9 of its
+    limit does not bind, so no plan at overlap 0.5 is dilated."""
+
+    def test_plans_within_limits_are_not_dilated(self, rule_cases):
+        tolerance = 1.0 + 1e-9
+        for design, seed, traj in rule_cases:
+            assert traj.dilation == 1.0, (design.name, seed)
+            assert peak_abs(traj, "velocity") <= DEFAULT_LIMITS.v_max * tolerance
+            assert peak_abs(traj, "acceleration") <= min(DEFAULT_LIMITS.a_max,
+                                                          DEFAULT_LIMITS.dec_max) * tolerance
+
+    def test_streams_within_the_velocity_limit(self, designs, rule_cases):
+        # every target; the transfer mode alternates with the seed
+        limit = DEFAULT_V_MAX * (1.0 + 1e-9)
+        for surrogate, seed, traj in rule_cases:
+            for target in designs.values():
+                transfer = make_transfer_map(surrogate, target, TRANSFER_MODES[seed % 2])
+                stream = desired_stream(traj, transfer)
+                peak = peak_abs(traj, "velocity", weights=transfer.matrix)
+                stretch = _dilation(peak / DEFAULT_V_MAX)
+                assert stream.positions.shape[0] == math.floor(
+                    traj.horizon * stretch / SimConfig.dt) + 1
+                assert peak / stretch <= limit, (surrogate.name, target.name, seed)
+                assert np.max(np.abs(stream.velocities)) <= limit
 
 
 class TestDesiredStream:

@@ -24,10 +24,11 @@ from clarkekit import (
     surrogate_trajectory,
     synchronize,
 )
+from clarkekit import trajectory
 from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
-from clarkekit.trajectory import (_horner, _peak_at_roots, _piece_bounds, _piece_derivative,
-                                  _position_poly)
+from clarkekit.trajectory import (_dilation, _horner, _peak_at_roots, _piece_bounds,
+                                  _piece_derivative, _position_poly)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs, smoothstep, smoothstep_integral,
@@ -167,6 +168,11 @@ class TestPlanSegment:
             plan_segment(math.inf)
         with pytest.raises(InvalidParameter):
             plan_segment(np.array([[0.01, math.nan], [0.0, 0.02]]))
+
+    @pytest.mark.parametrize("field", ["v_max", "a_max", "dec_max"])
+    def test_non_numeric_limit(self, field):
+        with pytest.raises(InvalidParameter, match=f"{field} must be a real number"):
+            KinematicLimits(**{field: "0.01"})
 
     def test_array_matches_scalar_oracle_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -441,6 +447,18 @@ class TestBlendAndEvaluate:
         assert evaluate(traj, traj.horizon)[0][0] == pytest.approx(-0.02, abs=1e-15)
 
 
+class TestDilationFactor:
+    def test_ratios_within_the_tolerance_do_not_bind(self):
+        for ratios in ((0.0,), (1.0,), (1.0 + 1e-9,), (0.5, 1.0 + 1e-9), (1.0 + 1e-9, 1.0)):
+            assert _dilation(*ratios) == 1.0
+
+    def test_binding_ratios_are_padded(self):
+        assert _dilation(1.0 + 2e-9) == (1.0 + 2e-9) * (1.0 + 1e-12)
+        # acceleration falls with the square of the stretch
+        assert _dilation(0.5, 4.0) == 2.0 * (1.0 + 1e-12)
+        assert _dilation(1.5, 1.21) == 1.5 * (1.0 + 1e-12)
+
+
 def random_plans(count: int = 40):
     """Plans over all five designs with 3-12 segments and mixed overlaps,
     each paired with the general transfer matrix to another design."""
@@ -517,16 +535,20 @@ class TestDilatedPolynomial:
 
     @staticmethod
     def dilated_plans():
-        reversal = plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
-                                   DEFAULT_LIMITS, 1.0)
-        return [reversal] + [traj for traj, _ in random_plans() if traj.dilation > 1.0]
+        # at full overlap a joint that reverses adds one segment's set-down
+        # deceleration to the next one's lift-off, which stretches by up to sqrt(2)
+        plans = [plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                                 DEFAULT_LIMITS, 1.0)]
+        plans += [plan_trajectory(sample_joints(design, seed, 3 + seed % 4), DEFAULT_LIMITS, 1.0)
+                  for design in builtin_designs().values() for seed in range(6)]
+        return [traj for traj in plans if traj.dilation > 1.0]
 
     def test_matches_rebuilt_polynomial(self):
         plans = self.dilated_plans()
         assert len(plans) > 20
         for traj in plans:
             # planned once: the plan comes with its polynomial
-            assert traj.dilation > 1.0
+            assert traj.dilation > 1.2
             seeded = traj.position_poly
             rebuilt = _position_poly(traj.start, traj.states, traj.enable_times, traj.horizon)
             times = np.concatenate([np.arange(0.0, traj.horizon, 1e-3), seeded.x, rebuilt.x])
@@ -702,17 +724,42 @@ class TestPrunedPeak:
             DEFAULT_LIMITS.a_max, rel=1e-12)
 
     def test_pruning_loses_no_candidate(self, robot_D):
-        # bit for bit the peak of a search over every piece in the same
-        # arithmetic; in the two robot_D plans an interior root's value
-        # reaches the breakpoint/midpoint maximum while its piece's computed
-        # Bernstein bound lies an ulp below that maximum, so only the
-        # rounding margin keeps that piece searched
+        # within the rounding margin of a search over every piece in the same
+        # arithmetic: a tie's bound may stand in for its peak; in the two
+        # robot_D plans an interior root's value reaches the breakpoint/midpoint
+        # maximum while its piece's computed Bernstein bound lies an ulp below it
         cases = [(traj, channel, w) for traj, weights in random_plans(20)
                  for channel in ("velocity", "acceleration") for w in (None, weights)]
         cases += [(surrogate_trajectory(robot_D, seed, segment_count=segments),
                    "acceleration", None) for seed, segments in ((11, 4), (16, 9))]
         for traj, channel, weights in cases:
-            assert peak_abs(traj, channel, weights) == unpruned_peak(traj, channel, weights)
+            poly = traj.position_poly
+            coeffs = poly.c if weights is None else poly.c @ weights.T
+            margin = _piece_bounds(coeffs, poly.x, {"velocity": 1, "acceleration": 2}[channel])[1]
+            exact = unpruned_peak(traj, channel, weights)
+            assert abs(peak_abs(traj, channel, weights) - exact) <= margin.max()
+
+    @staticmethod
+    def refuse_root_search(*args):
+        raise AssertionError("a root search ran")
+
+    def test_ties_need_no_root_search(self, designs, monkeypatch):
+        # every piece of these plans either stays below the breakpoint/midpoint
+        # peak or ties with it; their peaks sit on ramp midpoints and cruises
+        monkeypatch.setattr(trajectory, "_peak_at_roots", self.refuse_root_search)
+        for design in designs.values():
+            traj = surrogate_trajectory(design, 42)
+            for channel in ("velocity", "acceleration"):
+                assert peak_abs(traj, channel) > 0.0
+
+    def test_interior_peak_is_still_searched(self, monkeypatch):
+        # the projected velocity peaks strictly between breakpoints, well above
+        # every probe, so its piece is no tie
+        traj = plan_trajectory(np.array([[0.0, 0.0], [0.02, 0.004]]))
+        weights = np.array([[1.0, -1.0]])
+        monkeypatch.setattr(trajectory, "_peak_at_roots", self.refuse_root_search)
+        with pytest.raises(AssertionError, match="a root search ran"):
+            peak_abs(traj, "velocity", weights)
 
     def test_bound_covers_dense_samples(self):
         for traj, weights in list(random_plans())[::4]:
