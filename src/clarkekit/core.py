@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,8 +61,8 @@ class RobotDesign:
     l: float
 
     def __post_init__(self):
-        psi = np.atleast_1d(np.asarray(self.psi, dtype=float)).copy()
-        d = np.atleast_1d(np.asarray(self.d, dtype=float)).copy()
+        psi = np.atleast_1d(float_array(self.psi, "joint angles")).copy()
+        d = np.atleast_1d(float_array(self.d, "center-line distances")).copy()
         if psi.ndim != 1 or d.ndim != 1 or psi.shape != d.shape:
             raise InvalidParameter("psi and d must be 1-D sequences of equal length")
         if psi.size < 3:
@@ -70,7 +71,7 @@ class RobotDesign:
             raise InvalidParameter("joint angles must be finite")
         if not np.all(np.isfinite(d)) or not np.all(d > 0.0):
             raise InvalidParameter("center-line distances must be positive and finite")
-        l = float(self.l)
+        l = check_real(self.l, "segment length")
         if not math.isfinite(l) or l <= 0.0:
             raise InvalidParameter("segment length must be positive and finite")
         psi.setflags(write=False)
@@ -167,18 +168,21 @@ def check_real(value, name: str) -> float:
     return float(value)
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """values as a float array of at least one dimension; raises
-    InvalidParameter when an entry is not a number."""
+def float_array(values, what: str) -> np.ndarray:
+    """values as a float array, converted once (an array that is already
+    float is returned as it is); raises InvalidParameter when an entry is
+    not a number or the entries do not form an array.  The message shows
+    the input abbreviated, as a batch can be long."""
     try:
-        return np.atleast_1d(np.asarray(values, dtype=float))
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise InvalidParameter(f"{what} must be real numbers, got {values!r}") from None
+        raise InvalidParameter(
+            f"{what} must be real numbers, got {reprlib.repr(values)}") from None
 
 
 def check_joints(joints, n: int) -> np.ndarray:
     """Validate and return a joint vector as a float array of length n."""
-    values = _float_array(joints, "joint values")
+    values = np.atleast_1d(float_array(joints, "joint values"))
     if values.shape != (n,):
         raise DimensionMismatch(f"expected {n} joint values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -188,7 +192,7 @@ def check_joints(joints, n: int) -> np.ndarray:
 
 def check_clarke(clarke) -> np.ndarray:
     """Validate and return a Clarke coordinate pair as a float array of length 2."""
-    pair = _float_array(clarke, "Clarke coordinates")
+    pair = np.atleast_1d(float_array(clarke, "Clarke coordinates"))
     if pair.shape != (2,):
         raise DimensionMismatch(f"expected a Clarke pair, got shape {pair.shape}")
     if not np.all(np.isfinite(pair)):
@@ -298,8 +302,9 @@ def symmetric_design(n: int, d: float, l: float, name: str = "symmetric") -> Rob
     """Design with n equally spaced joints at constant center-line distance d."""
     if int(n) != n or n < 3:
         raise InvalidParameter(f"a symmetric design needs an integer n >= 3, got {n}")
+    d, l = check_real(d, "d"), check_real(l, "l")
     if d <= 0.0 or l <= 0.0:
         raise InvalidParameter("d and l must be positive")
     n = int(n)
     psi = TWO_PI * np.arange(n) / n
-    return RobotDesign(name=name, psi=psi, d=np.full(n, float(d)), l=float(l))
+    return RobotDesign(name=name, psi=psi, d=np.full(n, d), l=l)

@@ -6,8 +6,11 @@ An array column is formatted by an exact integer kernel (float64 and int64
 numpy operations, `_block_cells`) whose cells equal `repr(float(x))` byte
 for byte; the cells it cannot decide, such as zeros, non-finite values,
 magnitudes outside [1e-6, 1e16) and exact ties, are formatted by `repr`.
-Every writer returns the SHA-256 of the bytes it wrote, so manifests need
-not read the files back.
+It builds each cell as three uint64 words: the digits shifted into place
+and masked, or-ed with the constant bytes of the cell's layout.  A table is
+written and hashed a block of rows at a time, never held whole.  Every
+writer returns the SHA-256 of the bytes it wrote, so manifests need not
+read the files back.
 """
 
 from __future__ import annotations
@@ -15,32 +18,36 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 
-def write_atomic(path, data: str | bytes) -> str:
-    """Write text (UTF-8) or bytes to path via a temp file in the same
-    directory and return the SHA-256 hex digest of the bytes written.  The
-    file gets mode 0o666 less the process umask, as a plain `open` would
-    give it."""
+def write_atomic(path, data: str | bytes | Iterable) -> str:
+    """Write text (UTF-8), bytes or an iterable of byte chunks, each written
+    and hashed in turn, to path via a temp file in the same directory and
+    return the SHA-256 hex digest of the bytes written.  The file gets mode
+    0o666 less the process umask, as a plain `open` would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(data, str):
-        data = data.encode()
+    if isinstance(data, (str, bytes)):
+        data = [data.encode() if isinstance(data, str) else data]
+    digest = hashlib.sha256()
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL never opens an existing file; the kernel applies the umask to 0o666
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in data:
+                handle.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> str:
@@ -58,8 +65,7 @@ def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> s
     the dict and decides how long it lives.
     """
     if isinstance(rows, np.ndarray):
-        head = (",".join(header) + "\n").encode()
-        return write_atomic(path, b"".join([head, *_table_chunks(rows, formatted)]))
+        return write_atomic(path, _table_chunks(header, rows, formatted))
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else repr(float(cell))
@@ -73,14 +79,17 @@ _CELL = 24
 _ROWS = 1024
 
 
-def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
-    """The CSV lines of a 2-D array as byte chunks.  Each column is formatted
-    once, or taken from `formatted`, as NUL-padded cells; a block of rows is
-    laid out with its separators in one byte grid and the padding dropped."""
+def _table_chunks(header: list[str], rows: np.ndarray, formatted: dict | None):
+    """The CSV lines of a header and a 2-D array as byte chunks, made one at
+    a time.  Each column is formatted once, or taken from `formatted`, as
+    NUL-padded cells; a block of rows is laid out with its separators in one
+    byte grid and the padding dropped."""
+    yield (",".join(header) + "\n").encode()
     table = rows.astype(float, copy=False)
     if table.shape[1] == 0:
         # rows without cells: one empty line each, as the iterable path writes
-        return [b"\n" * table.shape[0]]
+        yield b"\n" * table.shape[0]
+        return
     if formatted is None:
         formatted = {}
     columns = []
@@ -90,7 +99,6 @@ def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
         if cells is None:
             cells = formatted[key] = _repr_cells(col)
         columns.append(cells)
-    chunks = []
     for start in range(0, table.shape[0], _ROWS):
         stop = min(start + _ROWS, table.shape[0])
         # each cell: its NUL-padded text, then the separator that follows it
@@ -99,8 +107,7 @@ def _table_chunks(rows: np.ndarray, formatted: dict | None) -> list[np.ndarray]:
             grid[:, j, :_CELL] = cells[start:stop]
         grid[:, :, _CELL] = ord(",")
         grid[:, -1, _CELL] = ord("\n")
-        chunks.append(grid[grid != 0])
-    return chunks
+        yield grid[grid != 0]
 
 
 # Values formatted per call of _block_cells: bounds its temporaries to ~3 MB.
@@ -118,26 +125,25 @@ _POW10 = np.array([float(10 ** q) for q in range(23)])
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _E16, _E17 = 10 ** 16, 10 ** 17
-# ASCII of 0000..9999, one uint32 word per 4-digit group, and its trailing zeros
+# A cell is three little-endian uint64 words, and so is D, the 17 digits of
+# the scaled value, built from the ASCII of 0000..9999 (one word per 4-digit
+# group, first digit in the low byte); and each group's trailing zeros.
+_WORD = np.dtype("<u8")
+_BYTE, _U24, _U40, _U56 = (np.uint64(bits) for bits in (8, 24, 40, 56))
 _GROUPS = np.arange(10_000)
 _DIGITS4 = (np.stack([_GROUPS // 1000, _GROUPS // 100 % 10, _GROUPS // 10 % 10, _GROUPS % 10],
-                     axis=1).astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+                     axis=1).astype(np.uint8) + ord("0")).view("<u4").ravel().astype(np.uint64)
 _ZEROS4 = ((_GROUPS % 10 == 0).astype(np.int64) + (_GROUPS % 100 == 0)
            + (_GROUPS % 1000 == 0) + (_GROUPS == 0))
-# A cell is gathered from a 32-byte row: NUL at 0, the 17 digits of the
-# scaled value from 3 (so each 4-digit group is one aligned uint32 word),
-# then from 20 the other characters a kernel cell can hold.
-_ROW = 32
-_FIRST_DIGIT = 3
-_FIRST_CHAR = 20
-_CHARS = b".-e056"
-_CHAR_AT = np.zeros(256, dtype=np.intp)
-_CHAR_AT[list(_CHARS)] = np.arange(_FIRST_CHAR, _FIRST_CHAR + len(_CHARS))
 
 
-def _templates() -> np.ndarray:
-    """Row offsets of each cell byte, per (decimal exponent E in [-6, 15],
-    digit count p, sign): positional for -4 <= E < 16, else d.ddde-0X."""
+def _layouts():
+    """Cell layouts per (decimal exponent E in [-6, 15], digit count p,
+    sign): positional for -4 <= E < 16, else d.ddde-0X.  A layout is its
+    constant bytes ("-", "0.", ".", "e-0X"), the shift in bits (at most 6
+    bytes) that moves D's leading digits into place, and the masks of the
+    digits before and after the point; those after it sit one byte further
+    on.  Each is given as three uint64 word arrays indexed by the key."""
     pictures = []
     for e in range(-6, 16):
         for p in range(1, 18):
@@ -152,12 +158,17 @@ def _templates() -> np.ndarray:
     text = np.frombuffer("".join(pic.ljust(_CELL, "\0") for pic in pictures).encode(),
                          dtype=np.uint8).reshape(-1, _CELL)
     digit = text == ord("d")
-    offsets = _CHAR_AT[text]
-    offsets[digit] = (_FIRST_DIGIT - 1 + np.cumsum(digit, axis=1))[digit]
-    return offsets
+    # a digit's position less its index in D: the shift of the run it is in
+    shift = np.arange(_CELL) - np.cumsum(digit, axis=1) + 1
+    first = shift[np.arange(len(pictures)), digit.argmax(axis=1)][:, None]
+    cells = np.stack([np.where(digit, 0, text), 255 * (digit & (shift == first)),
+                      255 * (digit & (shift == first + 1))]).astype(np.uint8)
+    # row j of each table: word j of every layout's cell
+    const, run1, run2 = np.ascontiguousarray(cells.view(_WORD).transpose(0, 2, 1), np.uint64)
+    return const, (8 * first.ravel()).astype(np.uint64), run1, run2
 
 
-_TEMPLATES = _templates()
+_CONST, _SHIFT, _RUN1, _RUN2 = _layouts()
 
 
 def _block_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -175,6 +186,10 @@ def _block_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     Each distance is rounded once at most, so a strict comparison with
     the exact h holds for the exact distance too; a distance equal to h,
     an exact tie of two candidates or a misjudged E leaves the cell to repr.
+
+    A cell's words are its layout's constant bytes | X & first-run mask |
+    Y & second-run mask, where X is D moved up by the layout's shift and Y
+    is X moved one byte further (past the point).
     """
     bits = x.view(np.int64)
     mag = bits & _MAGNITUDE
@@ -198,7 +213,7 @@ def _block_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     cand = n17
     fits = np.ones(x.size, dtype=bool)
     for s in (10, 100):
-        rem = n17 % s
+        rem = n17 - n17 // s * s
         below = rem + r
         above = (s - rem) - r
         tried = fits
@@ -214,22 +229,28 @@ def _block_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # cells left to repr get placeholder digits that index the tables safely
     cand = np.where(decided, cand, _E16)
     e10 = np.where(decided, e10, 0)
-    lead, rest = np.divmod(cand, _E16)
-    top, low = np.divmod(rest, 10 ** 8)
-    g1, g2 = np.divmod(top, 10_000)
-    g3, g4 = np.divmod(low, 10_000)
+    # four 4-digit groups, lowest first, then the lead digit: // by a scalar beats % and divmod
+    groups, lead = [], cand
+    for _ in range(4):
+        high = lead // 10_000
+        groups.append(lead - high * 10_000)
+        lead = high
+    g4, g3, g2, g1 = groups
     zeros = _ZEROS4[g4] + (g4 == 0) * (_ZEROS4[g3] + (g3 == 0) * (
         _ZEROS4[g2] + (g2 == 0) * _ZEROS4[g1]))
-    rows = np.zeros((x.size, _ROW), dtype=np.uint8)
-    rows[:, _FIRST_CHAR:_FIRST_CHAR + len(_CHARS)] = np.frombuffer(_CHARS, dtype=np.uint8)
-    rows[:, _FIRST_DIGIT] = lead + ord("0")
-    words = rows.view(np.uint32)
-    for j, group in enumerate((g1, g2, g3, g4), start=1):
-        words[:, j] = _DIGITS4[group]
     key = ((e10 + 6) * 17 + (16 - zeros)) * 2 + (bits < 0)
-    index = np.take(_TEMPLATES, key, axis=0)
-    index += (np.arange(x.size) * _ROW)[:, None]
-    np.take(rows.ravel(), index, out=out, mode="clip")
+    w2, w4 = _DIGITS4[g2], _DIGITS4[g4]
+    d0 = (lead.view(np.uint64) + np.uint64(ord("0"))) | _DIGITS4[g1] << _BYTE | w2 << _U40
+    d1 = w2 >> _U24 | _DIGITS4[g3] << _BYTE | w4 << _U40
+    d2 = w4 >> _U24
+    # a word's top bytes carry into the next; two shifts keep each below 64
+    s = _SHIFT[key]
+    back = _U56 - s
+    x = (d0 << s, d1 << s | (d0 >> _BYTE) >> back, d2 << s | (d1 >> _BYTE) >> back)
+    y = (x[0] << _BYTE, x[1] << _BYTE | x[0] >> _U56, x[2] << _BYTE | x[1] >> _U56)
+    words = out.view(_WORD)
+    for j in range(3):
+        words[:, j] = _CONST[j][key] | x[j] & _RUN1[j][key] | y[j] & _RUN2[j][key]
     return decided
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_joints, check_real, wrap_angle
+from .core import RobotDesign, check_count, check_joints, check_real, float_array, wrap_angle
 from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
@@ -60,7 +60,7 @@ class TransferMap:
         NaN or inf input gives NaN or inf output.  The CLI and file readers
         check finiteness where input enters.
         """
-        values = np.asarray(joints, dtype=float)
+        values = float_array(joints, "source joint values")
         if values.ndim == 0 or values.shape[-1] != self.source.n:
             raise DimensionMismatch(
                 f"expected {self.source.n} source joint values, got shape {values.shape}")
@@ -151,7 +151,7 @@ def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> np.recarra
     dtheta = theta_real - theta_cmd is wrapped to [-pi, pi).
     """
     nominal = perturbed.nominal
-    points = np.atleast_2d(np.asarray(clarke_grid, dtype=float))
+    points = np.atleast_2d(float_array(clarke_grid, "Clarke coordinates"))
     if points.ndim != 2 or points.shape[1] != 2:
         raise DimensionMismatch(f"expected Clarke pairs of shape (m, 2), got shape {points.shape}")
     if not np.isfinite(points).all():

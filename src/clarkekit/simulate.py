@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, check_real, check_seed
+from .core import RobotDesign, check_real, check_seed, float_array
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
@@ -162,7 +162,7 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes) -> dict[st
     set to that mode, computing once what their runs share: the tick grid, the
     noise draw (the config's seed and the stream's shape) and the open-loop
     state scan with its error metrics."""
-    desired = np.asarray(desired, dtype=float)
+    desired = float_array(desired, "desired stream")
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(
             f"desired stream must have shape (ticks, {design.n}), got {desired.shape}")

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import PPoly
 
-from .core import check_real
+from .core import check_real, float_array
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 
 __all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
@@ -91,7 +91,7 @@ def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryS
     integrates to 1/2 over a ramp, the distance closes as
     |delta| = v * (t_lo / 2 + t_cr + t_sd / 2).
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = float_array(delta, "segment distances")
     if not np.isfinite(delta).all():
         raise InvalidParameter("segment distances must be finite")
     dist = np.abs(delta)
@@ -240,7 +240,7 @@ def evaluate(traj: PlannedTrajectory, t):
     array of query times and raises OutOfRange for a time outside the horizon
     or one that is not finite.
     """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.atleast_1d(float_array(t, "query times"))
     scalar = np.ndim(t) == 0
     if times.size and not (np.isfinite(times).all() and times.min() >= -1e-9
                            and times.max() <= traj.horizon + 1e-9):
@@ -317,7 +317,7 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     poly = traj.position_poly
     coeffs = poly.c
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
+        weights = float_array(weights, "weights")
         if weights.ndim != 2 or weights.shape[1] != traj.n:
             raise DimensionMismatch(
                 f"weights must have shape (rows, {traj.n}), got {weights.shape}")
@@ -386,11 +386,12 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     every duration is uniformly dilated by the smallest factor restoring
     feasibility.
     """
-    via = np.atleast_2d(np.asarray(via_points, dtype=float))
+    via = np.atleast_2d(float_array(via_points, "via points"))
     if via.ndim != 2 or via.shape[0] < 2:
         raise InvalidParameter("need a 2-D via table with at least start and goal rows")
     if not np.all(np.isfinite(via)):
         raise InvalidParameter("via points must be finite")
+    overlap_fraction = check_real(overlap_fraction, "overlap_fraction")
     if not 0.0 <= overlap_fraction <= 1.0:
         raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")
     states = synchronize(plan_segment(np.diff(via, axis=0), limits))

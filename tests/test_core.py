@@ -318,6 +318,10 @@ class TestSymmetricDesign:
         with pytest.raises(InvalidParameter):
             symmetric_design(n, d, l)
 
+    def test_rejects_a_non_numeric_distance(self):
+        with pytest.raises(InvalidParameter, match="d must be a real number"):
+            symmetric_design(3, "0.01", 0.1)
+
 
 class TestRobotDesignValidation:
     def test_length_mismatch(self):
@@ -335,6 +339,14 @@ class TestRobotDesignValidation:
     def test_nonfinite_angle(self):
         with pytest.raises(InvalidParameter):
             RobotDesign("x", psi=[0.0, np.nan, 2.0], d=[0.01] * 3, l=0.1)
+
+    def test_non_numeric_angles(self):
+        with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
+            RobotDesign("x", psi=["a", "b", "c"], d=[0.01] * 3, l=0.1)
+
+    def test_missing_length(self):
+        with pytest.raises(InvalidParameter, match="segment length must be a real number"):
+            RobotDesign("x", psi=[0.0, 1.0, 2.0], d=[0.01] * 3, l=None)
 
     def test_arrays_are_read_only(self, robot_0):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import stat
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -114,6 +116,30 @@ class TestReprCells:
         values[::1000] = np.resize(specials, values[::1000].size)
         assert_cells_match_repr(values)
 
+    def test_every_cell_layout(self):
+        # one value per (decimal exponent E, significant digits p, sign) that
+        # the kernel lays out: p <= 15 digits read back as written, and for
+        # p = 16, 17 the next floats up are tried until repr has p digits
+        def layout(text):
+            value = Decimal(text)
+            return value.adjusted(), len(value.normalize().as_tuple().digits), value.is_signed()
+
+        values, layouts = [], set()
+        for e in range(-6, 16):
+            for p in range(1, 18):
+                digits = "12345678901234567"[:p - 1] + "7"
+                x = float(f"{digits[0]}.{digits[1:]}e{e}")
+                while layout(repr(x))[1] != p:
+                    x = float(np.nextafter(x, np.inf))
+                for v in (x, -x):
+                    assert layout(repr(v)) == (e, p, v < 0)
+                    layouts.add(layout(repr(v)))
+                    values.append(v)
+        assert len(layouts) == len(values) == 22 * 17 * 2
+        values = np.array(values)
+        assert decided(values).all()
+        assert_cells_match_repr(values)
+
     def test_demo_cells_mostly_skip_repr(self, tmp_path, monkeypatch):
         columns = []
         real = fileio._repr_cells
@@ -189,3 +215,34 @@ class TestWriteAtomic:
         with pytest.raises(OSError):
             write_atomic(tmp_path / "taken", "x")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_chunks_are_written_and_hashed_in_order(self, tmp_path):
+        chunks = [b"a,b\n", np.frombuffer(b"1.0,2.0\n", dtype=np.uint8), b"", b"3.0,4.0\n"]
+        digest = write_atomic(tmp_path / "chunks.csv", chunks)
+        data = (tmp_path / "chunks.csv").read_bytes()
+        assert data == b"a,b\n1.0,2.0\n3.0,4.0\n"
+        assert digest == hashlib.sha256(data).hexdigest() == sha256_file(tmp_path / "chunks.csv")
+
+    def test_failed_replace_of_chunks_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "taken", [b"a\n", b"b\n"])
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_failing_chunk_source_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield b"a\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_atomic(tmp_path / "out.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (1025, 3)])
+    def test_table_digest_is_the_file_digest(self, tmp_path, shape):
+        table = np.arange(np.prod(shape), dtype=float).reshape(shape) / 7.0
+        header = [f"c{j}" for j in range(shape[1])]
+        digest = write_csv(tmp_path / "array.csv", header, table)
+        got, want = array_and_rows_bytes(tmp_path, header, table)
+        assert got == want
+        assert digest == hashlib.sha256(got).hexdigest()

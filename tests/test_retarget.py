@@ -173,6 +173,10 @@ class TestTransferMap:
         with pytest.raises(InvalidParameter):
             make_transfer_map(robot_0, robot_A, "latent")
 
+    def test_non_numeric_joints(self, robot_0, robot_A):
+        with pytest.raises(InvalidParameter, match="source joint values must be real numbers"):
+            make_transfer_map(robot_0, robot_A).apply(["a", "b", "c"])
+
 
 class TestPerturbationAnalysis:
     def test_exact_locations_give_zero_deviation(self, robot_0):
@@ -276,6 +280,11 @@ class TestPerturbationAnalysis:
         for bad in ([0.01, 0.0, 0.0], np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.01):
             with pytest.raises(DimensionMismatch):
                 perturbation_analysis(perturbed, bad)
+
+    def test_rejects_non_numeric_points(self, robot_0):
+        perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi, true_d=robot_0.d)
+        with pytest.raises(InvalidParameter, match="Clarke coordinates must be real numbers"):
+            perturbation_analysis(perturbed, [["a", "b"]])
 
     def test_rejects_non_finite_perturbation(self, robot_0):
         with pytest.raises(InvalidParameter):

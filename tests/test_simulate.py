@@ -209,6 +209,10 @@ class TestRun:
         with pytest.raises(DimensionMismatch):
             run(np.zeros((100, 5)), robot_0, SimConfig())
 
+    def test_non_numeric_stream_rejected(self, robot_0):
+        with pytest.raises(InvalidParameter, match="desired stream must be real numbers"):
+            run([["a"] * 3], robot_0, SimConfig())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stream_rejected(self, robot_0, bad):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)

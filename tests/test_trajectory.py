@@ -296,6 +296,22 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter):
             plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=1.5)
 
+    def test_non_numeric_overlap(self, vias):
+        with pytest.raises(InvalidParameter, match="overlap_fraction must be a real number"):
+            plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction="0.5")
+
+    def test_non_numeric_via_points(self):
+        with pytest.raises(InvalidParameter, match="via points must be real numbers"):
+            plan_trajectory([["a"], ["b"]])
+
+    def test_non_numeric_query_time(self, vias):
+        with pytest.raises(InvalidParameter, match="query times must be real numbers"):
+            evaluate(plan_trajectory(vias), "a")
+
+    def test_non_numeric_weights(self, vias):
+        with pytest.raises(InvalidParameter, match="weights must be real numbers"):
+            peak_abs(plan_trajectory(vias), weights=[["a"]])
+
     def test_out_of_range(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
         with pytest.raises(OutOfRange):
