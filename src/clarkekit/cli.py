@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.recfunctions import structured_to_unstructured
 
 from . import __version__
 from .core import CONDITION_LIMIT, to_arc
@@ -40,10 +39,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_RUNTIME = 4
-
-
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
 
 
 def _design_hash(design) -> str:
@@ -119,9 +114,7 @@ def cmd_sample(args) -> int:
     joints = batch.clarke @ design.pair.inverse_matrix.T
     out = Path(args.out)
     header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(design.n)]
-    # rows, not an array, so that sample_idx is written as an integer
-    digest = write_csv(out, header, ([str(idx), *batch.clarke[idx], *joints[idx]]
-                                     for idx in range(batch.count)))
+    digest = write_csv(out, header, [np.arange(batch.count), *batch.clarke.T, *joints.T])
     manifest = Manifest("sample", {"design": design.name, "count": args.count,
                                    "seed": args.seed}, [args.seed], [design])
     manifest.add(out, digest)
@@ -160,8 +153,8 @@ def _write_trajectory_csv(path, traj: PlannedTrajectory, dt: float) -> str:
     pos, vel, acc = evaluate(traj, times)
     header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
                         for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
-    per_joint = np.stack([pos, vel, acc], axis=2).reshape(ticks, 3 * traj.n)
-    return write_csv(path, header, np.column_stack([times, per_joint]))
+    per_joint = [col[:, i] for i in range(traj.n) for col in (pos, vel, acc)]
+    return write_csv(path, header, [times, *per_joint])
 
 
 def cmd_traj(args) -> int:
@@ -197,8 +190,8 @@ def _write_run(out_dir: Path, stem: str, sim: SimRun, manifest: Manifest,
     metrics_path = out_dir / f"{stem}_metrics.json"
     labels = ("rho_d", "rho_meas", "rho_cmd", "rho_true")
     header = ["t_s"] + [f"{label}_{i + 1}" for label in labels for i in range(sim.design.n)]
-    table = np.column_stack([sim.t, sim.desired, sim.measured, sim.commanded, sim.true])
-    manifest.add(csv_path, write_csv(csv_path, header, table, formatted))
+    columns = [sim.t, *sim.desired.T, *sim.measured.T, *sim.commanded.T, *sim.true.T]
+    manifest.add(csv_path, write_csv(csv_path, header, columns, formatted))
     manifest.add(metrics_path, write_json(metrics_path, sim.metrics()))
     return metrics_path
 
@@ -238,7 +231,9 @@ def cmd_demo(args) -> int:
     pert_path = out_dir / "perturbation_robot_0.csv"
     digest = write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
                                    "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"],
-                       structured_to_unstructured(records))
+                       [*records.clarke.T, records.kappa_cmd, records.theta_cmd,
+                        records.kappa_real, records.theta_real, records.dkappa_l,
+                        records.dtheta])
     manifest.add(pert_path, digest)
     summary_path = out_dir / "summary.json"
     manifest.add(summary_path, write_json(summary_path, summary))
@@ -264,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clarkekit",
         description="Clarke-transform toolkit for displacement-actuated continuum robots")
     parser.add_argument("--version", action="version", version=f"clarkekit {__version__}")
+    out_dir = os.environ.get(OUT_DIR_ENV, ".")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("design-check", help="validate a design file or builtin design")
@@ -308,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--mode", choices=MODES, default="closed_loop")
     simulate.add_argument("--transfer", choices=TRANSFER_MODES, default="general")
     simulate.add_argument("--seed", type=_seed, default=42)
-    simulate.add_argument("--out-dir", default=None)
+    simulate.add_argument("--out-dir", default=out_dir)
     simulate.set_defaults(handler=cmd_simulate)
 
     demo = sub.add_parser("demo", help="run the full five-robot evaluation suite")
-    demo.add_argument("--out-dir", default=None)
+    demo.add_argument("--out-dir", default=out_dir)
     demo.add_argument("--seed", type=_seed, default=42)
     demo.set_defaults(handler=cmd_demo)
     return parser
@@ -321,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "out_dir") and args.out_dir is None:
-        args.out_dir = _default_out_dir()
     try:
         return args.handler(args)
     except DegenerateDesign as exc:

@@ -171,13 +171,17 @@ def check_real(value, name: str) -> float:
 def float_array(values, what: str) -> np.ndarray:
     """values as a float array, converted once (an array that is already
     float is returned as it is); raises InvalidParameter when an entry is
-    not a number or the entries do not form an array.  The message shows
-    the input abbreviated, as a batch can be long."""
+    not a number, numeric strings included, or the entries do not form an
+    array.  The message shows the input abbreviated, as a batch can be long."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        # a string anywhere makes the whole array a string kind; a complex
+        # kind would lose its imaginary part to the cast
+        if array.dtype.kind not in "USc":
+            return array.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise InvalidParameter(
-            f"{what} must be real numbers, got {reprlib.repr(values)}") from None
+        pass
+    raise InvalidParameter(f"{what} must be real numbers, got {reprlib.repr(values)}")
 
 
 def check_joints(joints, n: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 CSV cells use Python's shortest round-trip float representation so that
 re-running a command with the same seed reproduces byte-identical files.
-An array column is formatted by an exact integer kernel (float64 and int64
+A float column is formatted by an exact integer kernel (float64 and int64
 numpy operations, `_block_cells`) whose cells equal `repr(float(x))` byte
 for byte; the cells it cannot decide, such as zeros, non-finite values,
 magnitudes outside [1e-6, 1e16) and exact ties, are formatted by `repr`.
@@ -50,27 +50,26 @@ def write_atomic(path, data: str | bytes | Iterable) -> str:
     return digest.hexdigest()
 
 
-def write_csv(path, header: list[str], rows, formatted: dict | None = None) -> str:
-    """Write a CSV file with round-trip float formatting (atomic); returns
-    the SHA-256 hex digest of the file's bytes.
+def write_csv(path, header: list[str], columns, formatted: dict | None = None) -> str:
+    """Write a CSV file, one column per header name (atomic); returns the
+    SHA-256 hex digest of the file's bytes.
 
-    `rows` is a 2-D array or an iterable of rows whose cells are numbers or
-    preformatted strings; a number is written as its shortest round-trip
-    text, `repr(float(cell))`.
+    `columns` is a sequence of equal-length 1-D arrays.  An integer column
+    is written as its decimal digits; any other column is taken as float64
+    and each value written as its shortest round-trip text, `repr(float(v))`.
 
-    An array is formatted one column at a time.  `formatted` caches the
-    formatted columns keyed by the column's bytes, so a column that recurs
-    within the table, or in every table written with the same dict, is
-    formatted once; the bytes key keeps 0.0 and -0.0 apart.  The caller owns
-    the dict and decides how long it lives.
+    `formatted` caches the formatted float columns keyed by the column's
+    bytes, so a column that recurs within the table, or in every table
+    written with the same dict, is formatted once; the bytes key keeps 0.0
+    and -0.0 apart.  The caller owns the dict and decides how long it lives.
     """
-    if isinstance(rows, np.ndarray):
-        return write_atomic(path, _table_chunks(header, rows, formatted))
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else repr(float(cell))
-                              for cell in row))
-    return write_atomic(path, "\n".join(lines) + "\n")
+    columns = [np.asarray(col) for col in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if len({col.shape for col in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError(f"columns must be 1-D and of one length, got shapes "
+                         f"{[col.shape for col in columns]}")
+    return write_atomic(path, _table_chunks(header, columns, formatted))
 
 
 # longest repr of a float64, e.g. -2.2250738585072014e-308
@@ -79,31 +78,32 @@ _CELL = 24
 _ROWS = 1024
 
 
-def _table_chunks(header: list[str], rows: np.ndarray, formatted: dict | None):
-    """The CSV lines of a header and a 2-D array as byte chunks, made one at
+def _table_chunks(header: list[str], columns: list[np.ndarray], formatted: dict | None):
+    """The CSV lines of a header and its columns as byte chunks, made one at
     a time.  Each column is formatted once, or taken from `formatted`, as
     NUL-padded cells; a block of rows is laid out with its separators in one
     byte grid and the padding dropped."""
     yield (",".join(header) + "\n").encode()
-    table = rows.astype(float, copy=False)
-    if table.shape[1] == 0:
-        # rows without cells: one empty line each, as the iterable path writes
-        yield b"\n" * table.shape[0]
-        return
     if formatted is None:
         formatted = {}
-    columns = []
-    for col in table.T:
-        key = col.tobytes()
-        cells = formatted.get(key)
-        if cells is None:
-            cells = formatted[key] = _repr_cells(col)
-        columns.append(cells)
-    for start in range(0, table.shape[0], _ROWS):
-        stop = min(start + _ROWS, table.shape[0])
+    texts = []
+    for col in columns:
+        if col.dtype.kind in "iu":
+            # digits, never cached: an integer column's bytes may equal a float column's
+            cells = col.astype(f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+        else:
+            col = col.astype(float, copy=False)
+            key = col.tobytes()
+            cells = formatted.get(key)
+            if cells is None:
+                cells = formatted[key] = _repr_cells(col)
+        texts.append(cells)
+    rows = columns[0].size
+    for start in range(0, rows, _ROWS):
+        stop = min(start + _ROWS, rows)
         # each cell: its NUL-padded text, then the separator that follows it
-        grid = np.empty((stop - start, len(columns), _CELL + 1), dtype=np.uint8)
-        for j, cells in enumerate(columns):
+        grid = np.empty((stop - start, len(texts), _CELL + 1), dtype=np.uint8)
+        for j, cells in enumerate(texts):
             grid[:, j, :_CELL] = cells[start:stop]
         grid[:, :, _CELL] = ord(",")
         grid[:, -1, _CELL] = ord("\n")

@@ -29,29 +29,23 @@ TRANSFER_MODES = ("symmetric", "general")
 
 @dataclass(frozen=True, eq=False)
 class TransferMap:
-    """Precomposed m x n retargeting matrix between two designs.
+    """Precomposed m x n retargeting matrix between two designs, with its factors.
 
-    The matrix factors through the 2-D latent space, so its rank is at
-    most two regardless of the joint counts involved.
+    The matrix is decoder @ encoder.  The encoder is the source's 2 x n_s
+    joint-to-latent matrix: its Clarke forward matrix in symmetric mode,
+    its arc_forward in general mode.  The decoder is the target's n_t x 2
+    latent-to-joint matrix: its Clarke inverse matrix in symmetric mode,
+    its arc_inverse in general mode.  The matrix factors through the 2-D
+    latent space, so its rank is at most two regardless of the joint
+    counts involved.
     """
 
     source: RobotDesign
     target: RobotDesign
     mode: str
     matrix: np.ndarray
-
-    @property
-    def encoder(self) -> np.ndarray:
-        """2 x n_s joint-to-latent matrix of the source: its Clarke forward
-        matrix in symmetric mode, its arc_forward in general mode."""
-        return _factors(self.source, self.target, self.mode)[0]
-
-    @property
-    def decoder(self) -> np.ndarray:
-        """n_t x 2 latent-to-joint matrix of the target: its Clarke inverse
-        matrix in symmetric mode, its arc_inverse in general mode; matrix is
-        decoder @ encoder."""
-        return _factors(self.source, self.target, self.mode)[1]
+    encoder: np.ndarray
+    decoder: np.ndarray
 
     def apply(self, joints) -> np.ndarray:
         """Retarget one joint vector or a (..., n) stack of joint vectors.
@@ -82,7 +76,7 @@ def make_transfer_map(source: RobotDesign, target: RobotDesign,
     encoder, decoder = _factors(source, target, mode)
     matrix = decoder @ encoder
     matrix.setflags(write=False)
-    return TransferMap(source, target, mode, matrix)
+    return TransferMap(source, target, mode, matrix, encoder, decoder)
 
 
 def transfer_symmetric(source: RobotDesign, target: RobotDesign, joints) -> np.ndarray:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import clarkekit
-from clarkekit import builtin_designs, cli, run_experiment, simulate, trajectory
+from clarkekit import (builtin_designs, cli, run_experiment, sample_clarke_disk, sample_joints,
+                       simulate, trajectory)
 from clarkekit.cli import main
-from clarkekit.fileio import sha256_file, write_csv
+from clarkekit.fileio import sha256_file
+from csv_oracle import repr_csv
 
 SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
 
@@ -134,6 +136,18 @@ class TestSample:
         assert rows.shape == (100, 6)
         radius = np.hypot(rows[:, 1], rows[:, 2])
         assert np.all(np.abs(rows[:, 3:].sum(axis=1)) <= 1e-12 * 3 * np.maximum(radius, 1e-300))
+
+    def test_csv_matches_row_by_row_formatting(self, capsys, tmp_path, robot_D):
+        # 1,500 rows cross the writer's 1,024-row block; sample_idx is an integer column
+        path = tmp_path / "s.csv"
+        assert invoke(capsys, "sample", "robot_D", "--count", "1500", "--seed", "3",
+                      "--out", str(path))[0] == 0
+        clarke = sample_clarke_disk(3, 1500, d_ref=float(np.min(robot_D.d))).clarke
+        joints = sample_joints(robot_D, 3, 1500)
+        header = (["sample_idx", "rho_re_m", "rho_im_m"]
+                  + [f"rho_{i + 1}_m" for i in range(robot_D.n)])
+        rows = ([i, *c, *j] for i, c, j in zip(range(1500), clarke.tolist(), joints.tolist()))
+        assert path.read_bytes() == repr_csv(header, rows)
 
 
 class TestTraj:
@@ -361,9 +375,8 @@ class TestDemo:
         rows = [[r.clarke[0], r.clarke[1], r.kappa_cmd, r.theta_cmd, r.kappa_real,
                  r.theta_real, r.dkappa_l, r.dtheta] for r in records]
         assert len(rows) == 80
-        write_csv(tmp_path / "rows.csv", header, rows)
         assert ((tmp_path / "demo" / "perturbation_robot_0.csv").read_bytes()
-                == (tmp_path / "rows.csv").read_bytes())
+                == repr_csv(header, rows))
 
 
 class TestEvaluateSuite:

@@ -274,6 +274,10 @@ class TestArcMapping:
         with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
             to_arc(robot_D, ["a", "b", "c"])
 
+    def test_to_arc_rejects_numeric_strings(self, robot_0):
+        with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
+            to_arc(robot_0, ["0.001", "0", "0"])
+
     def test_from_arc_accepts_any_numeric_pair(self, robot_D):
         expected = from_arc(robot_D, ArcParameters(12.0, 0.7))
         for arc in ((12, 0.7), [12.0, 0.7], np.array([12.0, 0.7]),
@@ -343,6 +347,10 @@ class TestRobotDesignValidation:
     def test_non_numeric_angles(self):
         with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
             RobotDesign("x", psi=["a", "b", "c"], d=[0.01] * 3, l=0.1)
+
+    def test_numeric_string_angles(self):
+        with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
+            RobotDesign("x", ["0", "2", "4"], [0.01] * 3, 0.1)
 
     def test_missing_length(self):
         with pytest.raises(InvalidParameter, match="segment length must be a real number"):

@@ -10,47 +10,68 @@ from hypothesis import strategies as st
 
 from clarkekit import cli, fileio, run_experiment
 from clarkekit.fileio import sha256_file, write_atomic, write_csv
+from csv_oracle import repr_csv
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e+308,
                -1.7976931348623157e+308, 1e16, 9999999999999998.0, 1e-05, 0.0001,
                np.inf, -np.inf, np.nan]
 
 
-def array_and_rows_bytes(tmp_path, header, table):
-    """Bytes of the array path and of the row-by-row iterable path."""
-    write_csv(tmp_path / "array.csv", header, table)
-    write_csv(tmp_path / "rows.csv", header, (list(row) for row in table.tolist()))
-    return (tmp_path / "array.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
+def columns_and_rows_bytes(tmp_path, header, table):
+    """Bytes of write_csv given the columns of a 2-D table, and of the
+    table's rows formatted cell by cell."""
+    write_csv(tmp_path / "columns.csv", header, list(table.T))
+    return (tmp_path / "columns.csv").read_bytes(), repr_csv(header, table.tolist())
 
 
 class TestArrayPathMatchesRows:
     def test_edge_values(self, tmp_path):
         col = np.array(EDGE_VALUES)
         table = np.column_stack([col, col[::-1], np.roll(col, 5)])
-        got, want = array_and_rows_bytes(tmp_path, ["a", "b", "c"], table)
+        got, want = columns_and_rows_bytes(tmp_path, ["a", "b", "c"], table)
         assert got == want
         assert got.splitlines()[2] == b"-0.0,-inf,0.0001"
 
-    def test_integer_array_prints_floats(self, tmp_path):
-        table = np.arange(12).reshape(4, 3)
-        got, want = array_and_rows_bytes(tmp_path, ["a", "b", "c"], table)
+    def test_integer_columns_print_digits(self, tmp_path):
+        table = np.arange(12).reshape(4, 3) - 5
+        got, want = columns_and_rows_bytes(tmp_path, ["a", "b", "c"], table)
         assert got == want
-        assert got.splitlines()[1] == b"0.0,1.0,2.0"
+        assert got.splitlines()[1] == b"-5,-4,-3"
+        write_csv(tmp_path / "wide.csv", ["i", "u"],
+                  [np.array([np.iinfo(np.int64).min]), np.array([np.iinfo(np.uint64).max])])
+        assert (tmp_path / "wide.csv").read_bytes() == (
+            b"i,u\n-9223372036854775808,18446744073709551615\n")
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
-        got, want = array_and_rows_bytes(tmp_path, ["a", "b"], np.zeros((0, 2)))
+        got, want = columns_and_rows_bytes(tmp_path, ["a", "b"], np.zeros((0, 2)))
         assert got == want == b"a,b\n"
-
-    def test_rows_without_columns_write_empty_lines(self, tmp_path):
-        got, want = array_and_rows_bytes(tmp_path, [], np.zeros((2, 0)))
-        assert got == want == b"\n\n\n"
 
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2500])
     def test_row_blocks(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-8, 8, (rows, 4))
-        got, want = array_and_rows_bytes(tmp_path, ["a", "b", "c", "d"], table)
+        got, want = columns_and_rows_bytes(tmp_path, ["a", "b", "c", "d"], table)
         assert got == want
+
+
+class TestColumnShapes:
+    def test_count_mismatch_raises(self, tmp_path):
+        # a (rows, 3) table passed whole is 4 columns of 3 values, not 3 columns
+        with pytest.raises(ValueError, match="3 header names for 4 columns"):
+            write_csv(tmp_path / "out.csv", ["a", "b", "c"], np.zeros((4, 3)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ragged_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [np.zeros((3, 1)), np.zeros((3, 1))])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            write_csv(tmp_path / "out.csv", [], [])
+        assert list(tmp_path.iterdir()) == []
 
 
 def assert_cells_match_repr(values):
@@ -161,7 +182,7 @@ class TestFormattedCache:
     def test_shared_dict_matches_separate_calls(self, tmp_path):
         rng = np.random.default_rng(1)
         t, x, y = rng.standard_normal((3, 50))
-        tables = [np.column_stack([t, x, x]), np.column_stack([t, y, x])]
+        tables = [[t, x, x], [t, y, x]]
         formatted = {}
         for i, table in enumerate(tables):
             write_csv(tmp_path / f"shared{i}.csv", ["t", "p", "q"], table, formatted)
@@ -172,10 +193,21 @@ class TestFormattedCache:
 
     def test_signed_zero_columns_stay_apart(self, tmp_path):
         formatted = {}
-        table = np.column_stack([np.zeros(4), -np.zeros(4), np.zeros(4)])
-        write_csv(tmp_path / "zeros.csv", ["a", "b", "c"], table, formatted)
+        columns = [np.zeros(4), -np.zeros(4), np.zeros(4)]
+        write_csv(tmp_path / "zeros.csv", ["a", "b", "c"], columns, formatted)
         assert len(formatted) == 2
         assert (tmp_path / "zeros.csv").read_bytes().splitlines()[1] == b"0.0,-0.0,0.0"
+
+    def test_integer_column_does_not_share_a_float_columns_cells(self, tmp_path):
+        # the same eight bytes per value: 1 as int64 and 5e-324 as float64
+        ints = np.ones(3, dtype=np.int64)
+        floats = ints.view(np.float64)
+        formatted = {}
+        write_csv(tmp_path / "a.csv", ["i", "x"], [ints, floats], formatted)
+        write_csv(tmp_path / "b.csv", ["x", "i"], [floats, ints], formatted)
+        assert (tmp_path / "a.csv").read_bytes().splitlines()[1] == b"1,5e-324"
+        assert (tmp_path / "b.csv").read_bytes().splitlines()[1] == b"5e-324,1"
+        assert len(formatted) == 1
 
     def test_open_loop_clean_run_has_one_plus_2n_distinct_columns(self, designs, tmp_path):
         # rho_cmd is rho_d and rho_meas is rho_true in the noiseless open loop
@@ -204,7 +236,7 @@ class TestWriteAtomic:
         previous = os.umask(umask)
         try:
             write_atomic(tmp_path / "out.json", "{}\n")
-            write_csv(tmp_path / "out.csv", ["a"], np.ones((2, 1)))
+            write_csv(tmp_path / "out.csv", ["a"], [np.ones(2)])
         finally:
             os.umask(previous)
         for name in ("out.json", "out.csv"):
@@ -238,11 +270,11 @@ class TestWriteAtomic:
             write_atomic(tmp_path / "out.csv", chunks())
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (1025, 3)])
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 1), (1025, 3)])
     def test_table_digest_is_the_file_digest(self, tmp_path, shape):
         table = np.arange(np.prod(shape), dtype=float).reshape(shape) / 7.0
         header = [f"c{j}" for j in range(shape[1])]
-        digest = write_csv(tmp_path / "array.csv", header, table)
-        got, want = array_and_rows_bytes(tmp_path, header, table)
+        digest = write_csv(tmp_path / "table.csv", header, list(table.T))
+        got, want = columns_and_rows_bytes(tmp_path, header, table)
         assert got == want
         assert digest == hashlib.sha256(got).hexdigest()

@@ -177,6 +177,10 @@ class TestTransferMap:
         with pytest.raises(InvalidParameter, match="source joint values must be real numbers"):
             make_transfer_map(robot_0, robot_A).apply(["a", "b", "c"])
 
+    def test_numeric_string_joints(self, robot_0, robot_A):
+        with pytest.raises(InvalidParameter, match="source joint values must be real numbers"):
+            make_transfer_map(robot_0, robot_A).apply(["0.001", "0", "0"])
+
 
 class TestPerturbationAnalysis:
     def test_exact_locations_give_zero_deviation(self, robot_0):
@@ -285,6 +289,11 @@ class TestPerturbationAnalysis:
         perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi, true_d=robot_0.d)
         with pytest.raises(InvalidParameter, match="Clarke coordinates must be real numbers"):
             perturbation_analysis(perturbed, [["a", "b"]])
+
+    def test_rejects_numeric_string_points(self, robot_0):
+        perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi, true_d=robot_0.d)
+        with pytest.raises(InvalidParameter, match="Clarke coordinates must be real numbers"):
+            perturbation_analysis(perturbed, [["0.001", "0"]])
 
     def test_rejects_non_finite_perturbation(self, robot_0):
         with pytest.raises(InvalidParameter):

@@ -26,10 +26,10 @@ from clarkekit import (
     transform_pair,
 )
 from clarkekit.cli import Manifest, _write_run
-from clarkekit.fileio import write_csv
 from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _dilation
+from csv_oracle import repr_csv
 from simulate_oracle import joint_space_stream, pt1_step, run_loop
 
 
@@ -213,6 +213,10 @@ class TestRun:
         with pytest.raises(InvalidParameter, match="desired stream must be real numbers"):
             run([["a"] * 3], robot_0, SimConfig())
 
+    def test_numeric_string_stream_rejected(self, robot_0):
+        with pytest.raises(InvalidParameter, match="desired stream must be real numbers"):
+            run([["0"] * 3] * 3, robot_0, SimConfig())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stream_rejected(self, robot_0, bad):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)
@@ -257,10 +261,8 @@ class TestRun:
             columns = zip(sim.t.tolist(), sim.desired.tolist(), sim.measured.tolist(),
                           sim.commanded.tolist(), sim.true.tolist())
             rows = ([t, *d, *m, *c, *r] for t, d, m, c, r in columns)
-            write_csv(tmp_path / "rows.csv", header, rows)
             assert len(header) == 1 + 4 * sim.design.n
-            assert ((tmp_path / f"{stem}.csv").read_bytes()
-                    == (tmp_path / "rows.csv").read_bytes()), stem
+            assert (tmp_path / f"{stem}.csv").read_bytes() == repr_csv(header, rows), stem
 
 
 def assert_matches_loop(desired, design, config):

@@ -312,6 +312,25 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter, match="weights must be real numbers"):
             peak_abs(plan_trajectory(vias), weights=[["a"]])
 
+    def test_numeric_string_via_points(self):
+        # a numeric string is no more a number in an array than as a scalar
+        with pytest.raises(InvalidParameter, match="via points must be real numbers"):
+            plan_trajectory([["0"], ["0.001"]])
+
+    def test_complex_via_points(self):
+        # the cast to float would drop the imaginary part of an array
+        for via in ([[0.0], [1j]], np.array([[0.0], [1j]])):
+            with pytest.raises(InvalidParameter, match="via points must be real numbers"):
+                plan_trajectory(via)
+
+    def test_numeric_string_query_time(self):
+        with pytest.raises(InvalidParameter, match="query times must be real numbers"):
+            evaluate(plan_trajectory([[0.0], [0.001]]), "0.01")
+
+    def test_numeric_string_weights(self):
+        with pytest.raises(InvalidParameter, match="weights must be real numbers"):
+            peak_abs(plan_trajectory([[0.0], [0.001]]), weights=[["1"]])
+
     def test_out_of_range(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
         with pytest.raises(OutOfRange):
