@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import CONDITION_LIMIT, to_arc
+from .core import CONDITION_LIMIT, check_positive, to_arc
 from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, OutOfRange, ParseError)
@@ -131,9 +131,10 @@ def _read_via_file(path, n: int) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             rows.append([float(cell) for cell in line.replace(",", " ").split()])
+        # rows of unequal length do not form an array
+        via = np.asarray(rows, dtype=float)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read via file {path}: {exc}") from exc
-    via = np.asarray(rows, dtype=float)
     if via.ndim != 2 or via.shape[0] < 2 or via.shape[1] != n:
         raise ParseError(f"via file must hold at least 2 rows of {n} joint values")
     return via
@@ -142,8 +143,7 @@ def _read_via_file(path, n: int) -> np.ndarray:
 def _write_trajectory_csv(path, traj: PlannedTrajectory, dt: float) -> str:
     """Trajectory CSV on an exact dt grid: t_s, then rho/vel/acc per joint;
     returns the file's SHA-256 hex digest."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
+    dt = check_positive(dt, "dt")
     steps = traj.horizon / dt
     # numpy rejects an array whose byte count overflows intp with a ValueError
     if not steps < np.iinfo(np.intp).max / 8:

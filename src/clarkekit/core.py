@@ -61,19 +61,15 @@ class RobotDesign:
     l: float
 
     def __post_init__(self):
-        psi = np.atleast_1d(float_array(self.psi, "joint angles")).copy()
+        psi = np.atleast_1d(finite_array(self.psi, "joint angles")).copy()
         d = np.atleast_1d(float_array(self.d, "center-line distances")).copy()
         if psi.ndim != 1 or d.ndim != 1 or psi.shape != d.shape:
             raise InvalidParameter("psi and d must be 1-D sequences of equal length")
         if psi.size < 3:
             raise InvalidParameter(f"a design needs at least 3 joints, got {psi.size}")
-        if not np.all(np.isfinite(psi)):
-            raise InvalidParameter("joint angles must be finite")
         if not np.all(np.isfinite(d)) or not np.all(d > 0.0):
             raise InvalidParameter("center-line distances must be positive and finite")
-        l = check_real(self.l, "segment length")
-        if not math.isfinite(l) or l <= 0.0:
-            raise InvalidParameter("segment length must be positive and finite")
+        l = check_positive(self.l, "segment length")
         psi.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -96,6 +92,14 @@ class RobotDesign:
         inverse matrix.
         """
         return _build_pair(self)
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(inverse matrix, Gram matrix, Gram condition) of the design, built
+        once; never raises, so a report can read a degenerate condition."""
+        minv = _read_only(inverse_clarke_matrix(self.psi))
+        gram = _read_only(minv.T @ minv)
+        return minv, gram, _spd2_condition(gram)
 
     @cached_property
     def arc_forward(self) -> np.ndarray:
@@ -168,39 +172,54 @@ def check_real(value, name: str) -> float:
     return float(value)
 
 
+def check_positive(value, name: str) -> float:
+    """check_real for a length, a limit or a time step: positive and finite."""
+    real = check_real(value, name)
+    if not (math.isfinite(real) and real > 0.0):
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+    return real
+
+
 def float_array(values, what: str) -> np.ndarray:
     """values as a float array, converted once (an array that is already
     float is returned as it is); raises InvalidParameter when an entry is
-    not a number, numeric strings included, or the entries do not form an
-    array.  The message shows the input abbreviated, as a batch can be long."""
+    not a number, numeric strings and None included, or the entries do not
+    form an array.  The message shows the input abbreviated."""
     try:
         array = np.asarray(values)
         # a string anywhere makes the whole array a string kind; a complex
-        # kind would lose its imaginary part to the cast
-        if array.dtype.kind not in "USc":
+        # kind would lose its imaginary part to the cast, and the cast of an
+        # object array would parse a numeric string and turn None into NaN
+        kind = array.dtype.kind
+        if kind not in "USc" and (kind != "O" or all(isinstance(entry, numbers.Real)
+                                                     for entry in array.flat)):
             return array.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
     raise InvalidParameter(f"{what} must be real numbers, got {reprlib.repr(values)}")
 
 
+def finite_array(values, what: str) -> np.ndarray:
+    """float_array whose entries must all be finite."""
+    array = float_array(values, what)
+    if not np.isfinite(array).all():
+        raise InvalidParameter(f"{what} must be finite")
+    return array
+
+
 def check_joints(joints, n: int) -> np.ndarray:
     """Validate and return a joint vector as a float array of length n."""
-    values = np.atleast_1d(float_array(joints, "joint values"))
+    values = np.atleast_1d(finite_array(joints, "joint values"))
     if values.shape != (n,):
         raise DimensionMismatch(f"expected {n} joint values, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise InvalidParameter("joint values must be finite")
     return values
 
 
 def check_clarke(clarke) -> np.ndarray:
     """Validate and return a Clarke coordinate pair as a float array of length 2."""
-    pair = np.atleast_1d(float_array(clarke, "Clarke coordinates"))
+    pair = np.atleast_1d(finite_array(clarke, "Clarke coordinates"))
     if pair.shape != (2,):
         raise DimensionMismatch(f"expected a Clarke pair, got shape {pair.shape}")
-    if not np.all(np.isfinite(pair)):
-        raise InvalidParameter("Clarke coordinates must be finite")
     return pair
 
 
@@ -251,9 +270,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _build_pair(design: RobotDesign) -> TransformPair:
-    minv = _read_only(inverse_clarke_matrix(design.psi))
-    gram = _read_only(minv.T @ minv)
-    condition = _spd2_condition(gram)
+    minv, gram, condition = design._gram
     if not condition < CONDITION_LIMIT:
         raise DegenerateDesign(
             f"design {design.name!r}: Gram condition {condition:.3g} is not "
@@ -271,8 +288,7 @@ def transform_pair(design: RobotDesign) -> TransformPair:
 def gram_condition(design: RobotDesign) -> float:
     """Condition number of the design's Gram matrix (inf when singular);
     never raises, for use in validation reports."""
-    minv = inverse_clarke_matrix(design.psi)
-    return _spd2_condition(minv.T @ minv)
+    return design._gram[2]
 
 
 def arc_forward_matrix(design: RobotDesign) -> np.ndarray:
@@ -304,11 +320,9 @@ def from_arc(design: RobotDesign, arc) -> np.ndarray:
 
 def symmetric_design(n: int, d: float, l: float, name: str = "symmetric") -> RobotDesign:
     """Design with n equally spaced joints at constant center-line distance d."""
-    if int(n) != n or n < 3:
-        raise InvalidParameter(f"a symmetric design needs an integer n >= 3, got {n}")
-    d, l = check_real(d, "d"), check_real(l, "l")
-    if d <= 0.0 or l <= 0.0:
-        raise InvalidParameter("d and l must be positive")
+    if not (check_real(n, "n").is_integer() and n >= 3):
+        raise InvalidParameter(f"a symmetric design needs an integer n >= 3, got {n!r}")
     n = int(n)
+    d, l = check_positive(d, "d"), check_positive(l, "l")
     psi = TWO_PI * np.arange(n) / n
     return RobotDesign(name=name, psi=psi, d=np.full(n, d), l=l)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RobotDesign, gram_condition
+from .core import RobotDesign, check_real, float_array, gram_condition
 from .errors import InvalidParameter, ParseError
 
 __all__ = ["builtin_designs", "design_report", "design_to_dict", "get_design", "load_design"]
@@ -81,16 +81,13 @@ def design_from_dict(raw: dict, source: str = "<dict>") -> RobotDesign:
     missing = {"name", "n", "psi_rad", "d_mm", "l_m"} - raw.keys()
     if missing:
         raise ParseError(f"{source}: missing fields {sorted(missing)}")
-    try:
-        psi = np.asarray(raw["psi_rad"], dtype=float)
-        d_mm = np.asarray(raw["d_mm"], dtype=float)
-        length = float(raw["l_m"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: psi_rad, d_mm and l_m must be numbers: {exc}") from exc
     n = raw["n"]
-    if psi.ndim != 1 or d_mm.ndim != 1 or psi.size != n or d_mm.size != n:
-        raise ParseError(f"{source}: psi_rad and d_mm must each hold n = {n} values")
     try:
+        psi = float_array(raw["psi_rad"], "psi_rad")
+        d_mm = float_array(raw["d_mm"], "d_mm")
+        length = check_real(raw["l_m"], "l_m")
+        if psi.ndim != 1 or d_mm.ndim != 1 or psi.size != n or d_mm.size != n:
+            raise InvalidParameter(f"psi_rad and d_mm must each hold n = {n} values")
         return RobotDesign(name=str(raw["name"]), psi=psi, d=d_mm / 1000.0, l=length)
     except InvalidParameter as exc:
         raise ParseError(f"{source}: {exc}") from exc

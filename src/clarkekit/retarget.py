@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_joints, check_real, float_array, wrap_angle
+from .core import (RobotDesign, check_count, check_joints, check_positive, finite_array,
+                   float_array, wrap_angle)
 from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
@@ -145,11 +146,9 @@ def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> np.recarra
     dtheta = theta_real - theta_cmd is wrapped to [-pi, pi).
     """
     nominal = perturbed.nominal
-    points = np.atleast_2d(float_array(clarke_grid, "Clarke coordinates"))
+    points = np.atleast_2d(finite_array(clarke_grid, "Clarke coordinates"))
     if points.ndim != 2 or points.shape[1] != 2:
         raise DimensionMismatch(f"expected Clarke pairs of shape (m, 2), got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise InvalidParameter("Clarke coordinates must be finite")
     kappa_cmd, theta_cmd = _polar(points @ nominal.pair.inverse_matrix.T @ nominal.arc_forward.T)
     planar = np.column_stack([kappa_cmd * np.cos(theta_cmd), kappa_cmd * np.sin(theta_cmd)])
     joints = planar @ nominal.arc_inverse.T
@@ -177,8 +176,7 @@ def polar_clarke_grid(d_ref: float, radii: int = 5, angles: int = 16) -> np.ndar
     Convenience for perturbation studies: `radii` rings (excluding the
     center) crossed with `angles` equally spaced bending-plane directions.
     """
-    if not (math.isfinite(check_real(d_ref, "d_ref")) and d_ref > 0.0):
-        raise InvalidParameter(f"d_ref must be positive and finite, got {d_ref}")
+    d_ref = check_positive(d_ref, "d_ref")
     radii, angles = check_count(radii, "radii"), check_count(angles, "angles")
     r = math.pi * d_ref * np.arange(1, radii + 1) / radii
     phi = -math.pi + 2.0 * math.pi * np.arange(angles) / angles

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_real, check_seed
-from .errors import InvalidParameter
+from .core import RobotDesign, check_count, check_positive, check_seed
 
 __all__ = ["SampleBatch", "sample_clarke_disk", "sample_joints"]
 
@@ -45,8 +44,7 @@ class SampleBatch:
 def sample_clarke_disk(seed: int, count: int, d_ref: float) -> SampleBatch:
     """Draw `count` Clarke coordinate pairs uniformly from the feasible disk."""
     seed, count = check_seed(seed), check_count(count, "count")
-    if not (math.isfinite(check_real(d_ref, "d_ref")) and d_ref > 0.0):
-        raise InvalidParameter(f"d_ref must be positive, got {d_ref}")
+    d_ref = check_positive(d_ref, "d_ref")
     mag_stream, angle_stream = np.random.SeedSequence(seed).spawn(2)
     u = np.random.default_rng(mag_stream).random(count)
     magnitudes = math.pi * d_ref * np.sqrt(u)

@@ -19,14 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, check_real, check_seed, float_array
+from .core import RobotDesign, check_positive, check_real, check_seed, finite_array
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
                        make_transfer_map, perturbation_analysis, polar_clarke_grid)
 from .sampling import sample_joints
-from .trajectory import (DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory, _dilation, _horner,
-                         peak_abs, plan_trajectory)
+from .trajectory import (_BINDING_TOLERANCE, DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory,
+                         _dilation, _horner, peak_abs, plan_trajectory)
 
 __all__ = ["MODES", "DesiredStream", "SimConfig", "SimRun", "desired_stream", "evaluate_suite",
            "run", "run_experiment", "surrogate_trajectory"]
@@ -54,15 +54,13 @@ class SimConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        for label in ("dt", "time_constant", "noise_eps", "kp", "kd"):
+        for label in ("dt", "time_constant"):
+            check_positive(getattr(self, label), label)
+        for label in ("noise_eps", "kp", "kd"):
             if not math.isfinite(check_real(getattr(self, label), label)):
                 raise InvalidParameter(f"{label} must be finite, got {getattr(self, label)}")
-        if self.dt <= 0.0:
-            raise InvalidParameter(f"dt must be positive, got {self.dt}")
         if self.noise_eps < 0.0:
             raise InvalidParameter(f"noise_eps must be non-negative, got {self.noise_eps}")
-        if self.time_constant <= 0.0:
-            raise InvalidParameter(f"time_constant must be positive, got {self.time_constant}")
         if self.mode not in MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.transfer_mode not in TRANSFER_MODES:
@@ -162,15 +160,13 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes) -> dict[st
     set to that mode, computing once what their runs share: the tick grid, the
     noise draw (the config's seed and the stream's shape) and the open-loop
     state scan with its error metrics."""
-    desired = float_array(desired, "desired stream")
+    desired = finite_array(desired, "desired stream")
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(
             f"desired stream must have shape (ticks, {design.n}), got {desired.shape}")
     ticks = desired.shape[0]
     if ticks == 0:
         raise InvalidParameter("desired stream is empty")
-    if not np.isfinite(desired).all():
-        raise InvalidParameter("desired stream must be finite")
     t = np.arange(ticks) * config.dt
     noise = 0.0
     if config.noise_eps > 0.0 and any(mode != "open_loop_clean" for mode in modes):
@@ -315,7 +311,7 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
         entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
-            entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + 1e-9))
+            entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + _BINDING_TOLERANCE))
         for mode, sim in _simulate(stream.positions, target, config, MODES).items():
             runs[f"{name}_{mode}"] = sim
             entry[f"rms_latent_{mode}"] = sim.rms_latent()

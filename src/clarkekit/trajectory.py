@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import PPoly
 
-from .core import check_real, float_array
+from .core import check_positive, check_real, finite_array, float_array
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 
 __all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
@@ -57,10 +57,8 @@ class KinematicLimits:
     dec_max: float = DEFAULT_A_MAX
 
     def __post_init__(self):
-        for label, value in (("v_max", self.v_max), ("a_max", self.a_max),
-                             ("dec_max", self.dec_max)):
-            if not (math.isfinite(check_real(value, label)) and value > 0.0):
-                raise InvalidParameter(f"{label} must be positive and finite, got {value}")
+        for label in ("v_max", "a_max", "dec_max"):
+            check_positive(getattr(self, label), label)
 
 
 DEFAULT_LIMITS = KinematicLimits()
@@ -91,9 +89,7 @@ def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryS
     integrates to 1/2 over a ramp, the distance closes as
     |delta| = v * (t_lo / 2 + t_cr + t_sd / 2).
     """
-    delta = float_array(delta, "segment distances")
-    if not np.isfinite(delta).all():
-        raise InvalidParameter("segment distances must be finite")
+    delta = finite_array(delta, "segment distances")
     dist = np.abs(delta)
     t_lo_full = PEAK_SLOPE * limits.v_max / limits.a_max
     t_sd_full = PEAK_SLOPE * limits.v_max / limits.dec_max
@@ -317,12 +313,10 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     poly = traj.position_poly
     coeffs = poly.c
     if weights is not None:
-        weights = float_array(weights, "weights")
+        weights = finite_array(weights, "weights")
         if weights.ndim != 2 or weights.shape[1] != traj.n:
             raise DimensionMismatch(
                 f"weights must have shape (rows, {traj.n}), got {weights.shape}")
-        if not np.isfinite(weights).all():
-            raise InvalidParameter("weights must be finite")
         coeffs = coeffs @ weights.T
     x = poly.x
     probes = np.concatenate([x, x[:-1] + 0.5 * np.diff(x)])
@@ -386,11 +380,9 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     every duration is uniformly dilated by the smallest factor restoring
     feasibility.
     """
-    via = np.atleast_2d(float_array(via_points, "via points"))
+    via = np.atleast_2d(finite_array(via_points, "via points"))
     if via.ndim != 2 or via.shape[0] < 2:
         raise InvalidParameter("need a 2-D via table with at least start and goal rows")
-    if not np.all(np.isfinite(via)):
-        raise InvalidParameter("via points must be finite")
     overlap_fraction = check_real(overlap_fraction, "overlap_fraction")
     if not 0.0 <= overlap_fraction <= 1.0:
         raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")

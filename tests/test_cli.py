@@ -71,7 +71,9 @@ class TestDesignCheck:
 class TestNonNumericDesignFile:
     @pytest.mark.parametrize("field, value", [
         ("l_m", "abc"), ("psi_rad", ["a", 2, 4]), ("l_m", None), ("d_mm", {"a": 1}),
-    ], ids=["l_m-text", "psi_rad-text", "l_m-null", "d_mm-object"])
+        ("l_m", "0.1"), ("psi_rad", ["0", "2", "4"]),
+    ], ids=["l_m-text", "psi_rad-text", "l_m-null", "d_mm-object", "l_m-numeric-text",
+            "psi_rad-numeric-text"])
     @pytest.mark.parametrize("command", ["design-check", "simulate"])
     def test_exits_2_without_output(self, capsys, tmp_path, monkeypatch, command, field, value):
         raw = {"name": "custom", "n": 3, "psi_rad": [0.0, 2.0, 4.0],
@@ -164,10 +166,12 @@ class TestTraj:
 
     def test_bad_via_file_exits_2(self, capsys, tmp_path):
         via = tmp_path / "via.txt"
-        via.write_text("0 0\n0.01 -0.005\n")
-        code, _, err = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
-                              "--out", str(tmp_path / "t.csv"))
-        assert code == 2
+        # too few joints per row, then rows of unequal length
+        for text in ("0 0\n0.01 -0.005\n", "0 0 0\n0.01 -0.005\n"):
+            via.write_text(text)
+            code, _, err = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
+                                  "--out", str(tmp_path / "t.csv"))
+            assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("argv, via", [(["--amax", "1e-300"], None),
                                            ([], "0 0 0\n1e14 0 0\n")], ids=["amax", "via"])

@@ -275,8 +275,12 @@ class TestArcMapping:
             to_arc(robot_D, ["a", "b", "c"])
 
     def test_to_arc_rejects_numeric_strings(self, robot_0):
-        with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
-            to_arc(robot_0, ["0.001", "0", "0"])
+        for joints in (["0.001", "0", "0"], np.array(["0.001", "0", "0"], dtype=object),
+                       np.array([0.001, None, 0.0], dtype=object)):
+            with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
+                to_arc(robot_0, joints)
+            with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
+                transform_pair(robot_0).forward(joints)
 
     def test_from_arc_accepts_any_numeric_pair(self, robot_D):
         expected = from_arc(robot_D, ArcParameters(12.0, 0.7))
@@ -317,7 +321,10 @@ class TestSymmetricDesign:
         design = symmetric_design(5, 0.01, 0.1)
         np.testing.assert_allclose(design.psi, 2.0 * np.pi * np.array([0, 0.2, 0.4, 0.6, 0.8]))
 
-    @pytest.mark.parametrize("n,d,l", [(2, 0.01, 0.1), (3, 0.0, 0.1), (3, 0.01, -1.0)])
+    @pytest.mark.parametrize("n,d,l", [(2, 0.01, 0.1), (3, 0.0, 0.1), (3, 0.01, -1.0),
+                                       (math.nan, 0.01, 0.1), (None, 0.01, 0.1),
+                                       ("3", 0.01, 0.1), (3.5, 0.01, 0.1), (math.inf, 0.01, 0.1),
+                                       (3, math.inf, 0.1), (3, 0.01, math.nan)])
     def test_rejects_bad_parameters(self, n, d, l):
         with pytest.raises(InvalidParameter):
             symmetric_design(n, d, l)
@@ -349,8 +356,9 @@ class TestRobotDesignValidation:
             RobotDesign("x", psi=["a", "b", "c"], d=[0.01] * 3, l=0.1)
 
     def test_numeric_string_angles(self):
-        with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
-            RobotDesign("x", ["0", "2", "4"], [0.01] * 3, 0.1)
+        for psi in (["0", "2", "4"], np.array(["0", "2", "4"], dtype=object)):
+            with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
+                RobotDesign("x", psi, [0.01] * 3, 0.1)
 
     def test_missing_length(self):
         with pytest.raises(InvalidParameter, match="segment length must be a real number"):

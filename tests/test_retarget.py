@@ -178,8 +178,9 @@ class TestTransferMap:
             make_transfer_map(robot_0, robot_A).apply(["a", "b", "c"])
 
     def test_numeric_string_joints(self, robot_0, robot_A):
-        with pytest.raises(InvalidParameter, match="source joint values must be real numbers"):
-            make_transfer_map(robot_0, robot_A).apply(["0.001", "0", "0"])
+        for joints in (["0.001", "0", "0"], np.array(["0.001", "0", "0"], dtype=object)):
+            with pytest.raises(InvalidParameter, match="source joint values must be real numbers"):
+                make_transfer_map(robot_0, robot_A).apply(joints)
 
 
 class TestPerturbationAnalysis:
@@ -292,8 +293,9 @@ class TestPerturbationAnalysis:
 
     def test_rejects_numeric_string_points(self, robot_0):
         perturbed = PerturbedDesign(nominal=robot_0, true_psi=robot_0.psi, true_d=robot_0.d)
-        with pytest.raises(InvalidParameter, match="Clarke coordinates must be real numbers"):
-            perturbation_analysis(perturbed, [["0.001", "0"]])
+        for points in ([["0.001", "0"]], np.array([["0.001", "0"]], dtype=object)):
+            with pytest.raises(InvalidParameter, match="Clarke coordinates must be real numbers"):
+                perturbation_analysis(perturbed, points)
 
     def test_rejects_non_finite_perturbation(self, robot_0):
         with pytest.raises(InvalidParameter):

@@ -214,8 +214,9 @@ class TestRun:
             run([["a"] * 3], robot_0, SimConfig())
 
     def test_numeric_string_stream_rejected(self, robot_0):
-        with pytest.raises(InvalidParameter, match="desired stream must be real numbers"):
-            run([["0"] * 3] * 3, robot_0, SimConfig())
+        for desired in ([["0"] * 3] * 3, np.array([["0"] * 3] * 3, dtype=object)):
+            with pytest.raises(InvalidParameter, match="desired stream must be real numbers"):
+                run(desired, robot_0, SimConfig())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stream_rejected(self, robot_0, bad):

@@ -313,9 +313,18 @@ class TestBlendAndEvaluate:
             peak_abs(plan_trajectory(vias), weights=[["a"]])
 
     def test_numeric_string_via_points(self):
-        # a numeric string is no more a number in an array than as a scalar
-        with pytest.raises(InvalidParameter, match="via points must be real numbers"):
-            plan_trajectory([["0"], ["0.001"]])
+        # a numeric string is no more a number in an array than as a scalar,
+        # and None is not a NaN
+        for via in ([["0"], ["0.001"]], np.array([["0"], ["0.001"]], dtype=object),
+                    np.array([[None], ["0.001"]], dtype=object)):
+            with pytest.raises(InvalidParameter, match="via points must be real numbers"):
+                plan_trajectory(via)
+            with pytest.raises(InvalidParameter, match="segment distances must be real numbers"):
+                plan_segment(via[1])
+        # an object array of numbers is converted like a list
+        np.testing.assert_array_equal(
+            plan_trajectory(np.array([[0], [0.001]], dtype=object)).position_poly.c,
+            plan_trajectory([[0.0], [0.001]]).position_poly.c)
 
     def test_complex_via_points(self):
         # the cast to float would drop the imaginary part of an array
@@ -324,12 +333,14 @@ class TestBlendAndEvaluate:
                 plan_trajectory(via)
 
     def test_numeric_string_query_time(self):
-        with pytest.raises(InvalidParameter, match="query times must be real numbers"):
-            evaluate(plan_trajectory([[0.0], [0.001]]), "0.01")
+        for t in ("0.01", np.array(["0.01"], dtype=object)):
+            with pytest.raises(InvalidParameter, match="query times must be real numbers"):
+                evaluate(plan_trajectory([[0.0], [0.001]]), t)
 
     def test_numeric_string_weights(self):
-        with pytest.raises(InvalidParameter, match="weights must be real numbers"):
-            peak_abs(plan_trajectory([[0.0], [0.001]]), weights=[["1"]])
+        for weights in ([["1"]], np.array([["1"]], dtype=object)):
+            with pytest.raises(InvalidParameter, match="weights must be real numbers"):
+                peak_abs(plan_trajectory([[0.0], [0.001]]), weights=weights)
 
     def test_out_of_range(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
