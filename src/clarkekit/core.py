@@ -70,6 +70,14 @@ class RobotDesign:
         if not np.all(np.isfinite(d)) or not np.all(d > 0.0):
             raise InvalidParameter("center-line distances must be positive and finite")
         l = check_positive(self.l, "segment length")
+        # the arc maps scale by l * d_i and its reciprocal; both must be finite
+        # and nonzero, which a subnormal or underflowing product is not
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = l * d
+            finite = np.isfinite(scale).all() and np.isfinite(1.0 / scale).all()
+        if not finite:
+            raise InvalidParameter(f"l * d_i and its reciprocal must be finite and nonzero for "
+                                   f"the arc maps, got l={l} and d={reprlib.repr(d.tolist())}")
         psi.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "psi", psi)

@@ -83,6 +83,9 @@ def design_from_dict(raw: dict, source: str = "<dict>") -> RobotDesign:
         raise ParseError(f"{source}: missing fields {sorted(missing)}")
     n = raw["n"]
     try:
+        # the schema's n is a JSON integer, so neither 3.0 nor "3" is a joint count
+        if not (isinstance(n, int) and n >= 3):
+            raise InvalidParameter(f"n must be an integer of at least 3, got {n!r}")
         psi = float_array(raw["psi_rad"], "psi_rad")
         d_mm = float_array(raw["d_mm"], "d_mm")
         length = check_real(raw["l_m"], "l_m")

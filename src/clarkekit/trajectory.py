@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import PPoly
 
 from .core import check_positive, check_real, finite_array, float_array
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
@@ -62,6 +61,15 @@ class KinematicLimits:
 
 
 DEFAULT_LIMITS = KinematicLimits()
+
+
+class _PiecewisePolynomial(NamedTuple):
+    """A piecewise polynomial: c holds each piece's coefficients in the local
+    time t - x[piece], highest power first, with shape (degree + 1, pieces,
+    columns), over the ascending breakpoints x."""
+
+    c: np.ndarray
+    x: np.ndarray
 
 
 class TrajectoryState(NamedTuple):
@@ -146,8 +154,9 @@ class PlannedTrajectory:
     stretch applied after blending to restore the kinematic limits (exactly
     1.0 unless a peak exceeded its limit by more than 1e-9 relative).
     position_poly holds the joint positions as one exact piecewise
-    polynomial in t (degree 10); a dilated plan holds its planned
-    polynomial in t / dilation.  Every array is read-only.
+    polynomial in t (degree 10), its coefficients c highest power first with
+    shape (11, pieces, joints) over the breakpoints x; a dilated plan holds its
+    planned polynomial in t / dilation.  Every array is read-only.
     """
 
     start: np.ndarray
@@ -155,7 +164,7 @@ class PlannedTrajectory:
     enable_times: np.ndarray
     segment_durations: np.ndarray
     horizon: float
-    position_poly: PPoly
+    position_poly: _PiecewisePolynomial
     dilation: float = 1.0
 
     @property
@@ -168,7 +177,7 @@ class PlannedTrajectory:
 
 
 def _position_poly(start: np.ndarray, states: TrajectoryState, enable_times: np.ndarray,
-                   horizon: float) -> PPoly:
+                   horizon: float) -> _PiecewisePolynomial:
     """Superpose every moving profile onto start as one piecewise polynomial:
     on each interval a profile adds its phase polynomial shifted to the
     interval start (a ramp shape, the cruise line, or its distance once done)."""
@@ -201,16 +210,16 @@ def _position_poly(start: np.ndarray, states: TrajectoryState, enable_times: np.
     coeffs = np.zeros((x.size - 1, start.size, _TERMS))
     coeffs[:, :, 0] = start
     np.add.at(coeffs, (interval, joint[profile]), contrib)
-    return PPoly(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
+    return _PiecewisePolynomial(np.ascontiguousarray(coeffs.transpose(2, 0, 1)[::-1]), x)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray, times: np.ndarray, order: int = 2):
     """Value and derivatives up to `order` (at most 2) of a piecewise polynomial
-    (PPoly coefficients and breakpoints) at times in its domain, in one Horner
-    pass, which rounds less than PPoly's power sums where the large ramp terms
-    cancel.  It carries half the second derivative, which doubles exactly at the
-    end.  Rows are gathered with np.take and the offset spans every column, so
-    numpy's inner loops run over whole rows."""
+    (coefficients highest power first, and breakpoints) at times in its domain,
+    in one Horner pass, which rounds less than power sums where the large ramp
+    terms cancel.  It carries half the second derivative, which doubles exactly
+    at the end.  Rows are gathered with np.take and the offset spans every
+    column, so numpy's inner loops run over whole rows."""
     interval = np.clip(np.searchsorted(x, times, side="right") - 1, 0, coeffs.shape[1] - 1)
     pos = coeffs[0].take(interval, axis=0)
     u = np.empty_like(pos)
@@ -266,7 +275,7 @@ _CHANNEL_ORDER = {"velocity": 1, "acceleration": 2}
 
 
 def _piece_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """PPoly coefficients of the order-th derivative of every piece."""
+    """Coefficients (highest power first) of the order-th derivative of every piece."""
     powers = np.arange(coeffs.shape[0] - 1, order - 1, -1)
     falling = np.array([math.perm(p, order) for p in powers], dtype=float)
     return coeffs[:powers.size] * falling[:, None, None]
@@ -276,7 +285,7 @@ def _piece_bounds(coeffs: np.ndarray, x: np.ndarray, order: int):
     """Bernstein bound on |d^order/dt^order| of every (piece, column) of a
     piecewise polynomial, and the rounding margin that goes with it.
 
-    coeffs are PPoly coefficients (highest power first) over breakpoints x;
+    coeffs are piece coefficients (highest power first) over breakpoints x;
     both results have shape (pieces, columns).  Raises InvalidParameter when
     a piece is too long for its coefficients on [0, 1] to be finite.
     """
@@ -325,26 +334,44 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     tie = bound <= peak + margin
     peak = max(peak, np.max(bound, where=tie, initial=0.0))
     if not tie.all():
-        # Next derivative, with every tie set to a nonzero constant: it has no
-        # roots, where an all-zero piece would report its start point and a NaN.
-        slope = _piece_derivative(coeffs, order + 1)
-        slope[:, tie] = 0.0
-        slope[-1, tie] = 1.0
-        peak = max(peak, _peak_at_roots(coeffs, x, slope, order))
+        peak = max(peak, _peak_at_roots(coeffs, x, order, ~tie))
     return float(peak)
 
 
-def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, slope: np.ndarray, order: int) -> float:
-    """Largest |d^order/dt^order| of each column at the real roots of its own
-    slope polynomial (PPoly coefficients over x); 0.0 when there are none."""
-    per_column = PPoly(slope, x).roots(extrapolate=False)
-    roots = np.concatenate(per_column)
-    column = np.repeat(np.arange(len(per_column)), [r.size for r in per_column])
-    finite = np.isfinite(roots)
-    if not finite.any():
+# A root whose imaginary part is at most this fraction of its piece's width
+# counts as real.  The eigenvalue solver can return a real root of multiplicity
+# m as a complex cluster whose imaginary parts reach about eps**(1/m) of the
+# width; the slope has degree at most 8, and eps**(1/8) is about 0.011.
+_IMAG_TOLERANCE = 0.05
+
+
+def _peak_at_roots(coeffs: np.ndarray, x: np.ndarray, order: int, search: np.ndarray) -> float:
+    """Largest |d^order/dt^order| at the real roots of the next derivative, on
+    the (piece, column) pairs that the boolean (pieces, columns) mask search
+    selects; 0.0 when there are none.
+
+    Each pair's slope polynomial is solved in local time by np.roots, and the
+    real part of every root whose imaginary part is within _IMAG_TOLERANCE of
+    the piece's width is clipped to the piece.
+    Every candidate is then a true value of the polynomial at a point of its
+    piece, so the threshold errs towards keeping roots at no risk: an extra
+    candidate, such as a near-real root of a complex pair, can only move the
+    peak towards the true maximum, never past it, while a dropped real root
+    would under-report the peak.
+    """
+    slope = _piece_derivative(coeffs, order + 1)
+    width = np.diff(x)
+    times, columns = [], []
+    for piece, column in zip(*np.nonzero(search)):
+        roots = np.roots(slope[:, piece, column])
+        local = roots.real[np.abs(roots.imag) <= _IMAG_TOLERANCE * width[piece]]
+        times.append(x[piece] + np.clip(local, 0.0, width[piece]))
+        columns.append(np.full(local.size, column))
+    times = np.concatenate(times)
+    if not times.size:
         return 0.0
-    values = _horner(coeffs, x, roots[finite], order)[order]
-    return float(np.max(np.abs(values[np.arange(values.shape[0]), column[finite]])))
+    values = _horner(coeffs, x, times, order)[order]
+    return float(np.max(np.abs(values[np.arange(times.size), np.concatenate(columns)])))
 
 
 # A peak at most this far above its limit, relative, does not bind.  The per-tick
@@ -422,14 +449,15 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
         states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
                                  t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
         # the dilated positions are the planned polynomial in t / factor; scaling
-        # may merge breakpoints an ulp apart into a zero-width piece, which PPoly,
+        # may merge breakpoints an ulp apart into a zero-width piece, which
         # _horner and peak_abs accept
         powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
         traj = replace(traj, states=states, enable_times=enable_times * factor,
                        segment_durations=durations * factor, horizon=horizon * factor,
-                       position_poly=PPoly(poly.c / factor ** powers[:, None, None],
-                                           poly.x * factor),
+                       position_poly=_PiecewisePolynomial(
+                           poly.c / factor ** powers[:, None, None], poly.x * factor),
                        dilation=factor)
-    for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
+    for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations,
+                  *traj.position_poly):
         array.setflags(write=False)
     return traj

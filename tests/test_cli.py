@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,20 @@ class TestDesignCheck:
         code, _, err = invoke(capsys, "design-check", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("d_mm", [1e-320, 10.0, 10.0], r"l \* d_i and its reciprocal must be finite"),
+        ("n", "3", "n must be an integer of at least 3, got '3'"),
+        ("n", 3.0, "n must be an integer of at least 3, got 3.0"),
+    ], ids=["subnormal-d", "n-text", "n-float"])
+    def test_invalid_design_file_exits_2(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps({"name": "invalid", "n": 3, "psi_rad": [0.0, 2.0, 4.0],
+                                    "d_mm": [10.0, 10.0, 10.0], "l_m": 0.1, field: value}))
+        code, out, err = invoke(capsys, "design-check", str(path))
+        assert code == 2
+        assert out == ""
+        assert re.search(message, err), err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "design-check", str(tmp_path / "nope.json"))

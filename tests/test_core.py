@@ -360,6 +360,14 @@ class TestRobotDesignValidation:
             with pytest.raises(InvalidParameter, match="joint angles must be real numbers"):
                 RobotDesign("x", psi, [0.01] * 3, 0.1)
 
+    @pytest.mark.parametrize("d, l", [([1e-320, 0.01, 0.01], 0.1), ([0.01] * 3, 1e-320),
+                                      ([1e-200] * 3, 1e-200), ([1e300] * 3, 1e10)],
+                             ids=["subnormal-d", "subnormal-l", "product-underflows",
+                                  "product-overflows"])
+    def test_arc_maps_must_be_finite(self, d, l):
+        with pytest.raises(InvalidParameter, match=r"l \* d_i and its reciprocal must be finite"):
+            RobotDesign("x", psi=[0.0, 2.0, 4.0], d=d, l=l)
+
     def test_missing_length(self):
         with pytest.raises(InvalidParameter, match="segment length must be a real number"):
             RobotDesign("x", psi=[0.0, 1.0, 2.0], d=[0.01] * 3, l=None)

@@ -312,18 +312,43 @@ class TestClosedFormMatchesLoop:
             assert_matches_loop(stream.positions, designs["robot_C"], config)
 
 
-def test_import_and_experiment_leave_scipy_signal_unloaded():
-    # importing scipy.signal adds about half a second of start-up; the
-    # simulator must not pull it in
+def run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports clarkekit from this tree;
+    returns its stdout."""
     src = os.path.dirname(os.path.dirname(clarkekit.__file__))
-    code = ("import sys, clarkekit\n"
-            "d = clarkekit.builtin_designs()\n"
-            "clarkekit.run_experiment(d['robot_0'], d['robot_D'], 1)\n"
-            "print('scipy.signal' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_and_experiment_leave_scipy_unloaded():
+    # importing scipy.interpolate alone took most of a second of start-up;
+    # numpy is the only runtime dependency
+    out = run_python("import sys, clarkekit\n"
+                     "d = clarkekit.builtin_designs()\n"
+                     "clarkekit.run_experiment(d['robot_0'], d['robot_D'], 1)\n"
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.strip() == "[]"
+
+
+def test_demo_and_experiment_run_where_scipy_cannot_be_imported(tmp_path):
+    # a finder ahead of every other one refuses scipy, as if it were not installed
+    out = run_python(
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is not installed')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import clarkekit\n"
+        "from clarkekit import cli\n"
+        f"assert cli.main(['demo', '--seed', '42', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "d = clarkekit.builtin_designs()\n"
+        "runs = clarkekit.run_experiment(d['robot_0'], d['robot_D'], 1)\n"
+        "print(sorted(runs), 'scipy' in sys.modules)\n")
+    assert out.strip().splitlines()[-1] == (
+        "['closed_loop', 'open_loop_clean', 'open_loop_noisy'] False")
+    assert (tmp_path / "manifest.json").is_file()
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ from clarkekit import trajectory
 from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import (_dilation, _horner, _peak_at_roots, _piece_bounds,
-                                  _piece_derivative, _position_poly)
+                                  _position_poly)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs, smoothstep, smoothstep_integral,
@@ -58,8 +58,9 @@ def smoothness_bounds(traj):
 def one_sided_derivatives(poly, order: int):
     """Left and right limits of d^order/dt^order of a piecewise polynomial at
     its interior breakpoints, one row per breakpoint: the left limit is the
-    preceding interval's polynomial at its right end."""
-    coeffs = poly.derivative(order).c
+    preceding interval's polynomial at its right end; poly is wrapped in
+    scipy's PPoly for its derivative."""
+    coeffs = PPoly(poly.c, poly.x).derivative(order).c
     width = np.diff(poly.x)[:-1, None]
     left = np.zeros_like(coeffs[0, :-1])
     for row in coeffs[:, :-1]:
@@ -481,7 +482,8 @@ class TestBlendAndEvaluate:
         traj = plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
                                DEFAULT_LIMITS, overlap)
         assert (traj.dilation > 1.0) == (overlap == 1.0)
-        for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations):
+        for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations,
+                      traj.position_poly.c, traj.position_poly.x):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0.0
@@ -699,9 +701,8 @@ def unpruned_peak(traj, channel, weights=None):
     order = {"velocity": 1, "acceleration": 2}[channel]
     poly = traj.position_poly
     coeffs = poly.c if weights is None else poly.c @ np.asarray(weights).T
-    slope = _piece_derivative(coeffs, order + 1)
     return max(probe_peak(traj, order, weights),
-               _peak_at_roots(coeffs, poly.x, slope, order))
+               _peak_at_roots(coeffs, poly.x, order, np.ones(coeffs.shape[1:], dtype=bool)))
 
 
 def assert_matches_roots_oracle(traj, channel, weights=None):

@@ -178,9 +178,10 @@ def oracle_peak_abs(traj, channel="velocity", weights=None):
 
 
 def horner(poly, times, order=0):
-    """A derivative of a piecewise polynomial at times in its domain, by
-    Horner's rule over the derivative's own coefficients."""
-    c = poly.derivative(order).c
+    """A derivative of a piecewise polynomial (any object with coefficients c
+    and breakpoints x) at times in its domain, by Horner's rule over the
+    derivative's own coefficients, which scipy's PPoly computes."""
+    c = PPoly(poly.c, poly.x).derivative(order).c
     interval = np.clip(np.searchsorted(poly.x, times, side="right") - 1, 0, c.shape[1] - 1)
     u = (times - poly.x[interval])[:, None]
     out = c[0, interval]
@@ -194,7 +195,7 @@ def roots_peak_abs(traj, channel="velocity", weights=None):
     derivative on every interval and column, each candidate evaluated in
     every column."""
     order = {"velocity": 1, "acceleration": 2}[channel]
-    poly = traj.position_poly
+    poly = PPoly(traj.position_poly.c, traj.position_poly.x)
     if weights is not None:
         poly = PPoly(poly.c @ np.asarray(weights, dtype=float).T, poly.x)
     roots = poly.derivative(order + 1).roots(extrapolate=False)
