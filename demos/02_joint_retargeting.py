@@ -15,7 +15,6 @@ from clarkekit import (
     sample_joints,
     to_arc,
     transfer_general,
-    transfer_symmetric,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -36,7 +35,7 @@ print("robot_D arc:     ", to_arc(robot_D, out))
 # Symmetric mode keeps the Clarke coordinates instead; with non-constant
 # distances the realized arc then differs, which is what degrades the
 # uncompensated control runs.
-naive = transfer_symmetric(robot_0, robot_D, rho)
+naive = make_transfer_map(robot_0, robot_D, "symmetric").apply(rho)
 print("\nsymmetric-mode joints:", naive * 1000, "mm")
 print("symmetric-mode arc:   ", to_arc(robot_D, naive))
 

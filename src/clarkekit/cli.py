@@ -73,6 +73,8 @@ def cmd_design_check(args) -> int:
     design = get_design(args.design)
     report = design_report(design)
     degenerate = not report["gram_condition"] < CONDITION_LIMIT
+    if not degenerate:
+        design.arc_forward  # raises InvalidParameter when the arc map is not finite
     report["status"] = "degenerate" if degenerate else "ok"
     for key, value in report.items():
         print(f"{key}: {json.dumps(value) if not isinstance(value, str) else value}")

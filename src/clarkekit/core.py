@@ -110,15 +110,20 @@ class RobotDesign:
         return minv, gram, _spd2_condition(gram)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def arc_forward(self) -> np.ndarray:
         """2 x n map from joint displacements to the planar arc pair
-        (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i."""
-        return _read_only(self.pair.forward_matrix / self.d[None, :] / self.l)
+        (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i.  Raises
+        InvalidParameter if it overflows (a near-collinear layout at a tiny l * d_i)."""
+        forward = self.pair.forward_matrix / self.d[None, :] / self.l
+        if not np.isfinite(forward).all():
+            raise InvalidParameter(f"design {self.name!r}: its arc forward map is not finite")
+        return _read_only(forward)
 
     @cached_property
     def arc_inverse(self) -> np.ndarray:
         """n x 2 map from the planar arc pair back to joint displacements;
-        adds l, d_i and psi_i."""
+        adds l, d_i and psi_i.  Finite: its entries are at most l * d_i."""
         return _read_only(self.l * self.d[:, None] * self.pair.inverse_matrix)
 
     def is_symmetric(self) -> bool:

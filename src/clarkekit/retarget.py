@@ -23,7 +23,7 @@ from .core import (RobotDesign, check_count, check_joints, check_positive, finit
 from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
-           "polar_clarke_grid", "transfer_general", "transfer_symmetric"]
+           "polar_clarke_grid", "transfer_general"]
 
 TRANSFER_MODES = ("symmetric", "general")
 
@@ -80,25 +80,15 @@ def make_transfer_map(source: RobotDesign, target: RobotDesign,
     return TransferMap(source, target, mode, matrix, encoder, decoder)
 
 
-def transfer_symmetric(source: RobotDesign, target: RobotDesign, joints) -> np.ndarray:
-    """Retarget joint values assuming both designs only differ in joint angles.
-
-    Encodes with the source's forward Clarke matrix and decodes with the
-    target's inverse matrix; center-line distances and segment lengths are
-    ignored, so the Clarke coordinates are preserved exactly.
-    """
-    encoder, decoder = _factors(source, target, "symmetric")
-    return decoder @ (encoder @ check_joints(joints, source.n))
-
-
 def transfer_general(source: RobotDesign, target: RobotDesign, joints) -> np.ndarray:
-    """Retarget joint values between two arbitrary designs.
+    """Retarget one finite joint vector between two arbitrary designs, as
+    `make_transfer_map(source, target, "general").apply` does.
 
     The source's kinematic design parameters are stripped and the target's
-    added, so both robots realize the same arc.
+    added, so both robots realize the same arc.  Kept because the benchmark
+    harness binds it.
     """
-    encoder, decoder = _factors(source, target, "general")
-    return decoder @ (encoder @ check_joints(joints, source.n))
+    return target.arc_inverse @ (source.arc_forward @ check_joints(joints, source.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ two gains serve any joint count and any design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,8 +22,8 @@ import numpy as np
 from .core import RobotDesign, check_positive, check_real, check_seed, finite_array
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
-from .retarget import (TRANSFER_MODES, PerturbedDesign, TransferMap,
-                       make_transfer_map, perturbation_analysis, polar_clarke_grid)
+from .retarget import (PerturbedDesign, TransferMap, make_transfer_map, perturbation_analysis,
+                       polar_clarke_grid)
 from .sampling import sample_joints
 from .trajectory import (_BINDING_TOLERANCE, DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory,
                          _dilation, _horner, peak_abs, plan_trajectory)
@@ -49,8 +49,6 @@ class SimConfig:
     kp: float = 75.0
     kd: float = 0.0015
     seed: int = 0
-    mode: str = "closed_loop"
-    transfer_mode: str = "general"
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -61,11 +59,6 @@ class SimConfig:
                 raise InvalidParameter(f"{label} must be finite, got {getattr(self, label)}")
         if self.noise_eps < 0.0:
             raise InvalidParameter(f"noise_eps must be non-negative, got {self.noise_eps}")
-        if self.mode not in MODES:
-            raise InvalidParameter(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.transfer_mode not in TRANSFER_MODES:
-            raise InvalidParameter(
-                f"unknown transfer mode {self.transfer_mode!r}; choose from {TRANSFER_MODES}")
         # Jury's conditions: both poles lie strictly inside the unit circle
         a1, a2 = self._recurrence()[2:]
         if not (abs(a2) < 1.0 and abs(a1) < 1.0 - a2):
@@ -90,11 +83,14 @@ class SimRun:
     stream (`run_experiment`, `evaluate_suite`) also share arrays: desired
     and t in every mode, the open-loop true states (and so the error metrics)
     in both open-loop modes, and the noise draw behind measured in
-    open_loop_noisy and closed_loop.
+    open_loop_noisy and closed_loop.  transfer_mode is the mode of the
+    TransferMap that built the desired stream, None for a stream given to `run`.
     """
 
     design: RobotDesign
     config: SimConfig
+    mode: str
+    transfer_mode: str | None
     t: np.ndarray
     desired: np.ndarray
     measured: np.ndarray
@@ -131,8 +127,8 @@ class SimRun:
     def metrics(self) -> dict:
         return {
             "robot": self.design.name,
-            "mode": self.config.mode,
-            "transfer_mode": self.config.transfer_mode,
+            "mode": self.mode,
+            "transfer_mode": self.transfer_mode,
             "seed": self.config.seed,
             "rms_per_joint_m": [float(x) for x in self.rms_per_joint()],
             "rms_latent": self.rms_latent(),
@@ -141,8 +137,8 @@ class SimRun:
         }
 
 
-def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
-    """Simulate one mode over a per-tick, finite desired joint stream.
+def run(desired, design: RobotDesign, config: SimConfig, mode: str = "closed_loop") -> SimRun:
+    """Simulate one mode of MODES over a per-tick, finite desired joint stream.
 
     The stream must already live on the config's dt grid.  Per tick the
     measurement adds a fresh uniform draw from [-eps, eps] to each joint's
@@ -152,14 +148,18 @@ def run(desired, design: RobotDesign, config: SimConfig) -> SimRun:
     The actuators start on the desired state at t = 0.  A log-depth scan
     solves the loop in closed form; it is not stepped tick by tick.
     """
-    return _simulate(desired, design, config, (config.mode,))[config.mode]
+    return _simulate(desired, design, config, (mode,), None)[mode]
 
 
-def _simulate(desired, design: RobotDesign, config: SimConfig, modes) -> dict[str, SimRun]:
-    """Simulate each mode over one desired stream, as `run` does with config
-    set to that mode, computing once what their runs share: the tick grid, the
-    noise draw (the config's seed and the stream's shape) and the open-loop
-    state scan with its error metrics."""
+def _simulate(desired, design: RobotDesign, config: SimConfig, modes,
+              transfer_mode: str | None) -> dict[str, SimRun]:
+    """Simulate each mode over one desired stream, as `run` does for that mode,
+    computing once what their runs share: the tick grid, the noise draw (the
+    config's seed and the stream's shape) and the open-loop state scan with its
+    error metrics.  Every run is labelled with transfer_mode."""
+    if any(mode not in MODES for mode in modes):
+        raise InvalidParameter(f"unknown mode in {tuple(modes)}; choose from {MODES}")
+    design.arc_forward  # every run's metrics need it; a map that is not finite raises here
     desired = finite_array(desired, "desired stream")
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(
@@ -181,8 +181,9 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes) -> dict[st
                 open_loop = _open_loop(desired, config)
             true, commanded = open_loop, desired
         measured = (0.0 if mode == "open_loop_clean" else noise) + true
-        runs[mode] = SimRun(design=design, config=replace(config, mode=mode), t=t,
-                            desired=desired, measured=measured, commanded=commanded, true=true)
+        runs[mode] = SimRun(design=design, config=config, mode=mode, transfer_mode=transfer_mode,
+                            t=t, desired=desired, measured=measured, commanded=commanded,
+                            true=true)
     # both open-loop modes track desired with the same true states
     opened = [sim for sim in runs.values() if sim.true is open_loop]
     for sim in opened[1:]:
@@ -288,9 +289,9 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     stream, and simulates the requested modes (all three by default).
     """
     trajectory = surrogate_trajectory(surrogate, seed, segment_count)
-    stream = desired_stream(trajectory, make_transfer_map(surrogate, target, transfer_mode))
-    return _simulate(stream.positions, target,
-                     SimConfig(seed=seed, transfer_mode=transfer_mode), modes)
+    transfer = make_transfer_map(surrogate, target, transfer_mode)
+    stream = desired_stream(trajectory, transfer)
+    return _simulate(stream.positions, target, SimConfig(seed=seed), modes, transfer.mode)
 
 
 def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
@@ -307,18 +308,20 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
     for name, target in designs.items():
         entry = design_report(target)
-        stream = desired_stream(trajectory, make_transfer_map(surrogate, target, "general"))
+        transfer = make_transfer_map(surrogate, target, "general")
+        stream = desired_stream(trajectory, transfer)
         entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
             entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + _BINDING_TOLERANCE))
-        for mode, sim in _simulate(stream.positions, target, config, MODES).items():
+        for mode, sim in _simulate(stream.positions, target, config, MODES,
+                                   transfer.mode).items():
             runs[f"{name}_{mode}"] = sim
             entry[f"rms_latent_{mode}"] = sim.rms_latent()
         rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
         entry["rms_per_joint_closed_loop_m"] = [float(x) for x in rms_comp]
-        sym_stream = desired_stream(trajectory,
-                                    make_transfer_map(surrogate, target, "symmetric"))
+        sym_transfer = make_transfer_map(surrogate, target, "symmetric")
+        sym_stream = desired_stream(trajectory, sym_transfer)
         shared = min(sym_stream.positions.shape[0], stream.positions.shape[0])
         deviation = float(np.max(np.abs(sym_stream.positions[:shared]
                                         - stream.positions[:shared])))
@@ -326,9 +329,8 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
             deviation < 1e-12 and sym_stream.positions.shape == stream.positions.shape)
         entry["transfer_mode_deviation_m"] = deviation
         if not entry["transfer_modes_equivalent"] and name != "robot_0":
-            uncomp = _simulate(sym_stream.positions, target,
-                               replace(config, transfer_mode="symmetric"),
-                               ("closed_loop",))["closed_loop"]
+            uncomp = _simulate(sym_stream.positions, target, config, ("closed_loop",),
+                               sym_transfer.mode)["closed_loop"]
             runs[f"{name}_closed_loop_uncompensated"] = uncomp
             rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
             entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp

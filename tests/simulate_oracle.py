@@ -27,15 +27,15 @@ def pt1_step(state, command, dt: float, time_constant: float):
     return state - math.expm1(-dt / time_constant) * (command - state)
 
 
-def run_loop(desired, design, config) -> SimRun:
+def run_loop(desired, design, config, mode) -> SimRun:
     """Step the simulation tick by tick (same inputs and noise as `run`)."""
     desired = np.asarray(desired, dtype=float)
     ticks = desired.shape[0]
     encode = arc_forward_matrix(design)
     decode = design.arc_inverse
     alpha = -math.expm1(-config.dt / config.time_constant)
-    closed = config.mode == "closed_loop"
-    noisy = config.mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0
+    closed = mode == "closed_loop"
+    noisy = mode in ("open_loop_noisy", "closed_loop") and config.noise_eps > 0.0
     if noisy:
         rng = np.random.default_rng(config.seed)
         noise = rng.uniform(-config.noise_eps, config.noise_eps, size=desired.shape)
@@ -63,7 +63,8 @@ def run_loop(desired, design, config) -> SimRun:
             command = desired[k]
         commanded[k] = command
         state = state + alpha * (command - state)
-    return SimRun(design=design, config=config, t=np.arange(ticks) * config.dt,
+    return SimRun(design=design, config=config, mode=mode, transfer_mode=None,
+                  t=np.arange(ticks) * config.dt,
                   desired=desired, measured=measured, commanded=commanded, true=true)
 
 

@@ -193,7 +193,7 @@ def test_criterion_10_pt1_analytics():
     ticks = 3000
     times = np.arange(ticks) * dt
     desired = np.outer(DEFAULT_V_MAX * times, direction)
-    sim = run(desired, robot, SimConfig(seed=0, mode="open_loop_clean"))
+    sim = run(desired, robot, SimConfig(seed=0), "open_loop_clean")
     lag = sim.desired[-1, 0] - sim.true[-1, 0]
     expected = DEFAULT_V_MAX * direction[0] * time_constant
     assert lag == pytest.approx(expected, rel=0.01)

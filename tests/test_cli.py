@@ -78,6 +78,26 @@ class TestDesignCheck:
         assert out == ""
         assert re.search(message, err), err
 
+    @pytest.mark.parametrize("command", [
+        ["design-check", "DESIGN"],
+        ["simulate", "robot_0", "DESIGN"],
+        ["simulate", "robot_0", "DESIGN", "--mode", "open_loop_clean", "--transfer", "symmetric"],
+    ], ids=["design-check", "simulate", "simulate-open-loop"])
+    def test_overflowing_arc_map_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        # l * d_i passes, but the near-collinear layout's forward matrix
+        # overflows once divided by it; nothing is written
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"name": "tiny", "n": 3, "psi_rad": [0.0, 0.01, 0.02],
+                                    "d_mm": [1e-297] * 3, "l_m": 1e-7}))
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("CLARKEKIT_OUT_DIR", str(out_dir))
+        code, out, err = invoke(capsys, *[str(path) if arg == "DESIGN" else arg
+                                          for arg in command])
+        assert code == 2
+        assert out == ""
+        assert "arc forward map is not finite" in err
+        assert not out_dir.exists()
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "design-check", str(tmp_path / "nope.json"))
         assert code == 2
@@ -260,6 +280,7 @@ class TestSimulate:
         data = json.loads(metrics.read_text())
         assert data["robot"] == "robot_B"
         assert data["mode"] == "closed_loop"
+        assert data["transfer_mode"] == "general"
         assert len(data["rms_per_joint_m"]) == 3
         recorded = json.loads(manifest.read_text())
         names = {entry["name"] for entry in recorded["outputs"]}

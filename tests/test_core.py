@@ -21,7 +21,6 @@ from clarkekit import (
     symmetric_design,
     to_arc,
     transfer_general,
-    transfer_symmetric,
     transform_pair,
 )
 from clarkekit import core
@@ -176,7 +175,7 @@ class TestDesignMatrixCache:
             arc = to_arc(robots[s], joints)
             from_arc(robots[t], arc)
             transfer_general(robots[s], robots[t], joints)
-            transfer_symmetric(robots[s], robots[t], joints)
+            make_transfer_map(robots[s], robots[t], "symmetric").apply(joints)
             make_transfer_map(robots[s], robots[t])
             pair.inverse(pair.forward(joints))
         assert builds == {design.name: 1 for design in robots}
@@ -367,6 +366,15 @@ class TestRobotDesignValidation:
     def test_arc_maps_must_be_finite(self, d, l):
         with pytest.raises(InvalidParameter, match=r"l \* d_i and its reciprocal must be finite"):
             RobotDesign("x", psi=[0.0, 2.0, 4.0], d=d, l=l)
+
+    def test_overflowing_forward_map(self):
+        # l * d_i and its reciprocal are finite, but this near-collinear layout's
+        # forward matrix holds entries of about 50, so the arc forward map overflows
+        design = RobotDesign("tiny", psi=[0.0, 0.01, 0.02], d=[1e-300] * 3, l=1e-7)
+        for read in (lambda: design.arc_forward, lambda: to_arc(design, [0.0] * 3)):
+            with pytest.raises(InvalidParameter, match="arc forward map is not finite"):
+                read()
+        assert np.isfinite(design.arc_inverse).all()
 
     def test_missing_length(self):
         with pytest.raises(InvalidParameter, match="segment length must be a real number"):

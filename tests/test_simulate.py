@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -83,7 +84,7 @@ class TestSimConfig:
         assert config.kd == 0.0015
 
     @pytest.mark.parametrize("kwargs", [
-        {"dt": 0.0}, {"noise_eps": -1.0}, {"mode": "banana"}, {"transfer_mode": "x"},
+        {"dt": 0.0}, {"noise_eps": -1.0}, {"time_constant": 0.0}, {"dt": -1e-3},
         {"dt": math.nan}, {"dt": math.inf}, {"noise_eps": math.nan}, {"noise_eps": math.inf},
         {"kp": math.nan}, {"kp": math.inf}, {"kd": math.nan}, {"kd": -math.inf},
         {"time_constant": math.inf}, {"time_constant": math.nan},
@@ -108,11 +109,12 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("gains", [{"kp": 1e5}, {"kd": -1.0}, {"kp": -1.0}])
-    def test_unstable_loop_rejected(self, gains, mode):
+    def test_unstable_loop_rejected(self, robot_0, gains, mode):
         # kp = 1e5 used to overflow to inf states without an error; the
-        # poles of l**2 - a1 l - a2 must lie strictly inside the unit circle
+        # poles of l**2 - a1 l - a2 must lie strictly inside the unit circle,
+        # and the config is refused before a run of any mode starts
         with pytest.raises(InvalidParameter, match="unstable"):
-            SimConfig(mode=mode, **gains)
+            run(np.zeros((3, 3)), robot_0, SimConfig(**gains), mode)
 
     @pytest.mark.parametrize("gains", [{"dt": 1e-300, "kd": 1e10}, {"kp": 1e308, "kd": 1e305}])
     def test_overflowing_recurrence_rejected(self, gains):
@@ -149,6 +151,11 @@ class TestSimConfig:
         # and a complex pair with |l| = 0.63
         SimConfig(**gains)
 
+    def test_fields_are_the_loop_parameters(self):
+        # a run's mode and transfer mode are labels of the run, not of the loop
+        assert [field.name for field in dataclasses.fields(SimConfig)] == [
+            "dt", "time_constant", "noise_eps", "kp", "kd", "seed"]
+
 
 class TestRun:
     def constant_stream(self, robot, setpoint, ticks=2000):
@@ -165,7 +172,7 @@ class TestRun:
 
     def test_noise_bounds_and_uniformity(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, -0.002], ticks=10000)
-        sim = run(desired, robot_0, SimConfig(seed=5, mode="open_loop_noisy"))
+        sim = run(desired, robot_0, SimConfig(seed=5), "open_loop_noisy")
         noise = (sim.measured - sim.true).ravel()
         eps = sim.config.noise_eps
         assert np.max(np.abs(noise)) <= eps
@@ -175,13 +182,13 @@ class TestRun:
 
     def test_open_loop_commands_ignore_noise(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, -0.002])
-        sim = run(desired, robot_0, SimConfig(seed=3, mode="open_loop_noisy"))
+        sim = run(desired, robot_0, SimConfig(seed=3), "open_loop_noisy")
         np.testing.assert_array_equal(sim.commanded, desired)
         assert sim.commanded is sim.desired
 
     def test_open_loop_clean_has_no_noise(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, -0.002])
-        sim = run(desired, robot_0, SimConfig(seed=3, mode="open_loop_clean"))
+        sim = run(desired, robot_0, SimConfig(seed=3), "open_loop_clean")
         np.testing.assert_array_equal(sim.measured, sim.true)
 
     def test_closed_loop_constant_setpoint_latent_error(self, robot_0):
@@ -224,7 +231,7 @@ class TestRun:
         desired[7, 1] = bad
         for mode in MODES:
             with pytest.raises(InvalidParameter, match="finite"):
-                run(desired, robot_0, SimConfig(mode=mode))
+                run(desired, robot_0, SimConfig(), mode)
 
     def test_metrics_schema(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=1500)
@@ -236,6 +243,21 @@ class TestRun:
         assert metrics["robot"] == "robot_0"
         assert len(metrics["rms_per_joint_m"]) == 3
         assert metrics["transient_cutoff_s"] == 1.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_direct_run_labels(self, robot_0, mode):
+        # a raw stream's origin is not known, so no transfer mode is claimed
+        desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)
+        metrics = run(desired, robot_0, SimConfig(seed=2), mode).metrics()
+        assert metrics["mode"] == mode
+        assert metrics["transfer_mode"] is None
+
+    def test_unknown_mode_rejected(self, robot_0):
+        desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)
+        with pytest.raises(InvalidParameter, match=r"unknown mode in \('banana',\)"):
+            run(desired, robot_0, SimConfig(), "banana")
+        with pytest.raises(InvalidParameter, match=r"unknown mode in \('banana',\)"):
+            run_experiment(robot_0, robot_0, 0, modes=("banana",))
 
     def test_csv_schema(self, robot_0, tmp_path):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=50)
@@ -266,18 +288,18 @@ class TestRun:
             assert (tmp_path / f"{stem}.csv").read_bytes() == repr_csv(header, rows), stem
 
 
-def assert_matches_loop(desired, design, config):
+def assert_matches_loop(desired, design, config, mode):
     """true, measured and commanded agree with the per-tick loop to 1e-12 of
     the loop's largest magnitude; the first state and open-loop commands exactly."""
-    sim = run(desired, design, config)
-    ref = run_loop(desired, design, config)
+    sim = run(desired, design, config, mode)
+    ref = run_loop(desired, design, config, mode)
     for field in ("true", "measured", "commanded"):
         got, want = getattr(sim, field), getattr(ref, field)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(want)), err_msg=field)
     np.testing.assert_array_equal(sim.true[0], desired[0])
-    if config.mode != "closed_loop":
+    if mode != "closed_loop":
         np.testing.assert_array_equal(sim.commanded, desired)
 
 
@@ -290,14 +312,13 @@ class TestClosedFormMatchesLoop:
         transfer = make_transfer_map(designs["robot_0"], designs[target], transfer_mode)
         stream = desired_stream(trajectory, transfer)
         for mode in MODES:
-            config = SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode)
-            assert_matches_loop(stream.positions, designs[target], config)
+            assert_matches_loop(stream.positions, designs[target], SimConfig(seed=seed), mode)
 
     @pytest.mark.parametrize("ticks", [1, 2, 3])
     def test_short_streams(self, robot_D, ticks):
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
         for mode in MODES:
-            assert_matches_loop(desired, robot_D, SimConfig(seed=4, mode=mode))
+            assert_matches_loop(desired, robot_D, SimConfig(seed=4), mode)
 
     @pytest.mark.parametrize("overrides", [
         {"kp": 0.0, "kd": 0.0},   # slow pole 1 - alpha
@@ -308,8 +329,8 @@ class TestClosedFormMatchesLoop:
         stream = desired_stream(surrogate_trajectory(designs["robot_0"], 5),
                                 make_transfer_map(designs["robot_0"], designs["robot_C"]))
         for mode in MODES:
-            config = SimConfig(seed=5, mode=mode, **overrides)
-            assert_matches_loop(stream.positions, designs["robot_C"], config)
+            assert_matches_loop(stream.positions, designs["robot_C"],
+                                SimConfig(seed=5, **overrides), mode)
 
 
 def run_python(code: str) -> str:
@@ -473,14 +494,14 @@ class TestRunExperiment:
 
 
 def assert_runs_match_independent_runs(runs, stream, target, seed, transfer_mode):
-    """Runs that share one stream's work equal a separate `run` per mode, bit for bit."""
+    """Runs that share one stream's work equal a separate `run` per mode, bit for
+    bit, and carry the transfer mode of their stream where `run` carries None."""
     for mode, shared in runs.items():
-        alone = run(stream.positions, target,
-                    SimConfig(seed=seed, mode=mode, transfer_mode=transfer_mode))
+        alone = run(stream.positions, target, SimConfig(seed=seed), mode)
         for field in ("t", "desired", "measured", "commanded", "true"):
             np.testing.assert_array_equal(getattr(shared, field), getattr(alone, field),
                                           err_msg=f"{mode} {field}")
-        assert shared.metrics() == alone.metrics(), mode
+        assert shared.metrics() == {**alone.metrics(), "transfer_mode": transfer_mode}, mode
         np.testing.assert_array_equal(shared.rms_per_joint(), alone.rms_per_joint())
 
 
@@ -525,8 +546,8 @@ class TestRunsShareStreamWork:
         # tick counts; 1002 ticks leave only the last one
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
         stream = DesiredStream(positions=desired, velocities=np.zeros_like(desired))
-        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), MODES)
-        assert_runs_match_independent_runs(runs, stream, robot_D, 6, "general")
+        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), MODES, None)
+        assert_runs_match_independent_runs(runs, stream, robot_D, 6, None)
         for sim in runs.values():
             settled = sim.t > TRANSIENT_CUTOFF_S
             if not settled.any():
