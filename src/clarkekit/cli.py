@@ -85,20 +85,19 @@ def cmd_design_check(args) -> int:
 
 def cmd_transform(args) -> int:
     design = get_design(args.design)
-    pair = design.pair
     # an overflow shows as a value that is not finite, rejected before anything prints
     with np.errstate(over="ignore", invalid="ignore"):
         if args.clarke is not None:
             clarke = np.asarray(args.clarke, dtype=float)
-            joints = pair.inverse(clarke)
+            joints = design.inverse(clarke)
             values = {"clarke_m": clarke, "joints_m": joints,
                       "joints_mm": [round(float(x) * 1000.0, 9) for x in joints]}
-            label, roundtrip = "roundtrip_clarke_m", pair.forward(joints)
+            label, roundtrip = "roundtrip_clarke_m", design.forward(joints)
         else:
             joints = np.asarray(args.joints, dtype=float)
-            clarke = pair.forward(joints)
+            clarke = design.forward(joints)
             values = {"joints_m": joints, "clarke_m": clarke}
-            label, roundtrip = "reprojected_joints_m", pair.inverse(clarke)
+            label, roundtrip = "reprojected_joints_m", design.inverse(clarke)
         arc = to_arc(design, joints)
         values.update({"kappa_1pm": arc.kappa, "theta_rad": arc.theta,
                        "kappa_l": arc.kappa * design.l, label: roundtrip})
@@ -113,7 +112,7 @@ def cmd_transform(args) -> int:
 def cmd_sample(args) -> int:
     design = get_design(args.design)
     batch = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
-    joints = batch.clarke @ design.pair.inverse_matrix.T
+    joints = batch.clarke @ design.inverse_matrix.T
     out = Path(args.out)
     header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(design.n)]
     digest = write_csv(out, header, [np.arange(batch.count), *batch.clarke.T, *joints.T])

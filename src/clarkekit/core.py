@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import DegenerateDesign, DimensionMismatch, InvalidParameter
 
-__all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "TransformPair",
-           "arc_forward_matrix", "from_arc", "gram_condition",
-           "inverse_clarke_matrix", "symmetric_design", "to_arc", "transform_pair", "wrap_angle"]
+__all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "arc_forward_matrix", "from_arc",
+           "gram_condition", "symmetric_design", "to_arc", "transform_pair", "wrap_angle"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,25 +88,38 @@ class RobotDesign:
         return self.psi.size
 
     @cached_property
-    def pair(self) -> "TransformPair":
-        """Forward/inverse Clarke matrix pair of the design.
-
-        The forward matrix is the Moore-Penrose pseudoinverse of the inverse
-        matrix.  Because the Gram matrix is only 2 x 2, the pseudoinverse is
-        computed through its closed-form inverse; a condition number at or
-        above CONDITION_LIMIT raises DegenerateDesign, on every access.  For
-        symmetric layouts the result equals (2/n) times the transposed
-        inverse matrix.
-        """
-        return _build_pair(self)
-
-    @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(inverse matrix, Gram matrix, Gram condition) of the design, built
         once; never raises, so a report can read a degenerate condition."""
-        minv = _read_only(inverse_clarke_matrix(self.psi))
+        minv = _read_only(np.column_stack([np.cos(self.psi), np.sin(self.psi)]))
         gram = _read_only(minv.T @ minv)
         return minv, gram, _spd2_condition(gram)
+
+    @cached_property
+    def forward_matrix(self) -> np.ndarray:
+        """2 x n Clarke encoder, the Moore-Penrose pseudoinverse of
+        `inverse_matrix`.
+
+        Because the Gram matrix is only 2 x 2, the pseudoinverse is computed
+        through its closed-form inverse; a condition number at or above
+        CONDITION_LIMIT raises DegenerateDesign, on every access.  For
+        symmetric layouts the result equals (2/n) times the transposed
+        inverse matrix.
+        """
+        minv, gram, condition = self._gram
+        if not condition < CONDITION_LIMIT:
+            raise DegenerateDesign(
+                f"design {self.name!r}: Gram condition {condition:.3g} is not "
+                f"below {CONDITION_LIMIT:.0e}; joint angles are collinear modulo pi"
+            )
+        return _read_only(_inv2x2(gram) @ minv.T)
+
+    @cached_property
+    def inverse_matrix(self) -> np.ndarray:
+        """n x 2 Clarke decoder with rows [cos(psi_i), sin(psi_i)]; raises
+        DegenerateDesign, on every access, where `forward_matrix` does."""
+        self.forward_matrix  # raises DegenerateDesign for a collinear layout
+        return self._gram[0]
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -115,7 +127,7 @@ class RobotDesign:
         """2 x n map from joint displacements to the planar arc pair
         (kappa*cos(theta), kappa*sin(theta)); strips l, psi_i and d_i.  Raises
         InvalidParameter if it overflows (a near-collinear layout at a tiny l * d_i)."""
-        forward = self.pair.forward_matrix / self.d[None, :] / self.l
+        forward = self.forward_matrix / self.d[None, :] / self.l
         if not np.isfinite(forward).all():
             raise InvalidParameter(f"design {self.name!r}: its arc forward map is not finite")
         return _read_only(forward)
@@ -124,7 +136,15 @@ class RobotDesign:
     def arc_inverse(self) -> np.ndarray:
         """n x 2 map from the planar arc pair back to joint displacements;
         adds l, d_i and psi_i.  Finite: its entries are at most l * d_i."""
-        return _read_only(self.l * self.d[:, None] * self.pair.inverse_matrix)
+        return _read_only(self.l * self.d[:, None] * self.inverse_matrix)
+
+    def forward(self, joints) -> np.ndarray:
+        """Clarke coordinates of a joint vector (exact linear map)."""
+        return self.forward_matrix @ check_joints(joints, self.n)
+
+    def inverse(self, clarke) -> np.ndarray:
+        """Joint vector reproducing the given Clarke coordinates."""
+        return self.inverse_matrix @ check_clarke(clarke)
 
     def is_symmetric(self) -> bool:
         """True when the joints are equally spaced (gaps within 1e-9 rad of 2*pi/n)."""
@@ -151,28 +171,6 @@ class ArcParameters(NamedTuple):
         if kappa == 0.0:
             return cls(0.0, 0.0)
         return cls(kappa, wrap_angle(math.atan2(wy, wx)))
-
-
-@dataclass(frozen=True, eq=False)
-class TransformPair:
-    """Cached forward (2 x n) and inverse (n x 2) Clarke matrices for one
-    design of n joints, together with the 2 x 2 Gram matrix of the inverse
-    matrix and its condition number.  It keeps n, not the design, so a
-    design and its cached pair form no reference cycle."""
-
-    n: int
-    forward_matrix: np.ndarray
-    inverse_matrix: np.ndarray
-    gram: np.ndarray
-    condition: float
-
-    def forward(self, joints) -> np.ndarray:
-        """Clarke coordinates of a joint vector (exact linear map)."""
-        return self.forward_matrix @ check_joints(joints, self.n)
-
-    def inverse(self, clarke) -> np.ndarray:
-        """Joint vector reproducing the given Clarke coordinates."""
-        return self.inverse_matrix @ check_clarke(clarke)
 
 
 def check_real(value, name: str) -> float:
@@ -250,16 +248,6 @@ def check_seed(value) -> int:
     return int(value)
 
 
-def inverse_clarke_matrix(psi) -> np.ndarray:
-    """n x 2 matrix with rows [cos(psi_i), sin(psi_i)].
-
-    Decodes a Clarke coordinate pair into n joint displacements.  Accepts
-    any number of angles (a full design requires at least three).
-    """
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    return np.column_stack([np.cos(psi), np.sin(psi)])
-
-
 def _spd2_condition(gram: np.ndarray) -> float:
     """2-norm condition number of a symmetric 2x2 Gram matrix (inf when singular)."""
     a, b, c = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
@@ -282,20 +270,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _build_pair(design: RobotDesign) -> TransformPair:
-    minv, gram, condition = design._gram
-    if not condition < CONDITION_LIMIT:
-        raise DegenerateDesign(
-            f"design {design.name!r}: Gram condition {condition:.3g} is not "
-            f"below {CONDITION_LIMIT:.0e}; joint angles are collinear modulo pi"
-        )
-    forward = _read_only(_inv2x2(gram) @ minv.T)
-    return TransformPair(design.n, forward, minv, gram, condition)
-
-
-def transform_pair(design: RobotDesign) -> TransformPair:
-    """Alias of `RobotDesign.pair`, the spelling to use."""
-    return design.pair
+def transform_pair(design: RobotDesign) -> RobotDesign:
+    """The design itself, which carries its Clarke maps (`forward_matrix`,
+    `inverse_matrix`, `forward`, `inverse`); the benchmark binds this name."""
+    return design
 
 
 def gram_condition(design: RobotDesign) -> float:

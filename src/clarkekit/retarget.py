@@ -65,7 +65,7 @@ class TransferMap:
 def _factors(source: RobotDesign, target: RobotDesign, mode: str):
     """The (encoder, decoder) pair of one ordered design pair and transfer mode."""
     if mode == "symmetric":
-        return source.pair.forward_matrix, target.pair.inverse_matrix
+        return source.forward_matrix, target.inverse_matrix
     if mode == "general":
         return source.arc_forward, target.arc_inverse
     raise InvalidParameter(f"unknown transfer mode {mode!r}; choose from {TRANSFER_MODES}")
@@ -139,7 +139,7 @@ def perturbation_analysis(perturbed: PerturbedDesign, clarke_grid) -> np.recarra
     points = np.atleast_2d(finite_array(clarke_grid, "Clarke coordinates"))
     if points.ndim != 2 or points.shape[1] != 2:
         raise DimensionMismatch(f"expected Clarke pairs of shape (m, 2), got shape {points.shape}")
-    kappa_cmd, theta_cmd = _polar(points @ nominal.pair.inverse_matrix.T @ nominal.arc_forward.T)
+    kappa_cmd, theta_cmd = _polar(points @ nominal.inverse_matrix.T @ nominal.arc_forward.T)
     planar = np.column_stack([kappa_cmd * np.cos(theta_cmd), kappa_cmd * np.sin(theta_cmd)])
     joints = planar @ nominal.arc_inverse.T
     kappa_real, theta_real = _polar(joints @ perturbed.true_design().arc_forward.T)

@@ -65,4 +65,4 @@ def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
     matrix.  No draw is ever rejected.
     """
     batch = sample_clarke_disk(seed, count, d_ref=float(np.min(design.d)))
-    return batch.clarke @ design.pair.inverse_matrix.T
+    return batch.clarke @ design.inverse_matrix.T

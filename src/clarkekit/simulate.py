@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, check_positive, check_real, check_seed, finite_array
+from .core import RobotDesign, check_count, check_positive, check_real, check_seed, finite_array
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (PerturbedDesign, TransferMap, make_transfer_map, perturbation_analysis,
@@ -253,7 +253,8 @@ def surrogate_trajectory(surrogate: RobotDesign, seed: int,
     """Sample segment_count + 1 via points on the surrogate and plan their
     blended trajectory under the default limits; one plan serves every
     target and transfer mode."""
-    return plan_trajectory(sample_joints(surrogate, seed, segment_count + 1))
+    return plan_trajectory(sample_joints(surrogate, seed,
+                                         check_count(segment_count, "segment_count") + 1))
 
 
 def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> DesiredStream:

@@ -241,11 +241,14 @@ def evaluate(traj: PlannedTrajectory, t):
     """Positions, velocities and accelerations at time(s) t in [0, horizon].
 
     One Horner pass over the trajectory's exact piecewise polynomial carries
-    the value and its first two derivatives together; accepts a scalar or an
-    array of query times and raises OutOfRange for a time outside the horizon
-    or one that is not finite.
+    the value and its first two derivatives together; accepts a scalar or a
+    1-D array of query times (any other shape raises DimensionMismatch) and
+    raises OutOfRange for a time outside the horizon or one that is not finite.
     """
     times = np.atleast_1d(float_array(t, "query times"))
+    if times.ndim != 1:
+        raise DimensionMismatch(f"query times must be a scalar or a 1-D array, got shape "
+                                f"{times.shape}")
     scalar = np.ndim(t) == 0
     if times.size and not (np.isfinite(times).all() and times.min() >= -1e-9
                            and times.max() <= traj.horizon + 1e-9):
@@ -323,9 +326,9 @@ def peak_abs(traj: PlannedTrajectory, channel: str = "velocity", weights=None) -
     coeffs = poly.c
     if weights is not None:
         weights = finite_array(weights, "weights")
-        if weights.ndim != 2 or weights.shape[1] != traj.n:
-            raise DimensionMismatch(
-                f"weights must have shape (rows, {traj.n}), got {weights.shape}")
+        if weights.ndim != 2 or weights.shape[0] == 0 or weights.shape[1] != traj.n:
+            raise DimensionMismatch(f"weights must have shape (rows, {traj.n}) with at least "
+                                    f"one row, got {weights.shape}")
         coeffs = coeffs @ weights.T
     x = poly.x
     probes = np.concatenate([x, x[:-1] + 0.5 * np.diff(x)])

@@ -2,7 +2,7 @@
 `retarget.perturbation_analysis`.
 
 Each Clarke grid point goes through three scalar calls: decode with the
-nominal pair and encode the commanded arc, rebuild the commanded joints,
+nominal design and encode the commanded arc, rebuild the commanded joints,
 encode the arc they realize on the true design.  The values are returned as
 plain columns, keyed by the batched table's field names.
 """
@@ -13,7 +13,6 @@ from clarkekit import (
     ArcParameters,
     from_arc,
     to_arc,
-    transform_pair,
     wrap_angle,
 )
 
@@ -21,11 +20,10 @@ from clarkekit import (
 def perturbation_analysis(perturbed, clarke_grid):
     nominal = perturbed.nominal
     true = perturbed.true_design()
-    pair = transform_pair(nominal)
     points = np.atleast_2d(np.asarray(clarke_grid, dtype=float))
     rows = []
     for point in points:
-        commanded = to_arc(nominal, pair.inverse(point))
+        commanded = to_arc(nominal, nominal.inverse(point))
         joints = from_arc(nominal, commanded)
         realized = to_arc(true, joints)
         rows.append((commanded.kappa, commanded.theta, realized.kappa, realized.theta,

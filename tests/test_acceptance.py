@@ -29,7 +29,6 @@ from clarkekit import (
     symmetric_design,
     to_arc,
     transfer_general,
-    transform_pair,
 )
 from clarkekit.cli import main as cli_main
 from clarkekit.fileio import sha256_file
@@ -47,8 +46,7 @@ def test_criterion_01_right_inverse_identity(designs):
     pool = list(designs.values()) + [random_design(rng) for _ in range(200)]
     worst = 0.0
     for design in pool:
-        pair = transform_pair(design)
-        residue = pair.forward_matrix @ pair.inverse_matrix - np.eye(2)
+        residue = design.forward_matrix @ design.inverse_matrix - np.eye(2)
         worst = max(worst, float(np.max(np.abs(residue))))
     assert worst < 1e-10, worst
     report(1, f"right-inverse identity, {len(pool)} designs, max residue {worst:.2e}")
@@ -57,9 +55,9 @@ def test_criterion_01_right_inverse_identity(designs):
 def test_criterion_02_symmetric_closure():
     worst = 0.0
     for n in range(3, 13):
-        pair = transform_pair(symmetric_design(n, 0.01, 0.1))
-        closed_form = (2.0 / n) * pair.inverse_matrix.T
-        worst = max(worst, float(np.max(np.abs(pair.forward_matrix - closed_form))))
+        design = symmetric_design(n, 0.01, 0.1)
+        closed_form = (2.0 / n) * design.inverse_matrix.T
+        worst = max(worst, float(np.max(np.abs(design.forward_matrix - closed_form))))
     assert worst < 1e-12, worst
     report(2, f"pseudoinverse equals (2/n) transpose for n=3..12, max dev {worst:.2e}")
 
@@ -69,10 +67,9 @@ def test_criterion_03_lossless_roundtrip(designs):
     pool = list(designs.values()) + [random_design(rng) for _ in range(50)]
     worst = 0.0
     for design in pool:
-        pair = transform_pair(design)
         for _ in range(20):
             clarke = rng.uniform(-0.05, 0.05, 2)
-            back = pair.forward(pair.inverse(clarke))
+            back = design.forward(design.inverse(clarke))
             worst = max(worst, float(np.max(np.abs(back - clarke))
                                      / max(np.max(np.abs(clarke)), 1e-300)))
     assert worst < 1e-12, worst
@@ -80,7 +77,7 @@ def test_criterion_03_lossless_roundtrip(designs):
 
 
 def test_criterion_04_half_circle_anchor(robot_0):
-    joints = transform_pair(robot_0).inverse([math.pi * 0.01, 0.0])
+    joints = robot_0.inverse([math.pi * 0.01, 0.0])
     arc = to_arc(robot_0, joints)
     deviation = abs(arc.kappa * robot_0.l - math.pi)
     assert deviation < 1e-12, deviation
@@ -91,10 +88,10 @@ def test_criterion_05_actuation_constraint():
     rng = np.random.default_rng(1005)
     worst = 0.0
     for n in range(3, 13):
-        pair = transform_pair(symmetric_design(n, 0.01, 0.1))
+        design = symmetric_design(n, 0.01, 0.1)
         for _ in range(50):
             clarke = rng.uniform(-0.04, 0.04, 2)
-            joints = pair.inverse(clarke)
+            joints = design.inverse(clarke)
             worst = max(worst, abs(float(joints.sum()))
                         / (n * max(np.linalg.norm(clarke), 1e-300)))
     assert worst < 1e-12, worst
@@ -189,7 +186,7 @@ def test_criterion_10_pt1_analytics():
 
     # lag behind a ramp at the demo cruise speed settles to v * T
     robot = builtin_designs()["robot_0"]
-    direction = transform_pair(robot).inverse([1.0, 0.0])
+    direction = robot.inverse([1.0, 0.0])
     ticks = 3000
     times = np.arange(ticks) * dt
     desired = np.outer(DEFAULT_V_MAX * times, direction)
@@ -202,7 +199,7 @@ def test_criterion_10_pt1_analytics():
 
 
 def test_criterion_11_closed_loop_fixed_point(robot_0):
-    setpoint = transform_pair(robot_0).inverse([0.004, 0.002])
+    setpoint = robot_0.inverse([0.004, 0.002])
     desired = np.tile(setpoint, (3000, 1))
     sim = run(desired, robot_0, SimConfig(seed=0, noise_eps=0.0))
     encode = arc_forward_matrix(robot_0)

@@ -55,6 +55,32 @@ class TestDesignCheck:
         assert code == 3
         assert "status: degenerate" in out
 
+    @pytest.mark.parametrize("command", [
+        ["design-check", "DESIGN"],
+        ["transform", "DESIGN", "--clarke", "0.001", "0"],
+        ["transform", "DESIGN", "--joints", "0.001", "0", "-0.001"],
+        ["sample", "DESIGN"],
+        ["traj", "DESIGN"],
+        ["simulate", "robot_0", "DESIGN"],
+        ["simulate", "DESIGN", "robot_0", "--transfer", "symmetric"],
+    ], ids=["design-check", "transform-clarke", "transform-joints", "sample", "traj",
+            "simulate-target", "simulate-surrogate-symmetric"])
+    def test_every_command_exits_3_on_a_collinear_design(self, capsys, tmp_path, monkeypatch,
+                                                         command):
+        path = tmp_path / "collinear.json"
+        path.write_text(json.dumps({"name": "flat", "n": 3,
+                                    "psi_rad": [0.0, 3.141592653589793, 0.0],
+                                    "d_mm": [10.0, 10.0, 10.0], "l_m": 0.1}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("CLARKEKIT_OUT_DIR", str(work / "out"))
+        code, _, err = invoke(capsys, *[str(path) if arg == "DESIGN" else arg
+                                        for arg in command])
+        assert code == 3, err
+        assert "Gram condition" in err
+        assert list(work.iterdir()) == []
+
     def test_mismatched_psi_length_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"name": "broken", "n": 3,

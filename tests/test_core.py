@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from clarkekit import (
     builtin_designs,
     from_arc,
     gram_condition,
-    inverse_clarke_matrix,
     make_transfer_map,
     sample_joints,
     symmetric_design,
@@ -23,7 +23,6 @@ from clarkekit import (
     transfer_general,
     transform_pair,
 )
-from clarkekit import core
 from conftest import random_design
 
 SQRT3 = math.sqrt(3.0)
@@ -31,23 +30,19 @@ SQRT3 = math.sqrt(3.0)
 
 class TestInverseMatrix:
     def test_rows_are_cos_sin_n3(self):
-        minv = inverse_clarke_matrix(2.0 * np.pi * np.array([0.0, 1 / 3, 2 / 3]))
+        minv = symmetric_design(3, 0.01, 0.1).inverse_matrix
         expected = np.array([[1.0, 0.0], [-0.5, SQRT3 / 2], [-0.5, -SQRT3 / 2]])
         np.testing.assert_allclose(minv, expected, rtol=0.0, atol=1e-15)
 
     def test_rows_are_cos_sin_n4(self):
-        minv = inverse_clarke_matrix(2.0 * np.pi * np.array([0.0, 0.25, 0.5, 0.75]))
+        minv = symmetric_design(4, 0.01, 0.1).inverse_matrix
         expected = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         np.testing.assert_allclose(minv, expected, rtol=0.0, atol=1e-15)
-
-    def test_single_angle_tolerated(self):
-        # construction works for any angle count; only full designs need n >= 3
-        np.testing.assert_allclose(inverse_clarke_matrix([0.0]), [[1.0, 0.0]])
 
     def test_random_angles_match_direct_evaluation(self):
         rng = np.random.default_rng(3)
         psi = rng.uniform(-10.0, 10.0, 12)
-        minv = inverse_clarke_matrix(psi)
+        minv = RobotDesign("random", psi=psi, d=np.full(12, 0.01), l=0.1).inverse_matrix
         for i, angle in enumerate(psi):
             assert minv[i, 0] == math.cos(angle)
             assert minv[i, 1] == math.sin(angle)
@@ -55,49 +50,51 @@ class TestInverseMatrix:
 
 class TestTransformPair:
     def test_symmetric_forward_rows(self, robot_0):
-        pair = transform_pair(robot_0)
         expected = np.array([[2 / 3, -1 / 3, -1 / 3], [0.0, 1 / SQRT3, -1 / SQRT3]])
-        np.testing.assert_allclose(pair.forward_matrix, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(robot_0.forward_matrix, expected, rtol=0.0, atol=1e-15)
 
     def test_symmetric_gram_is_half_n(self, robot_0):
-        np.testing.assert_allclose(pair_gram := transform_pair(robot_0).gram,
-                                   np.diag([1.5, 1.5]), rtol=0.0, atol=1e-15)
-        assert pair_gram[0, 1] == pytest.approx(0.0, abs=1e-15)
+        gram = robot_0.inverse_matrix.T @ robot_0.inverse_matrix
+        np.testing.assert_allclose(gram, np.diag([1.5, 1.5]), rtol=0.0, atol=1e-15)
+        assert gram[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_pseudoinverse_matches_numpy_pinv(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             design = random_design(rng)
-            pair = transform_pair(design)
-            oracle = np.linalg.pinv(pair.inverse_matrix)
-            np.testing.assert_allclose(pair.forward_matrix, oracle, rtol=0.0, atol=1e-12)
+            oracle = np.linalg.pinv(design.inverse_matrix)
+            np.testing.assert_allclose(design.forward_matrix, oracle, rtol=0.0, atol=1e-12)
 
     def test_collinear_angles_are_degenerate(self):
         design = RobotDesign("bad", psi=[0.0, math.pi, 0.0], d=[0.01] * 3, l=0.1)
         with pytest.raises(DegenerateDesign):
-            transform_pair(design)
+            design.forward_matrix
+        with pytest.raises(DegenerateDesign):
+            design.inverse_matrix
         assert gram_condition(design) == math.inf
 
     def test_right_inverse_randomized(self, designs):
         rng = np.random.default_rng(7)
         pool = list(designs.values()) + [random_design(rng) for _ in range(50)]
         for design in pool:
-            pair = transform_pair(design)
-            residue = pair.forward_matrix @ pair.inverse_matrix - np.eye(2)
+            residue = design.forward_matrix @ design.inverse_matrix - np.eye(2)
             assert np.max(np.abs(residue)) < 1e-10
 
     def test_projection_idempotent(self, designs):
         rng = np.random.default_rng(8)
         for design in list(designs.values()) + [random_design(rng) for _ in range(20)]:
-            pair = transform_pair(design)
-            proj = pair.inverse_matrix @ pair.forward_matrix
+            proj = design.inverse_matrix @ design.forward_matrix
             assert np.max(np.abs(proj @ proj - proj)) < 1e-10
 
     def test_symmetric_closure(self):
         for n in range(3, 13):
-            pair = transform_pair(symmetric_design(n, 0.01, 0.1))
-            closed_form = (2.0 / n) * pair.inverse_matrix.T
-            assert np.max(np.abs(pair.forward_matrix - closed_form)) < 1e-12
+            design = symmetric_design(n, 0.01, 0.1)
+            closed_form = (2.0 / n) * design.inverse_matrix.T
+            assert np.max(np.abs(design.forward_matrix - closed_form)) < 1e-12
+
+    def test_transform_pair_returns_the_design(self, designs):
+        for design in designs.values():
+            assert transform_pair(design) is design
 
     def test_trig_identities_symmetric(self):
         for n in range(3, 13):
@@ -110,31 +107,38 @@ class TestTransformPair:
 class TestDesignMatrixCache:
     def test_matrices_are_built_once_per_design(self, designs):
         for design in designs.values():
-            assert transform_pair(design) is transform_pair(design)
+            assert design.forward_matrix is design.forward_matrix
+            assert design.inverse_matrix is design.inverse_matrix
             assert arc_forward_matrix(design) is arc_forward_matrix(design)
             assert design.arc_inverse is design.arc_inverse
 
     def test_cached_matrices_are_read_only(self, designs):
         for design in designs.values():
-            pair = transform_pair(design)
-            for matrix in (pair.forward_matrix, pair.inverse_matrix, pair.gram,
+            for matrix in (design.forward_matrix, design.inverse_matrix,
                            arc_forward_matrix(design), design.arc_inverse):
                 with pytest.raises(ValueError):
                     matrix[0, 0] = 1.0
 
     def test_cached_values_match_their_definition(self, robot_D):
-        pair = transform_pair(robot_D)
         np.testing.assert_array_equal(arc_forward_matrix(robot_D),
-                                      pair.forward_matrix / robot_D.d[None, :] / robot_D.l)
+                                      robot_D.forward_matrix / robot_D.d[None, :] / robot_D.l)
         np.testing.assert_array_equal(
             robot_D.arc_inverse,
-            robot_D.l * robot_D.d[:, None] * inverse_clarke_matrix(robot_D.psi))
+            robot_D.l * robot_D.d[:, None] * robot_D.inverse_matrix)
+        np.testing.assert_array_equal(
+            robot_D.inverse_matrix, np.column_stack([np.cos(robot_D.psi), np.sin(robot_D.psi)]))
 
     def test_degenerate_design_raises_on_every_call(self):
         design = RobotDesign("bad", psi=[0.0, math.pi, 0.0], d=[0.01] * 3, l=0.1)
         for _ in range(3):
             with pytest.raises(DegenerateDesign):
-                transform_pair(design)
+                design.forward_matrix
+            with pytest.raises(DegenerateDesign):
+                design.inverse_matrix
+            with pytest.raises(DegenerateDesign):
+                design.forward(np.zeros(3))
+            with pytest.raises(DegenerateDesign):
+                design.inverse(np.zeros(2))
             with pytest.raises(DegenerateDesign):
                 arc_forward_matrix(design)
             with pytest.raises(DegenerateDesign):
@@ -143,12 +147,13 @@ class TestDesignMatrixCache:
             assert gram_condition(design) == math.inf
 
     def test_design_is_freed_without_the_cyclic_collector(self):
-        # the pair keeps n, not the design, so reference counting frees a
+        # the design caches arrays only, so reference counting frees a
         # design together with its cached matrices
         gc.disable()
         try:
             design = builtin_designs()["robot_D"]
-            assert transform_pair(design).n == design.n
+            assert design.forward_matrix.shape == (2, design.n)
+            assert design.inverse_matrix.shape == (design.n, 2)
             assert arc_forward_matrix(design).shape == (2, design.n)
             assert design.arc_inverse.shape == (design.n, 2)
             alive = weakref.ref(design)
@@ -159,69 +164,67 @@ class TestDesignMatrixCache:
 
     def test_scalar_call_sequence_builds_each_pair_once(self, monkeypatch):
         builds = {}
-        build = core._build_pair
+        build = RobotDesign.forward_matrix.func
 
         def counting_build(design):
             builds[design.name] = builds.get(design.name, 0) + 1
             return build(design)
 
-        monkeypatch.setattr(core, "_build_pair", counting_build)
+        counting = cached_property(counting_build)
+        counting.__set_name__(RobotDesign, "forward_matrix")
+        monkeypatch.setattr(RobotDesign, "forward_matrix", counting)
         robots = list(builtin_designs().values())
         vectors = [sample_joints(design, 3 + k, 64) for k, design in enumerate(robots)]
         rng = np.random.default_rng(5)
         for s, t, row in rng.integers([5, 5, 64], size=(600, 3)).tolist():
             joints = vectors[s][row]
-            pair = transform_pair(robots[s])
-            arc = to_arc(robots[s], joints)
-            from_arc(robots[t], arc)
-            transfer_general(robots[s], robots[t], joints)
-            make_transfer_map(robots[s], robots[t], "symmetric").apply(joints)
-            make_transfer_map(robots[s], robots[t])
-            pair.inverse(pair.forward(joints))
+            design, target = robots[s], robots[t]
+            arc = to_arc(design, joints)
+            from_arc(target, arc)
+            transfer_general(design, target, joints)
+            make_transfer_map(design, target, "symmetric").apply(joints)
+            make_transfer_map(design, target)
+            design.inverse(design.forward(joints))
         assert builds == {design.name: 1 for design in robots}
 
 
 class TestForwardInverse:
     def test_forward_of_unit_clarke_joints(self, robot_0):
-        pair = transform_pair(robot_0)
-        clarke = pair.forward(np.array([1.0, -0.5, -0.5]) * 1e-3)
+        clarke = robot_0.forward(np.array([1.0, -0.5, -0.5]) * 1e-3)
         np.testing.assert_allclose(clarke, [1e-3, 0.0], rtol=0.0, atol=1e-18)
 
     def test_zero_maps_to_zero(self, robot_0):
-        pair = transform_pair(robot_0)
-        np.testing.assert_array_equal(pair.forward(np.zeros(3)), np.zeros(2))
-        np.testing.assert_array_equal(pair.inverse(np.zeros(2)), np.zeros(3))
+        np.testing.assert_array_equal(robot_0.forward(np.zeros(3)), np.zeros(2))
+        np.testing.assert_array_equal(robot_0.inverse(np.zeros(2)), np.zeros(3))
 
     def test_inverse_examples(self, robot_0, robot_A):
-        np.testing.assert_allclose(transform_pair(robot_0).inverse([1e-3, 0.0]),
+        np.testing.assert_allclose(robot_0.inverse([1e-3, 0.0]),
                                    [1e-3, -0.5e-3, -0.5e-3], rtol=0.0, atol=1e-18)
-        np.testing.assert_allclose(transform_pair(robot_A).inverse([0.0, 1e-3]),
+        np.testing.assert_allclose(robot_A.inverse([0.0, 1e-3]),
                                    [0.0, 1e-3, 0.0, -1e-3], rtol=0.0, atol=1e-18)
 
     def test_lossless_roundtrip(self, designs):
         rng = np.random.default_rng(21)
         for design in list(designs.values()) + [random_design(rng) for _ in range(20)]:
-            pair = transform_pair(design)
             for _ in range(10):
                 clarke = rng.uniform(-0.05, 0.05, 2)
-                back = pair.forward(pair.inverse(clarke))
+                back = design.forward(design.inverse(clarke))
                 assert np.max(np.abs(back - clarke)) < 1e-12 * max(1.0, np.max(np.abs(clarke)))
 
     def test_actuation_constraint_symmetric_constant_d(self):
         rng = np.random.default_rng(5)
         for n in range(3, 10):
-            pair = transform_pair(symmetric_design(n, 0.01, 0.1))
+            design = symmetric_design(n, 0.01, 0.1)
             for _ in range(5):
                 clarke = rng.uniform(-0.03, 0.03, 2)
-                joints = pair.inverse(clarke)
+                joints = design.inverse(clarke)
                 assert abs(joints.sum()) < 1e-12 * n * np.linalg.norm(clarke)
 
     def test_dimension_mismatch(self, robot_0):
-        pair = transform_pair(robot_0)
         with pytest.raises(DimensionMismatch):
-            pair.forward([1.0, 2.0])
+            robot_0.forward([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            pair.inverse([1.0, 2.0, 3.0])
+            robot_0.inverse([1.0, 2.0, 3.0])
 
 
 class TestArcMapping:
@@ -231,7 +234,7 @@ class TestArcMapping:
         assert arc.theta == 0.0
 
     def test_half_circle_anchor(self, robot_0):
-        joints = transform_pair(robot_0).inverse([math.pi * 0.01, 0.0])
+        joints = robot_0.inverse([math.pi * 0.01, 0.0])
         arc = to_arc(robot_0, joints)
         assert abs(arc.kappa * robot_0.l - math.pi) < 1e-12
         assert arc.theta == pytest.approx(0.0, abs=1e-15)
@@ -279,7 +282,7 @@ class TestArcMapping:
             with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
                 to_arc(robot_0, joints)
             with pytest.raises(InvalidParameter, match="joint values must be real numbers"):
-                transform_pair(robot_0).forward(joints)
+                robot_0.forward(joints)
 
     def test_from_arc_accepts_any_numeric_pair(self, robot_D):
         expected = from_arc(robot_D, ArcParameters(12.0, 0.7))

@@ -16,7 +16,6 @@ from clarkekit import (
     sample_joints,
     to_arc,
     transfer_general,
-    transform_pair,
 )
 from clarkekit.retarget import _polar
 from conftest import random_design
@@ -32,12 +31,12 @@ class TestTransferSymmetric:
         rng = np.random.default_rng(2)
         for rho in rng.uniform(-0.02, 0.02, (20, 3)):
             out = make_transfer_map(robot_0, robot_A, "symmetric").apply(rho)
-            latent_in = transform_pair(robot_0).forward(rho)
-            latent_out = transform_pair(robot_A).forward(out)
+            latent_in = robot_0.forward(rho)
+            latent_out = robot_A.forward(out)
             assert np.max(np.abs(latent_out - latent_in)) < 1e-12
 
     def test_identity_on_column_space(self, robot_0):
-        rho = transform_pair(robot_0).inverse([0.004, -0.009])
+        rho = robot_0.inverse([0.004, -0.009])
         out = make_transfer_map(robot_0, robot_0, "symmetric").apply(rho)
         np.testing.assert_allclose(out, rho, rtol=0.0, atol=1e-16)
 
@@ -121,7 +120,7 @@ class TestTransferGeneral:
 class TestTransferMap:
     def test_matrix_matches_operation(self, designs):
         def clarke(source, target, rho):
-            return target.pair.inverse(source.pair.forward(rho))
+            return target.inverse(source.forward(rho))
 
         rng = np.random.default_rng(19)
         for source, target in itertools.permutations(designs.values(), 2):
@@ -166,7 +165,7 @@ class TestTransferMap:
             np.testing.assert_array_equal(tmap.decoder @ tmap.encoder, tmap.matrix)
             # the matrix as built from the designs directly
             if mode == "symmetric":
-                expected = target.pair.inverse_matrix @ source.pair.forward_matrix
+                expected = target.inverse_matrix @ source.forward_matrix
             else:
                 expected = target.arc_inverse @ source.arc_forward
             np.testing.assert_array_equal(tmap.matrix, expected)
@@ -361,6 +360,6 @@ class TestRandomDesignTransfers:
             target = random_design(rng, name="tgt")
             rho = rng.uniform(-0.02, 0.02, source.n)
             out = make_transfer_map(source, target, "symmetric").apply(rho)
-            latent_in = transform_pair(source).forward(rho)
-            latent_out = transform_pair(target).forward(out)
+            latent_in = source.forward(rho)
+            latent_out = target.forward(out)
             assert np.max(np.abs(latent_out - latent_in)) < 1e-12 * max(1.0, np.max(np.abs(latent_in)))

@@ -8,7 +8,6 @@ from clarkekit import (
     InvalidParameter,
     sample_clarke_disk,
     sample_joints,
-    transform_pair,
 )
 from clarkekit.cli import main
 
@@ -110,7 +109,7 @@ class TestJointSampling:
     def test_roundtrip_to_source_clarke(self, robot_0):
         batch = sample_clarke_disk(17, 300, 0.01)
         joints = sample_joints(robot_0, 17, 300)
-        forward = transform_pair(robot_0).forward_matrix
+        forward = robot_0.forward_matrix
         back = joints @ forward.T
         assert np.max(np.abs(back - batch.clarke)) < 1e-12
 
@@ -121,7 +120,7 @@ class TestJointSampling:
     def test_d_ref_is_min_distance(self, robot_B):
         # bound uses the smallest center-line distance (5 mm for this design)
         joints = sample_joints(robot_B, 9, 5000)
-        forward = transform_pair(robot_B).forward_matrix
+        forward = robot_B.forward_matrix
         radius = np.linalg.norm(joints @ forward.T, axis=1)
         assert np.max(radius) <= math.pi * 0.005
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -24,7 +25,6 @@ from clarkekit import (
     run,
     run_experiment,
     surrogate_trajectory,
-    transform_pair,
 )
 from clarkekit.cli import Manifest, _write_run
 from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
@@ -159,7 +159,7 @@ class TestSimConfig:
 
 class TestRun:
     def constant_stream(self, robot, setpoint, ticks=2000):
-        return np.tile(transform_pair(robot).inverse(setpoint), (ticks, 1))
+        return np.tile(robot.inverse(setpoint), (ticks, 1))
 
     def test_determinism(self, robot_0):
         desired = self.constant_stream(robot_0, [0.004, -0.002])
@@ -461,6 +461,14 @@ class TestRunExperiment:
             surrogate_trajectory(robot_0, seed)
         with pytest.raises(InvalidParameter, match="seed"):
             run_experiment(robot_0, robot_0, seed)
+
+    @pytest.mark.parametrize("segment_count", ["3", 1.5, -1, 0, None])
+    def test_invalid_segment_count(self, robot_0, segment_count):
+        match = f"segment_count must be an integer of at least 1, got {segment_count!r}"
+        with pytest.raises(InvalidParameter, match=re.escape(match)):
+            surrogate_trajectory(robot_0, 0, segment_count)
+        with pytest.raises(InvalidParameter, match=re.escape(match)):
+            run_experiment(robot_0, robot_0, 0, segment_count=segment_count)
 
     def test_large_integer_seed(self, robot_0):
         runs = run_experiment(robot_0, robot_0, 2**70, segment_count=1, modes=("closed_loop",))

@@ -313,6 +313,18 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter, match="weights must be real numbers"):
             peak_abs(plan_trajectory(vias), weights=[["a"]])
 
+    def test_query_times_of_two_dimensions(self, vias):
+        traj = plan_trajectory(vias)
+        for t in (np.zeros((2, 2)), np.zeros((1, 3)), [[0.0]]):
+            with pytest.raises(DimensionMismatch, match="query times"):
+                evaluate(traj, t)
+
+    def test_weights_with_no_rows(self, vias):
+        traj = plan_trajectory(vias)
+        for channel in ("velocity", "acceleration"):
+            with pytest.raises(DimensionMismatch, match="at least one row"):
+                peak_abs(traj, channel, weights=np.zeros((0, traj.n)))
+
     def test_numeric_string_via_points(self):
         # a numeric string is no more a number in an array than as a scalar,
         # and None is not a NaN
