@@ -15,18 +15,20 @@ np.set_printoptions(precision=6, suppress=True)
 
 robot_0 = builtin_designs()["robot_0"]
 
-batch = sample_clarke_disk(seed=42, count=100000, d_ref=0.01)
-radius = np.hypot(batch.clarke[:, 0], batch.clarke[:, 1])
-print(f"samples:        {batch.count} (every request is honored, none rejected)")
+# The sampler returns the Clarke pairs themselves, a read-only (count, 2) array.
+clarke = sample_clarke_disk(seed=42, count=100000, d_ref=0.01)
+radius = np.hypot(clarke[:, 0], clarke[:, 1])
+angles = np.arctan2(clarke[:, 1], clarke[:, 0])
+print(f"samples:        {len(clarke)} (every request is honored, none rejected)")
 print(f"max |latent|:   {radius.max():.6f} m   (bound pi*d = {np.pi * 0.01:.6f} m)")
-print(f"angle range:    [{batch.angles.min():.4f}, {batch.angles.max():.4f}) rad")
+print(f"angle range:    [{angles.min():.4f}, {angles.max():.4f}) rad")
 
 # Area-uniformity: the squared normalized radius should be uniform on [0,1].
 u = (radius / (np.pi * 0.01)) ** 2
 hist, _ = np.histogram(u, bins=10, range=(0.0, 1.0))
 print("squared-radius histogram (10 bins, ~10000 each):", hist)
 
-# Decoding the batch yields feasible joint vectors; for symmetric
+# Decoding the pairs yields feasible joint vectors; for symmetric
 # constant-distance designs they satisfy the balanced-actuation constraint.
 joints = sample_joints(robot_0, seed=42, count=100000)
 print(f"\njoint batch shape: {joints.shape}")
@@ -41,4 +43,4 @@ print("bit-identical re-run:", np.array_equal(joints, again))
 # Every decoded sample reconstructs its source latent pair exactly.
 back = joints @ robot_0.forward_matrix.T
 print("max decode/encode roundtrip error:",
-      np.max(np.abs(back - batch.clarke)), "m")
+      np.max(np.abs(back - clarke)), "m")

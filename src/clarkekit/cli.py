@@ -25,7 +25,7 @@ from . import __version__
 from .core import CONDITION_LIMIT, check_positive, to_arc
 from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
-                     InvalidParameter, OutOfRange, ParseError)
+                     InvalidParameter, ParseError)
 from .fileio import sha256_text, write_csv, write_json
 from .retarget import TRANSFER_MODES
 from .sampling import sample_clarke_disk, sample_joints
@@ -111,11 +111,11 @@ def cmd_transform(args) -> int:
 
 def cmd_sample(args) -> int:
     design = get_design(args.design)
-    batch = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
-    joints = batch.clarke @ design.inverse_matrix.T
+    clarke = sample_clarke_disk(args.seed, args.count, d_ref=float(np.min(design.d)))
+    joints = clarke @ design.inverse_matrix.T
     out = Path(args.out)
     header = ["sample_idx", "rho_re_m", "rho_im_m"] + [f"rho_{i + 1}_m" for i in range(design.n)]
-    digest = write_csv(out, header, [np.arange(batch.count), *batch.clarke.T, *joints.T])
+    digest = write_csv(out, header, [np.arange(args.count), *clarke.T, *joints.T])
     manifest = Manifest("sample", {"design": design.name, "count": args.count,
                                    "seed": args.seed}, [args.seed], [design])
     manifest.add(out, digest)
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     except (ParseError, InvalidParameter, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ClarkeError, OutOfRange, OSError, MemoryError) as exc:
+    except (ClarkeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

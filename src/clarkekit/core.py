@@ -234,17 +234,11 @@ def check_clarke(clarke) -> np.ndarray:
     return pair
 
 
-def check_count(value, name: str) -> int:
-    """Validate and return a positive integer count (grid size, draw count)."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidParameter(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
-
-
-def check_seed(value) -> int:
-    """Validate and return a random seed, a non-negative integer of any size."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise InvalidParameter(f"seed must be a non-negative integer, got {value!r}")
+def check_integer(value, name: str, minimum: int) -> int:
+    """Validate and return an integer of at least `minimum`, as a Python int
+    of any size (a count, a seed, a joint count); a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameter(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
 
 
@@ -290,14 +284,20 @@ def arc_forward_matrix(design: RobotDesign) -> np.ndarray:
 def to_arc(design: RobotDesign, joints) -> ArcParameters:
     """Arc parameters realized by a joint vector.
 
-    theta is defined as 0 for the straight configuration (kappa = 0).
+    theta is defined as 0 for the straight configuration (kappa = 0).  A
+    curvature that overflows float64 raises InvalidParameter.
     """
-    w = design.arc_forward @ check_joints(joints, design.n)
-    return ArcParameters.from_planar(w)
+    values = check_joints(joints, design.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arc = ArcParameters.from_planar(design.arc_forward @ values)
+    if not math.isfinite(arc.kappa):
+        raise InvalidParameter("the curvature of these joint values is not finite in float64")
+    return arc
 
 
 def from_arc(design: RobotDesign, arc) -> np.ndarray:
-    """Joint vector realizing the given (kappa, theta) arc parameters."""
+    """Joint vector realizing the given (kappa, theta) arc parameters; joint
+    values that overflow float64 raise InvalidParameter."""
     try:
         kappa, theta = arc
     except (TypeError, ValueError):
@@ -306,14 +306,17 @@ def from_arc(design: RobotDesign, arc) -> np.ndarray:
     if not (math.isfinite(kappa) and math.isfinite(theta)):
         raise InvalidParameter(f"arc parameters must be finite, got ({kappa}, {theta})")
     w = np.array([kappa * math.cos(theta), kappa * math.sin(theta)])
-    return design.arc_inverse @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        joints = design.arc_inverse @ w
+    if not np.isfinite(joints).all():
+        raise InvalidParameter(f"the joint values of arc ({kappa}, {theta}) are not finite "
+                               "in float64")
+    return joints
 
 
 def symmetric_design(n: int, d: float, l: float, name: str = "symmetric") -> RobotDesign:
     """Design with n equally spaced joints at constant center-line distance d."""
-    if not (check_real(n, "n").is_integer() and n >= 3):
-        raise InvalidParameter(f"a symmetric design needs an integer n >= 3, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "n", 3)
     d, l = check_positive(d, "d"), check_positive(l, "l")
     psi = TWO_PI * np.arange(n) / n
     return RobotDesign(name=name, psi=psi, d=np.full(n, d), l=l)

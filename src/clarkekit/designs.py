@@ -14,17 +14,14 @@ them (robot_D) with asymmetric joint angles.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import RobotDesign, check_real, float_array, gram_condition
+from .core import TWO_PI, RobotDesign, check_integer, check_real, float_array, gram_condition
 from .errors import InvalidParameter, ParseError
 
 __all__ = ["builtin_designs", "design_report", "design_to_dict", "get_design", "load_design"]
-
-TWO_PI = 2.0 * math.pi
 
 _BUILTIN_TABLE = [
     ("robot_0", [0.0, 1.0 / 3.0, 2.0 / 3.0], [10.0, 10.0, 10.0], 0.1),
@@ -81,11 +78,9 @@ def design_from_dict(raw: dict, source: str = "<dict>") -> RobotDesign:
     missing = {"name", "n", "psi_rad", "d_mm", "l_m"} - raw.keys()
     if missing:
         raise ParseError(f"{source}: missing fields {sorted(missing)}")
-    n = raw["n"]
     try:
         # the schema's n is a JSON integer, so neither 3.0 nor "3" is a joint count
-        if not (isinstance(n, int) and n >= 3):
-            raise InvalidParameter(f"n must be an integer of at least 3, got {n!r}")
+        n = check_integer(raw["n"], "n", 3)
         psi = float_array(raw["psi_rad"], "psi_rad")
         d_mm = float_array(raw["d_mm"], "d_mm")
         length = check_real(raw["l_m"], "l_m")

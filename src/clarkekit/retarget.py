@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RobotDesign, check_count, check_joints, check_positive, finite_array,
+from .core import (RobotDesign, check_integer, check_joints, check_positive, finite_array,
                    float_array, wrap_angle)
 from .errors import DimensionMismatch, InvalidParameter
 
@@ -167,7 +167,7 @@ def polar_clarke_grid(d_ref: float, radii: int = 5, angles: int = 16) -> np.ndar
     center) crossed with `angles` equally spaced bending-plane directions.
     """
     d_ref = check_positive(d_ref, "d_ref")
-    radii, angles = check_count(radii, "radii"), check_count(angles, "angles")
+    radii, angles = check_integer(radii, "radii", 1), check_integer(angles, "angles", 1)
     r = math.pi * d_ref * np.arange(1, radii + 1) / radii
     phi = -math.pi + 2.0 * math.pi * np.arange(angles) / angles
     rr, pp = np.meshgrid(r, phi, indexing="ij")

@@ -17,43 +17,26 @@ paths produce bit-identical batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_positive, check_seed
+from .core import RobotDesign, check_integer, check_positive
 
-__all__ = ["SampleBatch", "sample_clarke_disk", "sample_joints"]
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """One deterministic batch of Clarke-disk samples."""
-
-    seed: int
-    d_ref: float
-    magnitudes: np.ndarray   # L, meters
-    angles: np.ndarray       # theta, radians in [-pi, pi)
-    clarke: np.ndarray       # (count, 2), meters
-
-    @property
-    def count(self) -> int:
-        return self.clarke.shape[0]
+__all__ = ["sample_clarke_disk", "sample_joints"]
 
 
-def sample_clarke_disk(seed: int, count: int, d_ref: float) -> SampleBatch:
-    """Draw `count` Clarke coordinate pairs uniformly from the feasible disk."""
-    seed, count = check_seed(seed), check_count(count, "count")
+def sample_clarke_disk(seed: int, count: int, d_ref: float) -> np.ndarray:
+    """Draw `count` Clarke coordinate pairs uniformly from the feasible disk,
+    as a read-only (count, 2) array in meters."""
+    seed, count = check_integer(seed, "seed", 0), check_integer(count, "count", 1)
     d_ref = check_positive(d_ref, "d_ref")
     mag_stream, angle_stream = np.random.SeedSequence(seed).spawn(2)
     u = np.random.default_rng(mag_stream).random(count)
     magnitudes = math.pi * d_ref * np.sqrt(u)
     angles = math.pi * np.random.default_rng(angle_stream).uniform(-1.0, 1.0, count)
     clarke = np.column_stack([magnitudes * np.cos(angles), magnitudes * np.sin(angles)])
-    for array in (magnitudes, angles, clarke):
-        array.setflags(write=False)
-    return SampleBatch(seed=seed, d_ref=d_ref, magnitudes=magnitudes,
-                       angles=angles, clarke=clarke)
+    clarke.setflags(write=False)
+    return clarke
 
 
 def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
@@ -64,5 +47,4 @@ def sample_joints(design: RobotDesign, seed: int, count: int) -> np.ndarray:
     differ); stage two decodes them with the design's inverse Clarke
     matrix.  No draw is ever rejected.
     """
-    batch = sample_clarke_disk(seed, count, d_ref=float(np.min(design.d)))
-    return batch.clarke @ design.inverse_matrix.T
+    return sample_clarke_disk(seed, count, float(np.min(design.d))) @ design.inverse_matrix.T

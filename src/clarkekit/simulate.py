@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RobotDesign, check_count, check_positive, check_real, check_seed, finite_array
+from .core import RobotDesign, check_integer, check_positive, check_real, finite_array
 from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import (PerturbedDesign, TransferMap, make_transfer_map, perturbation_analysis,
@@ -51,7 +51,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
         for label in ("dt", "time_constant"):
             check_positive(getattr(self, label), label)
         for label in ("noise_eps", "kp", "kd"):
@@ -254,7 +254,7 @@ def surrogate_trajectory(surrogate: RobotDesign, seed: int,
     blended trajectory under the default limits; one plan serves every
     target and transfer mode."""
     return plan_trajectory(sample_joints(surrogate, seed,
-                                         check_count(segment_count, "segment_count") + 1))
+                                         check_integer(segment_count, "segment_count", 1) + 1))
 
 
 def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> DesiredStream:

@@ -119,13 +119,13 @@ def test_criterion_06_geometric_exactness(designs):
 
 def test_criterion_07_sampler():
     count = 100000
-    batch = sample_clarke_disk(42, count, 0.01)
-    assert batch.count == count  # rejection-free
-    radius = np.hypot(batch.clarke[:, 0], batch.clarke[:, 1])
+    clarke = sample_clarke_disk(42, count, 0.01)
+    assert clarke.shape == (count, 2)  # rejection-free
+    radius = np.hypot(clarke[:, 0], clarke[:, 1])
     assert np.max(radius) <= math.pi * 0.01
     critical = math.sqrt(math.log(2.0 / 0.01) / 2.0) / math.sqrt(count)
-    ks_radius = stats.kstest((batch.magnitudes / (math.pi * 0.01)) ** 2, "uniform").statistic
-    ks_angle = stats.kstest(batch.angles,
+    ks_radius = stats.kstest((radius / (math.pi * 0.01)) ** 2, "uniform").statistic
+    ks_angle = stats.kstest(np.arctan2(clarke[:, 1], clarke[:, 0]),
                             stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).statistic
     assert ks_radius < critical, (ks_radius, critical)
     assert ks_angle < critical, (ks_angle, critical)

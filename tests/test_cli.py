@@ -205,7 +205,7 @@ class TestSample:
         path = tmp_path / "s.csv"
         assert invoke(capsys, "sample", "robot_D", "--count", "1500", "--seed", "3",
                       "--out", str(path))[0] == 0
-        clarke = sample_clarke_disk(3, 1500, d_ref=float(np.min(robot_D.d))).clarke
+        clarke = sample_clarke_disk(3, 1500, d_ref=float(np.min(robot_D.d)))
         joints = sample_joints(robot_D, 3, 1500)
         header = (["sample_idx", "rho_re_m", "rho_im_m"]
                   + [f"rho_{i + 1}_m" for i in range(robot_D.n)])

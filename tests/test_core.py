@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import warnings
 import weakref
 from functools import cached_property
 
@@ -11,12 +13,18 @@ from clarkekit import (
     DegenerateDesign,
     DimensionMismatch,
     InvalidParameter,
+    ParseError,
     RobotDesign,
+    SimConfig,
     arc_forward_matrix,
     builtin_designs,
     from_arc,
     gram_condition,
+    load_design,
     make_transfer_map,
+    polar_clarke_grid,
+    run_experiment,
+    sample_clarke_disk,
     sample_joints,
     symmetric_design,
     to_arc,
@@ -306,6 +314,57 @@ class TestArcMapping:
             joints = from_arc(robot_0, ArcParameters(5.0, theta))
             back = to_arc(robot_0, joints)
             assert -math.pi <= back.theta < math.pi
+
+    @pytest.mark.parametrize("joints", [[1e308, 0.0, 0.0], [1e308, -1e308, 1e308]])
+    def test_to_arc_overflow_raises_without_a_warning(self, robot_0, joints):
+        # finite joints whose curvature overflows float64 (to inf, or to NaN via inf - inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="curvature .* not finite"):
+                to_arc(robot_0, joints)
+
+    def test_from_arc_overflow_raises_without_a_warning(self):
+        # l * d_i * kappa is about 1e608, far past float64
+        design = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[1e100] * 3, l=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="joint values .* not finite"):
+                from_arc(design, (1e308, 0.3))
+
+
+class TestIntegerRule:
+    """Every integer input goes through core.check_integer, and a bool is not an integer."""
+
+    @pytest.mark.parametrize("call", [
+        lambda robot_0: sample_clarke_disk(True, 10, 0.01),
+        lambda robot_0: sample_clarke_disk(0, True, 0.01),
+        lambda robot_0: sample_joints(robot_0, 0, True),
+        lambda robot_0: polar_clarke_grid(0.01, radii=True),
+        lambda robot_0: polar_clarke_grid(0.01, angles=True),
+        lambda robot_0: SimConfig(seed=True),
+        lambda robot_0: run_experiment(robot_0, robot_0, 0, segment_count=True),
+        lambda robot_0: symmetric_design(True, 0.01, 0.1),
+    ], ids=["disk-seed", "disk-count", "sample_joints", "grid-radii", "grid-angles",
+            "SimConfig", "run_experiment", "symmetric_design"])
+    def test_bool_is_not_an_integer(self, robot_0, call):
+        with pytest.raises(InvalidParameter, match="must be an integer of at least .*, got True"):
+            call(robot_0)
+
+    def test_design_file_n_true(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"name": "b", "n": True, "psi_rad": [0, 2, 4],
+                                    "d_mm": [10, 10, 10], "l_m": 0.1}))
+        with pytest.raises(ParseError, match="n must be an integer of at least 3, got True"):
+            load_design(path)
+
+    def test_symmetric_design_rejects_a_float_n(self):
+        # as a design file does: 3.0 is not a joint count
+        with pytest.raises(InvalidParameter, match="n must be an integer of at least 3, got 3.0"):
+            symmetric_design(3.0, 0.01, 0.1)
+
+    def test_sim_config_stores_a_python_int_seed(self):
+        config = SimConfig(seed=np.int64(5))
+        assert type(config.seed) is int and config.seed == 5
 
 
 class TestSymmetricDesign:
