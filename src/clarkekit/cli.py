@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import CONDITION_LIMIT, check_positive, to_arc
+from .core import CONDITION_LIMIT, check_integer, check_positive, to_arc
 from .designs import design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, ParseError)
@@ -163,7 +163,7 @@ def cmd_traj(args) -> int:
     if args.via_file:
         via = _read_via_file(args.via_file, design.n)
     else:
-        via = sample_joints(design, args.seed, args.sample + 1)
+        via = sample_joints(design, args.seed, check_integer(args.sample, "--sample", 1) + 1)
     limits = KinematicLimits(v_max=args.vmax, a_max=args.amax,
                              dec_max=args.decmax if args.decmax is not None else args.amax)
     traj = plan_trajectory(via, limits, args.overlap)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import check_positive, check_real, finite_array, float_array
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
@@ -38,13 +37,16 @@ DEFAULT_A_MAX = 0.125 * math.pi
 
 # Ramp position shapes in tau, ascending: lift-off (phase 1) covers v*t_lo*P(tau),
 # P the smoothstep's running integral, and set-down (phase 3) v*t_sd*(tau - P(tau)).
+# Both are written out, exact in float64 and with the -0.0 entries a subtraction
+# gives, so that importing this module loads no numpy.polynomial.
 # Binomial shift: powers of tau0 times _SHIFT[phase][i, j] = shape_(i+j) * C(i+j, j)
 # are the shape's ascending Taylor coefficients about tau0.
-_RAMP_POSITION = npoly.polyint([0, 0, 0, 0, 0, 126, -420, 540, -315, 70])
+_RAMP_POSITION = np.array([0, 0, 0, 0, 0, 0, 21, -60, 67.5, -35, 7])
 _TERMS = _RAMP_POSITION.size
 _SHIFT = {phase: np.array([[shape[i + j] * math.comb(i + j, j) if i + j < _TERMS else 0.0
                             for j in range(_TERMS)] for i in range(_TERMS)])
-          for phase, shape in ((1, _RAMP_POSITION), (3, npoly.polysub([0, 1], _RAMP_POSITION)))}
+          for phase, shape in ((1, _RAMP_POSITION),
+                               (3, np.concatenate([[0.0, 1.0], -_RAMP_POSITION[2:]])))}
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,10 @@ def _position_poly(start: np.ndarray, states: TrajectoryState, enable_times: np.
     # Ramps are also split at their midpoints, where the monomial terms cancel
     # far less in rounding; a motionless plan still gets one interval.
     mids = np.stack([e + 0.5 * t_lo, bounds[2] + 0.5 * t_sd])
-    x = np.unique(np.concatenate([[0.0, horizon or 1.0], bounds.ravel(), mids.ravel()]))
+    # The sorted distinct candidates, deduplicated as np.unique does (they are
+    # finite), without the numpy.ma import np.unique makes on first use.
+    x = np.sort(np.concatenate([[0.0, horizon or 1.0], bounds.ravel(), mids.ravel()]))
+    x = x[np.concatenate([[True], x[1:] != x[:-1]])]
     # phase per interval and profile: 0 idle, 1 lift-off, 2 cruise, 3 set-down, 4 done
     phase = (np.arange(x.size - 1)[:, None] >= np.searchsorted(x, bounds)[:, None, :]).sum(0)
     interval, profile = np.nonzero(phase)

@@ -266,6 +266,17 @@ class TestTraj:
         assert code == 0
         assert "planned 3 segments" in stdout
 
+    @pytest.mark.parametrize("sample", ["-1", "0"])
+    def test_sample_below_one_exits_2_without_output(self, capsys, tmp_path, monkeypatch,
+                                                      sample):
+        # the error names the option, not the M + 1 draws or the planner's via table
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "traj", "robot_0", "--sample", sample, "--out", "t.csv")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --sample must be an integer of at least 1, got {sample}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unallocatable_dt_exits_4_without_output(self, capsys, tmp_path, monkeypatch):
         # numpy refuses a table of tens of TiB before it allocates anything
         monkeypatch.chdir(tmp_path)

@@ -352,6 +352,31 @@ def test_import_and_experiment_leave_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_commands_and_experiment_load_no_numpy_ma_or_polynomial(tmp_path):
+    # np.unique imports numpy.ma on first use and numpy.polynomial is a
+    # module-level import; together about a tenth of a set-up.  Counting only
+    # modules beyond what `import numpy` loads keeps this valid where numpy
+    # itself loads both (numpy 1.x)
+    out = run_python(
+        "import sys, numpy\n"
+        "baseline = set(sys.modules)\n"
+        "import clarkekit\n"
+        "from clarkekit import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['demo', '--seed', '42', '--out-dir', out + '/demo'],\n"
+        "             ['traj', 'robot_0', '--out', out + '/traj.csv'],\n"
+        "             ['simulate', 'robot_0', 'robot_C', '--out-dir', out + '/sim'],\n"
+        "             ['sample', 'robot_0', '--out', out + '/sample.csv'],\n"
+        "             ['transform', 'robot_0', '--clarke', '0.001', '0'],\n"
+        "             ['design-check', 'robot_0']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "d = clarkekit.builtin_designs()\n"
+        "clarkekit.run_experiment(d['robot_0'], d['robot_D'], 1)\n"
+        "print(sorted(m for m in set(sys.modules) - baseline\n"
+        "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))\n")
+    assert out.strip().splitlines()[-1] == "[]"
+
+
 def test_demo_and_experiment_run_where_scipy_cannot_be_imported(tmp_path):
     # a finder ahead of every other one refuses scipy, as if it were not installed
     out = run_python(

@@ -117,6 +117,18 @@ class TestSmoothstep:
             assert npoly.polyval(0.0, coeffs) == 0.0
             assert npoly.polyval(1.0, coeffs) == pytest.approx(0.0, abs=1e-9)
 
+    def test_ramp_tables_match_numpy_polynomial_bit_for_bit(self):
+        # the literal tables against the polyint/polysub construction they
+        # replaced; tobytes() tells -0.0 from 0.0
+        lift_off = npoly.polyint(RAMP_COEFFS)
+        set_down = npoly.polysub([0, 1], lift_off)
+        assert trajectory._RAMP_POSITION.tobytes() == lift_off.tobytes()
+        for phase, shape in ((1, lift_off), (3, set_down)):
+            terms = shape.size
+            table = np.array([[shape[i + j] * math.comb(i + j, j) if i + j < terms else 0.0
+                               for j in range(terms)] for i in range(terms)])
+            assert trajectory._SHIFT[phase].tobytes() == table.tobytes()
+
 
 class TestPlanSegment:
     def test_zero_distance(self):
@@ -573,6 +585,54 @@ class TestExactPolynomial:
         np.testing.assert_array_equal(pos, [0.01, -0.02])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
         np.testing.assert_array_equal(acc, [0.0, 0.0])
+
+
+class TestBreakpoints:
+    """The breakpoints are np.unique of the profile bounds, ramp midpoints,
+    0 and the horizon (or 1 for a motionless plan), bit for bit."""
+
+    CASES = [
+        # repeated via rows: a zero-distance segment, and a joint that stays put
+        (np.array([[0.0, 0.0], [0.01, 0.0], [0.01, 0.0], [0.0, 0.02]]), 0.5),
+        (np.array([[0.01, -0.02], [0.01, -0.02]]), 0.5),
+        (np.array([[0.0, 0.0, 0.0], [0.02, -0.01, -0.01], [0.0, 0.0, 0.0]]), 0.0),
+        (np.array([[0.0, 0.0, 0.0], [0.02, -0.01, -0.01], [0.0, 0.0, 0.0]]), 1.0),
+        # reverses at full overlap, so the plan is dilated
+        (np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]), 1.0),
+        (sample_joints(builtin_designs()["robot_D"], 3, 7), 0.0),
+        (sample_joints(builtin_designs()["robot_D"], 3, 7), 1.0),
+    ]
+
+    @staticmethod
+    def candidates(states, enable_times, horizon):
+        moving = states.v != 0.0
+        e = np.broadcast_to(enable_times[:, None], moving.shape)[moving]
+        t_lo, t_cr, t_sd = (field[moving] for field in (states.t_lo, states.t_cr, states.t_sd))
+        cruise_end = e + (t_lo + t_cr)
+        return np.concatenate([[0.0, horizon or 1.0], e, e + t_lo, cruise_end,
+                               e + (t_lo + t_cr + t_sd), e + 0.5 * t_lo,
+                               cruise_end + 0.5 * t_sd])
+
+    def test_match_np_unique(self, monkeypatch):
+        built, build = [], trajectory._position_poly
+
+        def recording(*args):
+            built.append((args, build(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(trajectory, "_position_poly", recording)
+        dilated = 0
+        for via, overlap in self.CASES:
+            built.clear()
+            traj = plan_trajectory(via, DEFAULT_LIMITS, overlap)
+            (_, states, enable_times, horizon), poly = built[0]
+            expected = np.unique(self.candidates(states, enable_times, horizon))
+            assert poly.x.tobytes() == expected.tobytes()
+            assert traj.position_poly.x.tobytes() == (expected * traj.dilation).tobytes()
+            dilated += traj.dilation > 1.0
+        assert dilated >= 1
+        motionless = plan_trajectory(self.CASES[1][0])
+        np.testing.assert_array_equal(motionless.position_poly.x, [0.0, 1.0])
 
 
 def scaled(poly, factor):
