@@ -51,9 +51,8 @@ print("start reached:", np.allclose(pos0, vias[0]), " goal reached:",
 
 # With zero overlap every via point is interpolated exactly.
 exact = plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=0.0)
-for j in range(exact.segment_count):
-    t_via = exact.enable_times[j] + exact.segment_durations[j]
-    dev = np.max(np.abs(evaluate(exact, min(t_via, exact.horizon))[0] - vias[j + 1]))
+deviations = np.max(np.abs(evaluate(exact, exact.via_times)[0] - vias[1:]), axis=1)
+for j, dev in enumerate(deviations):
     print(f"via {j + 1} deviation: {dev:.2e} m")
 
 # The velocity signal and its first four finite-difference derivatives stay

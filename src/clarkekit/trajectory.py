@@ -8,13 +8,13 @@ segment blends.  Per segment the joints are synchronized to a common
 duration, consecutive segments may overlap by a configurable fraction of
 the adjoining ramps, and a final uniform time dilation restores the
 velocity/acceleration limits wherever superposition exceeded them.  A plan
-holds its profiles as (segments, joints) arrays.
+keeps the joint positions as one piecewise polynomial and its via times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +23,7 @@ from .core import check_positive, check_real, finite_array, float_array
 from .errors import DimensionMismatch, InvalidParameter, OutOfRange
 
 __all__ = ["DEFAULT_A_MAX", "DEFAULT_LIMITS", "DEFAULT_V_MAX", "PEAK_SLOPE", "KinematicLimits",
-           "PlannedTrajectory", "TrajectoryState", "evaluate", "peak_abs", "plan_segment",
-           "plan_trajectory", "synchronize"]
+           "PlannedTrajectory", "evaluate", "peak_abs", "plan_segment", "plan_trajectory"]
 
 # Peak slope of the degree-9 smoothstep (attained mid-ramp); the realized
 # peak acceleration of a ramp is PEAK_SLOPE * v_peak / t_ramp.
@@ -128,7 +127,7 @@ def plan_segment(delta, limits: KinematicLimits = DEFAULT_LIMITS) -> TrajectoryS
     return states
 
 
-def synchronize(states: TrajectoryState) -> TrajectoryState:
+def _synchronize(states: TrajectoryState) -> TrajectoryState:
     """Stretch the profiles along the last axis (a segment's joints) to their common duration.
 
     Each profile is uniformly time-dilated to the slowest joint's duration,
@@ -151,31 +150,31 @@ def synchronize(states: TrajectoryState) -> TrajectoryState:
 class PlannedTrajectory:
     """Blended multi-segment trajectory for all joints of one design.
 
-    states holds the profiles as (segments, joints) arrays; all joints of a
-    segment share its enable time.  dilation records the uniform time
-    stretch applied after blending to restore the kinematic limits (exactly
-    1.0 unless a peak exceeded its limit by more than 1e-9 relative).
     position_poly holds the joint positions as one exact piecewise
     polynomial in t (degree 10), its coefficients c highest power first with
-    shape (11, pieces, joints) over the breakpoints x; a dilated plan holds its
-    planned polynomial in t / dilation.  Every array is read-only.
+    shape (11, pieces, joints) over the breakpoints x, and via_times the time
+    each segment reaches its via point; the last is the horizon.  dilation
+    records the uniform time stretch applied after blending to restore the
+    kinematic limits (exactly 1.0 unless a peak exceeded its limit by more
+    than 1e-9 relative); a dilated plan holds its planned polynomial in
+    t / dilation and its via times scaled by it.  Every array is read-only.
     """
 
-    start: np.ndarray
-    states: TrajectoryState
-    enable_times: np.ndarray
-    segment_durations: np.ndarray
-    horizon: float
     position_poly: _PiecewisePolynomial
-    dilation: float = 1.0
+    via_times: np.ndarray
+    dilation: float
+
+    @property
+    def horizon(self) -> float:
+        return float(self.via_times[-1])
 
     @property
     def n(self) -> int:
-        return self.start.size
+        return self.position_poly.c.shape[2]
 
     @property
     def segment_count(self) -> int:
-        return self.enable_times.size
+        return self.via_times.size
 
 
 def _position_poly(start: np.ndarray, states: TrajectoryState, enable_times: np.ndarray,
@@ -421,7 +420,7 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     overlap_fraction = check_real(overlap_fraction, "overlap_fraction")
     if not 0.0 <= overlap_fraction <= 1.0:
         raise InvalidParameter(f"overlap_fraction must lie in [0, 1], got {overlap_fraction}")
-    states = synchronize(plan_segment(np.diff(via, axis=0), limits))
+    states = _synchronize(plan_segment(np.diff(via, axis=0), limits))
     durations = states.duration.max(axis=1)
     window = np.minimum(states.t_sd[:-1], states.t_lo[1:]).min(axis=1)
     enable_times = np.zeros(durations.size)
@@ -429,7 +428,8 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
         for j in range(1, durations.size):
             enable_times[j] = (enable_times[j - 1] + durations[j - 1]
                                - overlap_fraction * window[j - 1])
-        horizon = float(enable_times[-1] + durations[-1])
+        via_times = enable_times + durations
+    horizon = float(via_times[-1])
     if not math.isfinite(horizon):
         raise InvalidParameter("the trajectory's timing is not finite in float64: "
                                "the segments are too long for the limits")
@@ -440,32 +440,31 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
         raise InvalidParameter(
             f"the limits v_max={limits.v_max}, a_max={limits.a_max}, dec_max={limits.dec_max} "
             "give ramps too short for the trajectory's polynomial to be finite in float64")
-    traj = PlannedTrajectory(start=via[0].copy(), states=states, enable_times=enable_times,
-                             segment_durations=durations, horizon=horizon, position_poly=poly)
+    traj = PlannedTrajectory(poly, via_times, 1.0)
 
     factor = _dilation(peak_abs(traj, "velocity") / limits.v_max,
                        peak_abs(traj, "acceleration") / min(limits.a_max, limits.dec_max))
-    # a ramp shorter than half an ulp of its start time rounds away and leaves a
-    # velocity step (a long move ends at full speed); a lost cruise leaves none
+    # A ramp that rounds away at its start time leaves a velocity step (a long
+    # move ends at full speed; a lost cruise leaves none), and one whose end
+    # rounds by an ulp leaves about v * 126 (ulp / ramp)**5 there, as 1 - S(tau)
+    # is 126 (1 - tau)**5 near 1: that may not exceed the binding tolerance of v_max.
     e = enable_times[:, None]
-    if np.any(((e + states.t_lo == e) & (states.t_lo > 0.0))
-              | ((e + states.duration == e + (states.t_lo + states.t_cr)) & (states.t_sd > 0.0))):
-        raise InvalidParameter(f"the limits v_max={limits.v_max}, a_max={limits.a_max}, "
-                               f"dec_max={limits.dec_max} give a ramp too short for float64 "
-                               "to resolve at its start time")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for end, start, ramp in ((e + states.t_lo, e, states.t_lo),
+                                 (e + states.duration, e + (states.t_lo + states.t_cr),
+                                  states.t_sd)):
+            residual = states.v / limits.v_max * 126.0 * (np.spacing(end) / ramp) ** 5
+            if np.any(((end == start) | (residual > _BINDING_TOLERANCE)) & (ramp > 0.0)):
+                raise InvalidParameter(f"the limits v_max={limits.v_max}, a_max={limits.a_max}, "
+                                       f"dec_max={limits.dec_max} give a ramp too short for "
+                                       "float64 to resolve at its start or end time")
     if factor > 1.0:
-        states = states._replace(v=states.v / factor, t_lo=states.t_lo * factor,
-                                 t_cr=states.t_cr * factor, t_sd=states.t_sd * factor)
         # the dilated positions are the planned polynomial in t / factor; scaling
         # may merge breakpoints an ulp apart into a zero-width piece, which
         # _horner and peak_abs accept
         powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
-        traj = replace(traj, states=states, enable_times=enable_times * factor,
-                       segment_durations=durations * factor, horizon=horizon * factor,
-                       position_poly=_PiecewisePolynomial(
-                           poly.c / factor ** powers[:, None, None], poly.x * factor),
-                       dilation=factor)
-    for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations,
-                  *traj.position_poly):
+        poly = _PiecewisePolynomial(poly.c / factor ** powers[:, None, None], poly.x * factor)
+        traj = PlannedTrajectory(poly, via_times * factor, factor)
+    for array in (*traj.position_poly, traj.via_times):
         array.setflags(write=False)
     return traj

@@ -34,7 +34,8 @@ from clarkekit.cli import main as cli_main
 from clarkekit.fileio import sha256_file
 from conftest import random_design
 from simulate_oracle import pt1_step
-from test_trajectory import assert_c4_velocity, one_sided_derivatives, smoothness_bounds
+from test_trajectory import (assert_c4_velocity, one_sided_derivatives, plan_with_profiles,
+                             smoothness_bounds)
 
 
 def report(number: int, label: str):
@@ -135,14 +136,14 @@ def test_criterion_07_sampler():
 
 def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
     vias = sample_joints(robot_0, 42, 6)
-    traj = plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=0.5)
+    traj, (_, states, _, _) = plan_with_profiles(vias, DEFAULT_LIMITS, 0.5)
     h = 1e-4
     grid = np.arange(0.0, traj.horizon, h)
     velocity = evaluate(traj, grid)[1]
     acceleration = evaluate(traj, grid)[2]
     assert np.max(np.abs(velocity)) <= DEFAULT_LIMITS.v_max * (1.0 + 1e-9)
     assert np.max(np.abs(acceleration)) <= DEFAULT_LIMITS.a_max * (1.0 + 1e-9)
-    bounds = smoothness_bounds(traj)
+    bounds = smoothness_bounds(states)
     assert_c4_velocity(velocity, h, bounds)
     # exact C4: at every interior breakpoint the one-sided velocity
     # derivatives of orders 0-4 agree; order 5 jumps at ramp ends, which
@@ -154,11 +155,7 @@ def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
     assert max(jumps[order] for order in range(5)) < 1e-10, jumps
     assert jumps[5] > 1e-3, jumps
     exact = plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=0.0)
-    worst_via = 0.0
-    for j in range(exact.segment_count):
-        checkpoint = min(exact.enable_times[j] + exact.segment_durations[j], exact.horizon)
-        pos = evaluate(exact, checkpoint)[0]
-        worst_via = max(worst_via, float(np.max(np.abs(pos - vias[j + 1]))))
+    worst_via = float(np.max(np.abs(evaluate(exact, exact.via_times)[0] - vias[1:])))
     assert worst_via < 1e-9, worst_via
     report(8, f"C4-smooth blended trajectory within limits (breakpoint jumps of orders "
               f"0-4 <= {max(jumps[o] for o in range(5)):.1e} of their bounds); "

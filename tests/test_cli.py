@@ -235,15 +235,18 @@ class TestTraj:
             assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("argv, via", [(["--amax", "1e-300"], None),
-                                           ([], "0 0 0\n1e14 0 0\n")], ids=["amax", "via"])
+                                           ([], "0 0 0\n1e14 0 0\n"),
+                                           (["--dt", "1e12"], "0 0 0\n4e13 0 0\n")],
+                             ids=["amax", "via", "stop"])
     def test_plan_without_motion_or_set_down_exits_2(self, capsys, tmp_path, monkeypatch,
                                                       argv, via):
-        # underflowing limits would plan no motion, and a 1e14 m move would end
-        # at full speed; both exit 2 before any file is written
+        # underflowing limits would plan no motion, a 1e14 m move would end at
+        # full speed, and a 4e13 m move's set-down would end an ulp off its
+        # horizon still moving at 1.02 v_max; all exit 2 before any file is written
         monkeypatch.chdir(tmp_path)
         if via is not None:
             (tmp_path / "via.txt").write_text(via)
-            argv = ["--via-file", "via.txt"]
+            argv = [*argv, "--via-file", "via.txt"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(capsys, "traj", "robot_0", *argv)

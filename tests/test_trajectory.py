@@ -1,6 +1,8 @@
+import json
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from clarkekit import (
     KinematicLimits,
     OutOfRange,
     PEAK_SLOPE,
+    PlannedTrajectory,
     evaluate,
     make_transfer_map,
     peak_abs,
@@ -22,13 +25,12 @@ from clarkekit import (
     plan_trajectory,
     sample_joints,
     surrogate_trajectory,
-    synchronize,
 )
 from clarkekit import trajectory
 from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import (_dilation, _horner, _peak_at_roots, _piece_bounds,
-                                  _position_poly)
+                                  _position_poly, _synchronize)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs, smoothstep, smoothstep_integral,
@@ -36,6 +38,28 @@ from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horn
 
 # velocity ramp shape in ascending power order (degree 9)
 RAMP_COEFFS = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SNAPSHOT = Path(__file__).parent / "data" / "plan_snapshot.json"
+
+
+def plan_with_profiles(via, limits=DEFAULT_LIMITS, overlap=0.5):
+    """A plan and the profiles it superposes, (start, states, enable_times,
+    horizon): the arguments plan_trajectory passes to _position_poly, scaled
+    by the plan's dilation f (v / f, durations and enable times times f)."""
+    built, build = [], trajectory._position_poly
+
+    def recording(*args):
+        built.append(args)
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_position_poly", recording)
+        traj = plan_trajectory(via, limits, overlap)
+    start, states, enable_times, _ = built[0]
+    f = traj.dilation
+    states = states._replace(v=states.v / f, t_lo=states.t_lo * f, t_cr=states.t_cr * f,
+                             t_sd=states.t_sd * f)
+    return traj, (start, states, enable_times * f, traj.horizon)
 
 
 def ramp_derivative_peak(order: int) -> float:
@@ -45,12 +69,12 @@ def ramp_derivative_peak(order: int) -> float:
     return float(np.max(np.abs(npoly.polyval(tau, coeffs))))
 
 
-def smoothness_bounds(traj):
-    """Analytic max of |d^m v / dt^m| for m = 0..5; overlapping profiles
-    can superpose pairwise, hence the factor two."""
-    moving = traj.states.v != 0.0
-    v = traj.states.v[moving]
-    ramp = np.minimum(traj.states.t_lo, traj.states.t_sd)[moving]
+def smoothness_bounds(states):
+    """Analytic max of |d^m v / dt^m| for m = 0..5 over a plan's profiles;
+    overlapping profiles can superpose pairwise, hence the factor two."""
+    moving = states.v != 0.0
+    v = states.v[moving]
+    ramp = np.minimum(states.t_lo, states.t_sd)[moving]
     return {order: 2.0 * np.max(v * ramp_derivative_peak(order) / ramp**order, initial=0.0)
             for order in range(6)}
 
@@ -223,16 +247,16 @@ def bits(states):
 class TestSynchronize:
     def test_identical_deltas_unchanged(self):
         states = plan_segment(np.full(3, 0.02))
-        for before, after in zip(states, synchronize(states)):
+        for before, after in zip(states, _synchronize(states)):
             np.testing.assert_array_equal(after, before)
 
     def test_zero_delta_idles(self):
-        states = synchronize(plan_segment(np.array([0.02, 0.0])))
+        states = _synchronize(plan_segment(np.array([0.02, 0.0])))
         assert states.v[1] == 0.0
         assert states.duration[1] == pytest.approx(states.duration[0])
 
     def test_closure_preserved(self):
-        states = synchronize(plan_segment(np.array([0.05, -0.01, 0.002])))
+        states = _synchronize(plan_segment(np.array([0.05, -0.01, 0.002])))
         assert len({round(s.duration, 9) for s in profiles(states)}) == 1
         for state in profiles(states):
             covered = state.v * (0.5 * state.t_lo + state.t_cr + 0.5 * state.t_sd)
@@ -240,7 +264,7 @@ class TestSynchronize:
 
     def test_dilation_never_raises_peaks(self):
         originals = plan_segment(np.array([0.05, -0.01, 0.002]))
-        for before, after in zip(profiles(originals), profiles(synchronize(originals))):
+        for before, after in zip(profiles(originals), profiles(_synchronize(originals))):
             assert after.v <= before.v * (1.0 + 1e-12)
             if after.t_lo > 0.0:
                 peak_before = PEAK_SLOPE * before.v / before.t_lo
@@ -255,7 +279,7 @@ class TestSynchronize:
             deltas[rng.random(deltas.shape) < 0.3] = 0.0
             deltas[::7] = 0.0
             deltas[1::9, :2] = [1e-300, -1e-300]
-            states = synchronize(plan_segment(deltas, limits))
+            states = _synchronize(plan_segment(deltas, limits))
             for row, segment in enumerate(deltas):
                 oracle = oracle_synchronize([oracle_plan_segment(float(d), limits)
                                              for d in segment])
@@ -263,7 +287,7 @@ class TestSynchronize:
 
     def test_needs_a_joint(self):
         with pytest.raises(InvalidParameter):
-            synchronize(plan_segment(np.zeros((2, 0))))
+            _synchronize(plan_segment(np.zeros((2, 0))))
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +298,9 @@ def vias(robot_0):
 class TestBlendAndEvaluate:
     def test_zero_overlap_hits_via_points(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, overlap_fraction=0.0)
-        checkpoint = 0.0
-        for j in range(traj.segment_count):
-            checkpoint = traj.enable_times[j] + traj.segment_durations[j]
-            pos = evaluate(traj, min(checkpoint, traj.horizon))[0]
-            assert np.max(np.abs(pos - vias[j + 1])) < 1e-9
+        assert traj.segment_count == vias.shape[0] - 1
+        pos = evaluate(traj, traj.via_times)[0]
+        assert np.max(np.abs(pos - vias[1:])) < 1e-9
 
     @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 1.0])
     def test_endpoints(self, vias, overlap):
@@ -409,8 +431,9 @@ class TestBlendAndEvaluate:
 
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
     def test_enable_times_non_decreasing(self, vias, overlap):
-        traj = plan_trajectory(vias, DEFAULT_LIMITS, overlap)
-        assert np.all(np.diff(traj.enable_times) >= 0.0)
+        traj, (_, _, enable_times, _) = plan_with_profiles(vias, DEFAULT_LIMITS, overlap)
+        assert np.all(np.diff(enable_times) >= 0.0)
+        assert np.all(np.diff(traj.via_times) >= 0.0)
 
     def test_peak_abs_matches_brute_force(self, vias):
         traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
@@ -483,18 +506,47 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter, match=r"a_max=1e\+20"):
             plan_trajectory(vias, KinematicLimits(a_max=1e20))
 
+    def test_every_accepted_long_move_stops(self):
+        # a set-down whose end rounds by an ulp of a long horizon leaves a
+        # velocity there: 0.49 v_max at 2e13 m and 1.02 v_max at 4e13 m
+        accepted = []
+        for distance in (1e10, 1e11, 3.2e11, 1.3e12, 2.5e12, 1e13, 2e13, 4e13):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    traj = plan_trajectory(np.array([[0.0], [distance]]))
+                except InvalidParameter as error:
+                    assert "too short for float64" in str(error)
+                    continue
+            velocity = evaluate(traj, traj.horizon)[1][0]
+            assert abs(velocity) <= 1e-9 * DEFAULT_LIMITS.v_max, distance
+            accepted.append(distance)
+        assert accepted == [1e10, 1e11]
+
+    def test_benchmark_surrogate_plans_are_accepted(self, designs, monkeypatch):
+        # the stop rule rejects none of the plans the benchmark's workloads make
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import DEMO_SEEDS, experiment_cases
+        cases = [(designs[surrogate], seed, segments)
+                 for surrogate, _, segments, _, seed in experiment_cases(0, 300)]
+        cases += [(designs["robot_0"], seed, 5) for seed in DEMO_SEEDS]
+        for surrogate, seed, segments in cases:
+            assert surrogate_trajectory(surrogate, seed, segments).horizon > 0.0
+
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
     def test_idle_middle_segment_matches_oracle(self, overlap):
         via = np.array([[0.0, 0.01], [0.02, -0.01], [0.02, -0.01], [0.0, 0.015]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = plan_trajectory(via, DEFAULT_LIMITS, overlap)
+            traj, profiles = plan_with_profiles(via, DEFAULT_LIMITS, overlap)
             times = np.concatenate([np.linspace(0.0, traj.horizon, 2001),
                                     traj.position_poly.x])
             got = evaluate(traj, times)
-            want = oracle_evaluate(traj, times)
-        assert np.all(traj.states.v[1] == 0.0)
-        assert traj.segment_durations[1] == 0.0
+            want = oracle_evaluate(*profiles, times)
+        states = profiles[1]
+        assert np.all(states.v[1] == 0.0)
+        assert np.all(states.duration[1] == 0.0)
+        assert traj.via_times[1] == traj.via_times[0]
         for exact, oracle in zip(got, want):
             assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         np.testing.assert_allclose(evaluate(traj, traj.horizon)[0], via[-1], rtol=0.0,
@@ -506,11 +558,26 @@ class TestBlendAndEvaluate:
         traj = plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
                                DEFAULT_LIMITS, overlap)
         assert (traj.dilation > 1.0) == (overlap == 1.0)
-        for array in (traj.start, *traj.states, traj.enable_times, traj.segment_durations,
-                      traj.position_poly.c, traj.position_poly.x):
+        for array in (traj.position_poly.c, traj.position_poly.x, traj.via_times):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0.0
+
+    def test_derived_fields(self):
+        # a plan is its polynomial, its via times and its dilation
+        assert [field.name for field in fields(PlannedTrajectory)] == [
+            "position_poly", "via_times", "dilation"]
+        reversal = np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]])
+        plans = [plan_trajectory(reversal, DEFAULT_LIMITS, 0.5),
+                 plan_trajectory(reversal, DEFAULT_LIMITS, 1.0),
+                 plan_trajectory(np.array([[0.01, -0.02], [0.01, -0.02]]))]
+        assert [traj.dilation > 1.0 for traj in plans] == [False, True, False]
+        assert [traj.segment_count for traj in plans] == [2, 2, 1]
+        assert plans[2].horizon == 0.0
+        for traj in plans:
+            assert traj.horizon == float(traj.via_times[-1])
+            assert traj.segment_count == traj.via_times.size
+            assert traj.n == traj.position_poly.c.shape[2] == 2
 
     def test_negative_deltas_mirror(self):
         traj = plan_trajectory(np.array([[0.01], [-0.02]]), DEFAULT_LIMITS, 0.0)
@@ -533,7 +600,8 @@ class TestDilationFactor:
 
 def random_plans(count: int = 40):
     """Plans over all five designs with 3-12 segments and mixed overlaps,
-    each paired with the general transfer matrix to another design."""
+    each with its profiles (plan_with_profiles) and paired with the general
+    transfer matrix to another design."""
     rng = np.random.default_rng(2412)
     pool = list(builtin_designs().values())
     for k in range(count):
@@ -541,7 +609,7 @@ def random_plans(count: int = 40):
         target = pool[int(rng.integers(len(pool)))]
         vias = sample_joints(source, int(rng.integers(2**31)), 3 + k % 10 + 1)
         overlap = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
-        yield (plan_trajectory(vias, DEFAULT_LIMITS, overlap),
+        yield (*plan_with_profiles(vias, DEFAULT_LIMITS, overlap),
                make_transfer_map(source, target).matrix)
 
 
@@ -550,26 +618,26 @@ class TestExactPolynomial:
     the dense-grid peak search it replaced (tests/trajectory_oracle.py)."""
 
     def test_peaks_match_dense_grid_oracle(self):
-        for traj, weights in random_plans():
+        for traj, profiles, weights in random_plans():
             for channel, w in (("velocity", None), ("acceleration", None),
                                ("velocity", weights)):
                 exact = peak_abs(traj, channel, weights=w)
-                oracle = oracle_peak_abs(traj, channel, weights=w)
+                oracle = oracle_peak_abs(*profiles, channel, weights=w)
                 assert oracle * (1.0 - 1e-12) <= exact <= oracle * (1.0 + 1e-9), \
                     (channel, w is not None, exact, oracle)
 
     def test_evaluation_matches_masked_oracle(self):
-        for traj, _ in random_plans():
+        for traj, profiles, _ in random_plans():
             times = np.concatenate([np.linspace(0.0, traj.horizon, 2001),
                                     traj.position_poly.x])
-            for exact, oracle in zip(evaluate(traj, times), oracle_evaluate(traj, times)):
+            for exact, oracle in zip(evaluate(traj, times), oracle_evaluate(*profiles, times)):
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale
 
     def test_one_pass_matches_three_horner_passes(self):
         # positions keep the old arithmetic bit for bit; the derivatives come
         # from the same pass instead of the derivative's own coefficients
-        for traj, _ in random_plans(10):
+        for traj, _, _ in random_plans(10):
             times = np.linspace(0.0, traj.horizon, 2001)
             for order, exact in enumerate(evaluate(traj, times)):
                 reference = horner(traj.position_poly, times, order)
@@ -635,6 +703,36 @@ class TestBreakpoints:
         np.testing.assert_array_equal(motionless.position_poly.x, [0.0, 1.0])
 
 
+class TestPlanSnapshot:
+    """Plans against tests/data/plan_snapshot.json, recorded while a plan still
+    held its profiles: every built-in design x seeds 0-3 (six sampled via
+    rows) x overlap 0, 0.5 and 1, each with its horizon, dilation, via arrival
+    times and evaluate() at 64 evenly spaced fractions of its horizon."""
+
+    def test_plans_match_snapshot(self, designs):
+        snapshot = json.loads(SNAPSHOT.read_text())
+        fractions = np.linspace(0.0, 1.0, snapshot["fractions"])
+        entries = snapshot["plans"]
+        assert len(entries) == 60
+        assert sum(entry["dilation"] > 1.0 for entry in entries) >= 5
+        for entry in entries:
+            label = (entry["design"], entry["seed"], entry["overlap"])
+            vias = sample_joints(designs[entry["design"]], entry["seed"], snapshot["via_rows"])
+            traj = plan_trajectory(vias, DEFAULT_LIMITS, entry["overlap"])
+            assert traj.horizon == pytest.approx(entry["horizon"], rel=1e-12, abs=0.0), label
+            assert traj.dilation == pytest.approx(entry["dilation"], rel=1e-12, abs=0.0), label
+            np.testing.assert_allclose(traj.via_times, entry["via_times"], rtol=1e-12, atol=0.0,
+                                       err_msg=str(label))
+            # a value that is zero in exact arithmetic is rounding noise, so each
+            # channel is also allowed 1e-12 of its largest magnitude
+            for got, key in zip(evaluate(traj, fractions * traj.horizon),
+                                ("position", "velocity", "acceleration")):
+                want = np.array(entry[key])
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want)),
+                                           err_msg=f"{label} {key}")
+
+
 def scaled(poly, factor):
     """poly in t / factor, as plan_trajectory seeds a dilated plan."""
     powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
@@ -657,20 +755,21 @@ class TestDilatedPolynomial:
     def dilated_plans():
         # at full overlap a joint that reverses adds one segment's set-down
         # deceleration to the next one's lift-off, which stretches by up to sqrt(2)
-        plans = [plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
-                                 DEFAULT_LIMITS, 1.0)]
-        plans += [plan_trajectory(sample_joints(design, seed, 3 + seed % 4), DEFAULT_LIMITS, 1.0)
+        plans = [plan_with_profiles(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                                    DEFAULT_LIMITS, 1.0)]
+        plans += [plan_with_profiles(sample_joints(design, seed, 3 + seed % 4), DEFAULT_LIMITS,
+                                     1.0)
                   for design in builtin_designs().values() for seed in range(6)]
-        return [traj for traj in plans if traj.dilation > 1.0]
+        return [(traj, profiles) for traj, profiles in plans if traj.dilation > 1.0]
 
     def test_matches_rebuilt_polynomial(self):
         plans = self.dilated_plans()
         assert len(plans) > 20
-        for traj in plans:
+        for traj, profiles in plans:
             # planned once: the plan comes with its polynomial
             assert traj.dilation > 1.2
             seeded = traj.position_poly
-            rebuilt = _position_poly(traj.start, traj.states, traj.enable_times, traj.horizon)
+            rebuilt = _position_poly(*profiles)
             times = np.concatenate([np.arange(0.0, traj.horizon, 1e-3), seeded.x, rebuilt.x])
             for got, expected in zip(_horner(seeded.c, seeded.x, times),
                                      _horner(rebuilt.c, rebuilt.x, times)):
@@ -679,13 +778,13 @@ class TestDilatedPolynomial:
 
     def test_undilated_plan_builds_its_own(self):
         # short triangular moves stay below the limits; so does the reversal at 0.5
-        plans = [plan_trajectory(np.array([[0.0, 0.0], [1e-4, -2e-4], [3e-4, 0.0]]),
-                                 DEFAULT_LIMITS, overlap) for overlap in (0.0, 0.5)]
-        plans.append(plan_trajectory(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
-                                     DEFAULT_LIMITS, 0.5))
-        for traj in plans:
+        plans = [plan_with_profiles(np.array([[0.0, 0.0], [1e-4, -2e-4], [3e-4, 0.0]]),
+                                    DEFAULT_LIMITS, overlap) for overlap in (0.0, 0.5)]
+        plans.append(plan_with_profiles(np.array([[0.0, 0.0], [0.06, 0.02], [0.0, 0.01]]),
+                                        DEFAULT_LIMITS, 0.5))
+        for traj, profiles in plans:
             assert traj.dilation == 1.0
-            rebuilt = _position_poly(traj.start, traj.states, traj.enable_times, traj.horizon)
+            rebuilt = _position_poly(*profiles)
             np.testing.assert_array_equal(traj.position_poly.c, rebuilt.c)
             np.testing.assert_array_equal(traj.position_poly.x, rebuilt.x)
 
@@ -740,7 +839,7 @@ class TestHornerMatchesOracle:
                 np.testing.assert_array_equal(exact, reference)
 
     def test_random_plans(self):
-        for traj, weights in random_plans():
+        for traj, _, weights in random_plans():
             poly = traj.position_poly
             x = poly.x
             times = np.concatenate([np.arange(0.0, traj.horizon, 1e-3), x,
@@ -789,7 +888,7 @@ class TestPrunedPeak:
     (tests/trajectory_oracle.py), and the bound the pruning rests on."""
 
     def test_random_plans_match_roots_oracle(self):
-        for traj, weights in random_plans():
+        for traj, _, weights in random_plans():
             for channel in ("velocity", "acceleration"):
                 assert_matches_roots_oracle(traj, channel)
                 assert_matches_roots_oracle(traj, channel, weights)
@@ -835,9 +934,9 @@ class TestPrunedPeak:
             assert peak_abs(traj, channel, weights=np.eye(2)) == 0.0
 
     def test_single_triangular_segment(self):
-        traj = plan_trajectory(np.array([[0.0], [0.001]]))
-        assert traj.states.t_cr[0, 0] == 0.0
-        assert assert_matches_roots_oracle(traj, "velocity") == pytest.approx(traj.states.v[0, 0],
+        traj, (_, states, _, _) = plan_with_profiles(np.array([[0.0], [0.001]]))
+        assert states.t_cr[0, 0] == 0.0
+        assert assert_matches_roots_oracle(traj, "velocity") == pytest.approx(states.v[0, 0],
                                                                                rel=1e-12)
         assert assert_matches_roots_oracle(traj, "acceleration") == pytest.approx(
             DEFAULT_LIMITS.a_max, rel=1e-12)
@@ -847,7 +946,7 @@ class TestPrunedPeak:
         # arithmetic: a tie's bound may stand in for its peak; in the two
         # robot_D plans an interior root's value reaches the breakpoint/midpoint
         # maximum while its piece's computed Bernstein bound lies an ulp below it
-        cases = [(traj, channel, w) for traj, weights in random_plans(20)
+        cases = [(traj, channel, w) for traj, _, weights in random_plans(20)
                  for channel in ("velocity", "acceleration") for w in (None, weights)]
         cases += [(surrogate_trajectory(robot_D, seed, segment_count=segments),
                    "acceleration", None) for seed, segments in ((11, 4), (16, 9))]
@@ -881,7 +980,7 @@ class TestPrunedPeak:
             peak_abs(traj, "velocity", weights)
 
     def test_bound_covers_dense_samples(self):
-        for traj, weights in list(random_plans())[::4]:
+        for traj, _, weights in list(random_plans())[::4]:
             poly = traj.position_poly
             for coeffs in (poly.c, poly.c @ weights.T):
                 for order in (1, 2):
@@ -900,7 +999,7 @@ class TestPrunedPeak:
 
     def test_pruning_searches_few_pieces(self):
         pruned = total = 0
-        for traj, weights in random_plans(10):
+        for traj, _, weights in random_plans(10):
             poly = traj.position_poly
             for order in (1, 2):
                 bound, margin = _piece_bounds(poly.c, poly.x, order)
@@ -932,17 +1031,16 @@ class TestPrunedPeak:
 class TestC4Smoothness:
     def test_velocity_is_c4_at_10khz(self, robot_0):
         vias = sample_joints(robot_0, 42, 6)
-        traj = plan_trajectory(vias, DEFAULT_LIMITS, 0.5)
+        traj, (_, states, _, _) = plan_with_profiles(vias, DEFAULT_LIMITS, 0.5)
         h = 1e-4
         grid = np.arange(0.0, traj.horizon, h)
         velocity = evaluate(traj, grid)[1]
-        assert_c4_velocity(velocity, h, smoothness_bounds(traj))
+        assert_c4_velocity(velocity, h, smoothness_bounds(states))
 
     def test_checker_rejects_linear_ramps(self):
         # negative control: a classic trapezoid (linear ramps, C0 velocity)
         # violates the first-derivative continuity bound immediately
         state = plan_segment(0.031416, DEFAULT_LIMITS)
-        traj = plan_trajectory(np.array([[0.0], [0.031416]]), DEFAULT_LIMITS, 0.0)
         h = 1e-4
         grid = np.arange(0.0, state.duration, h)
         t_lo, t_cr, v = state.t_lo, state.t_cr, state.v
@@ -951,7 +1049,7 @@ class TestC4Smoothness:
             [v * grid / t_lo, v, v * (state.duration - grid) / state.t_sd],
         )[:, None]
         with pytest.raises(AssertionError):
-            assert_c4_velocity(velocity, h, smoothness_bounds(traj))
+            assert_c4_velocity(velocity, h, smoothness_bounds(state))
 
 
 class TestTrajectoryCsv:

@@ -126,13 +126,15 @@ def profile_eval(state, local):
     return pos, vel, acc
 
 
-def oracle_evaluate(traj, t):
-    """Superpose every segment x joint profile at time(s) t in [0, horizon]."""
-    times = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, traj.horizon)
-    pos = np.tile(traj.start, (times.size, 1))
-    vel = np.zeros((times.size, traj.n))
-    acc = np.zeros((times.size, traj.n))
-    for enable, *fields in zip(traj.enable_times, *traj.states):
+def oracle_evaluate(start, states, enable_times, horizon, t):
+    """Superpose every segment x joint profile (states, (segments, joints)
+    arrays, each segment starting at its enable time) onto the start
+    configuration at time(s) t in [0, horizon]."""
+    times = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, horizon)
+    pos = np.tile(start, (times.size, 1))
+    vel = np.zeros((times.size, start.size))
+    acc = np.zeros((times.size, start.size))
+    for enable, *fields in zip(enable_times, *states):
         local = times - enable
         for i, values in enumerate(zip(*fields)):
             p, v, a = profile_eval(ScalarState(*map(float, values)), local)
@@ -144,15 +146,17 @@ def oracle_evaluate(traj, t):
     return pos, vel, acc
 
 
-def oracle_peak_abs(traj, channel="velocity", weights=None):
-    """Dense-grid scan followed by a bounded local refinement per column."""
+def oracle_peak_abs(start, states, enable_times, horizon, channel="velocity", weights=None):
+    """Dense-grid scan of oracle_evaluate's superposition followed by a
+    bounded local refinement per column."""
     index = {"velocity": 1, "acceleration": 2}[channel]
-    if traj.horizon == 0.0:
+    if horizon == 0.0:
         return 0.0
-    step = min(1e-4, traj.horizon / 1000.0)
-    grid = np.arange(0.0, traj.horizon + step, step)
-    grid[-1] = traj.horizon
-    values = oracle_evaluate(traj, grid)[index]
+    profiles = (start, states, enable_times, horizon)
+    step = min(1e-4, horizon / 1000.0)
+    grid = np.arange(0.0, horizon + step, step)
+    grid[-1] = horizon
+    values = oracle_evaluate(*profiles, grid)[index]
     if weights is not None:
         values = values @ np.asarray(weights, dtype=float).T
     best = 0.0
@@ -164,7 +168,7 @@ def oracle_peak_abs(traj, channel="velocity", weights=None):
         peak = float(signal[k])
 
         def magnitude(t, column=column):
-            vector = oracle_evaluate(traj, float(t))[index]
+            vector = oracle_evaluate(*profiles, float(t))[index]
             if weights is not None:
                 return -abs(float(np.asarray(weights)[column] @ vector))
             return -abs(float(vector[column]))
