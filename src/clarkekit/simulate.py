@@ -78,13 +78,13 @@ class SimConfig:
 class SimRun:
     """Time series and error metrics of one simulation run.
 
-    In the open-loop modes the actuators are fed the desired stream itself,
-    so commanded is the same array as desired, not a copy.  The runs of one
-    stream (`run_experiment`, `evaluate_suite`) also share arrays: desired
-    and t in every mode, the open-loop true states (and so the error metrics)
-    in both open-loop modes, and the noise draw behind measured in
-    open_loop_noisy and closed_loop.  transfer_mode is the mode of the
-    TransferMap that built the desired stream, None for a stream given to `run`.
+    Each per-tick field is the (ticks, n) transpose of an (n, ticks) array: ticks run along
+    contiguous memory.  The open-loop modes feed the actuators the desired stream itself, so
+    commanded is desired.  The runs of one stream (`run_experiment`, `evaluate_suite`) also
+    share arrays: desired and t in every mode, the open-loop true states (and so the error
+    metrics) in both open-loop modes, and the noise draw behind measured in open_loop_noisy
+    and closed_loop.  transfer_mode is the mode of the TransferMap that built the desired
+    stream, None for a stream given to `run`.
     """
 
     design: RobotDesign
@@ -100,17 +100,17 @@ class SimRun:
     @cached_property
     def _error_metrics(self) -> tuple[np.ndarray, float, float]:
         """Per-joint RMS, latent RMS and max |error| of desired - true after the
-        transient cutoff, from one error sliced at the first settled tick (t
-        increases; latent sliced after the product)."""
-        error = self.desired - self.true
+        transient cutoff, reduced along ticks from one (n, ticks) error sliced at
+        the first settled tick (t increases; latent sliced after the product)."""
+        error = (self.desired - self.true).T
         first = int(np.searchsorted(self.t, TRANSIENT_CUTOFF_S, side="right"))
         if first == self.t.size:
             first = 0
-        latent = error @ self.design.arc_forward.T
-        error = error[first:]
-        rms_per_joint = np.sqrt(np.mean(error**2, axis=0))
+        latent = self.design.arc_forward @ error
+        error = error[:, first:]
+        rms_per_joint = np.sqrt(np.mean(error**2, axis=1))
         rms_per_joint.setflags(write=False)
-        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[first:]**2, axis=1)))),
+        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[:, first:]**2, axis=0)))),
                 float(np.max(np.abs(error))))
 
     def rms_per_joint(self) -> np.ndarray:
@@ -164,23 +164,24 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes,
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(
             f"desired stream must have shape (ticks, {design.n}), got {desired.shape}")
-    ticks = desired.shape[0]
-    if ticks == 0:
+    if desired.shape[0] == 0:
         raise InvalidParameter("desired stream is empty")
-    t = np.arange(ticks) * config.dt
+    rows = np.ascontiguousarray(desired.T)  # no copy of a transposed (n, ticks) stream
+    desired = rows.T
+    t = np.arange(desired.shape[0]) * config.dt
     noise = 0.0
     if config.noise_eps > 0.0 and any(mode != "open_loop_clean" for mode in modes):
-        noise = np.random.default_rng(config.seed).uniform(-config.noise_eps, config.noise_eps,
-                                                           size=desired.shape)
+        noise = np.ascontiguousarray(np.random.default_rng(config.seed).uniform(
+            -config.noise_eps, config.noise_eps, size=desired.shape).T)
     runs, open_loop = {}, None
     for mode in modes:
         if mode == "closed_loop":
-            true, commanded = _closed_loop(desired, noise, design, config)
+            true, commanded = (states.T for states in _closed_loop(rows, noise, design, config))
         else:
             if open_loop is None:
-                open_loop = _open_loop(desired, config)
+                open_loop = _open_loop(rows, config).T
             true, commanded = open_loop, desired
-        measured = (0.0 if mode == "open_loop_clean" else noise) + true
+        measured = ((0.0 if mode == "open_loop_clean" else noise) + true.T).T
         runs[mode] = SimRun(design=design, config=config, mode=mode, transfer_mode=transfer_mode,
                             t=t, desired=desired, measured=measured, commanded=commanded,
                             true=true)
@@ -192,16 +193,15 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes,
 
 
 def _open_loop(desired: np.ndarray, config: SimConfig) -> np.ndarray:
-    """True states when the actuators are fed desired:
+    """True states (n, ticks) when the actuators are fed desired (n, ticks):
     s[k+1] = (1 - alpha) s[k] + alpha d[k] per joint, from s[0] = d[0]."""
     alpha = config._recurrence()[0]
-    state = np.concatenate([desired[:1], alpha * desired[:-1]])[None]
-    _linear_scan(state, np.array([[1.0 - alpha]]))
-    return state[0]
+    return _linear_scan(np.concatenate([desired[:, :1], alpha * desired[:, :-1]], axis=1),
+                        np.array([[1.0 - alpha]]))
 
 
 def _closed_loop(desired: np.ndarray, noise, design: RobotDesign, config: SimConfig):
-    """True states and joint commands of the latent PD loop.
+    """(n, ticks) true states and joint commands of the latent PD loop on desired (n, ticks).
 
     E @ D = I2 leaves one recurrence per latent channel: with z = E s,
     r = E (d - w), e = r - z and g = kd/dt,
@@ -209,35 +209,37 @@ def _closed_loop(desired: np.ndarray, noise, design: RobotDesign, config: SimCon
     the first tick takes z[-1] = z[0] and r[-1] = r[0], i.e. e[-1] = e[0].
     """
     alpha, kd_over_dt, a1, a2 = config._recurrence()
-    ticks = desired.shape[0]
+    ticks = desired.shape[1]
     encode = design.arc_forward
-    reference = (desired - noise) @ encode.T
-    latent0 = encode @ desired[0]
+    reference = encode @ (desired - noise)
+    latent0 = encode @ desired[:, 0]
     # companion state (z[k], z[k-1]) = A (z[k-1], z[k-2]) + (forcing[k-1], 0)
-    companion = np.zeros((2, ticks, 2))
-    companion[:, 0] = latent0
-    companion[0, 1:] = alpha * ((config.kp + kd_over_dt) * reference[:-1]
-                                - kd_over_dt * np.vstack([reference[:1], reference[:-2]]))
+    companion = np.zeros((2, 2, ticks))
+    companion[:, :, 0] = latent0
+    companion[0, :, 1:] = alpha * ((config.kp + kd_over_dt) * reference[:, :-1]
+                                   - kd_over_dt * np.hstack([reference[:, :1], reference[:, :-2]]))
     _linear_scan(companion, np.array([[a1, a2], [1.0, 0.0]]))
     error = reference - companion[0]
-    command = config.kp * error + kd_over_dt * np.diff(error, axis=0, prepend=error[:1])
+    command = config.kp * error + kd_over_dt * np.diff(error, axis=1, prepend=error[:, :1])
     # D E is a projector: the part of s outside D's range decays as (1 - alpha)**k
-    decay = np.power(1.0 - alpha, np.arange(ticks))[:, None]
-    decode = design.arc_inverse.T
-    true = (companion[0] - decay * latent0) @ decode
-    true += decay * desired[0]
-    return true, command @ decode
+    decay = np.power(1.0 - alpha, np.arange(ticks))
+    decode = design.arc_inverse
+    true = decode @ (companion[0] - decay * latent0[:, None])
+    true += decay * desired[:, :1]
+    return true, decode @ command
 
 
-def _linear_scan(x: np.ndarray, transition: np.ndarray) -> None:
-    """Solve x[:, k] = A x[:, k-1] + b[:, k] in place (x holds b on entry) by a
-    Hillis-Steele doubling scan: ceil(log2 ticks) steps, each adding A**s times
-    the partial sums s ticks back.  It stops once every entry of A**s is subnormal:
-    later powers are zero, and the skipped terms vanish in rounding but run slowly."""
+def _linear_scan(x: np.ndarray, transition: np.ndarray) -> np.ndarray:
+    """Solve x[..., k] = A x[..., k-1] + b[..., k] along the last axis, in place, and return
+    x (b on entry; A acts on the first axis, as a scalar when 1 x 1).  A Hillis-Steele doubling
+    scan adds A**s times the sums s ticks back, s = 1, 2, 4, ..., until every entry of A**s
+    is subnormal: later powers are zero, and their terms vanish in rounding but run slowly."""
     power, shift = transition, 1
-    while shift < x.shape[1] and np.abs(power).max() >= np.finfo(float).tiny:
-        x[:, shift:] += np.einsum("ij,jk...->ik...", power, x[:, :-shift])
+    while shift < x.shape[-1] and np.abs(power).max() >= np.finfo(float).tiny:
+        x[..., shift:] += (power * x[..., :-shift] if power.size == 1
+                           else np.einsum("ij,j...->i...", power, x[..., :-shift]))
         power, shift = power @ power, 2 * shift
+    return x
 
 
 class DesiredStream(NamedTuple):
@@ -257,6 +259,17 @@ def surrogate_trajectory(surrogate: RobotDesign, seed: int,
                                          check_integer(segment_count, "segment_count", 1) + 1))
 
 
+def _retarget(trajectory: PlannedTrajectory, transfer: TransferMap, order: int):
+    """`desired_stream`'s stretch, (n, ticks) positions and order-1 latent velocities."""
+    stretch = _dilation(peak_abs(trajectory, "velocity", weights=transfer.matrix)
+                        / DEFAULT_LIMITS.v_max)
+    ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
+    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
+    poly = trajectory.position_poly
+    latent = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, order)
+    return stretch, transfer.decoder @ latent[0].T, latent[1:]
+
+
 def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> DesiredStream:
     """Retarget every tick (SimConfig's dt) of a planned surrogate trajectory
     to the transfer map's target design.
@@ -269,15 +282,8 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
     by the smallest factor restoring it.  The stream is evaluated on the two
     latent columns of the encoded polynomial and then decoded.
     """
-    stretch = _dilation(peak_abs(trajectory, "velocity", weights=transfer.matrix)
-                        / DEFAULT_LIMITS.v_max)
-    horizon = trajectory.horizon * stretch
-    ticks = int(math.floor(horizon / SimConfig.dt)) + 1
-    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
-    poly = trajectory.position_poly
-    decode = transfer.decoder.T
-    positions, velocities = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 1)
-    return DesiredStream(positions=positions @ decode, velocities=velocities @ decode / stretch)
+    stretch, positions, (velocities,) = _retarget(trajectory, transfer, 1)
+    return DesiredStream(positions.T, velocities @ transfer.decoder.T / stretch)
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
@@ -287,12 +293,12 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
 
     Samples segment_count + 1 via points on the surrogate, plans the
     blended trajectory under the default kinematic limits, retargets the
-    stream, and simulates the requested modes (all three by default).
+    stream's positions only, and simulates the requested modes (all three by default).
     """
     trajectory = surrogate_trajectory(surrogate, seed, segment_count)
     transfer = make_transfer_map(surrogate, target, transfer_mode)
-    stream = desired_stream(trajectory, transfer)
-    return _simulate(stream.positions, target, SimConfig(seed=seed), modes, transfer.mode)
+    return _simulate(_retarget(trajectory, transfer, 0)[1].T, target, SimConfig(seed=seed),
+                     modes, transfer.mode)
 
 
 def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:

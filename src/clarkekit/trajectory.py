@@ -454,10 +454,14 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                                  (e + states.duration, e + (states.t_lo + states.t_cr),
                                   states.t_sd)):
             residual = states.v / limits.v_max * 126.0 * (np.spacing(end) / ramp) ** 5
-            if np.any(((end == start) | (residual > _BINDING_TOLERANCE)) & (ramp > 0.0)):
+            bad = ((end == start) | (residual > _BINDING_TOLERANCE)) & (ramp > 0.0)
+            if np.any(bad):
+                k = np.argmax(np.where(bad, np.spacing(end) / ramp, -1.0))  # the worst ramp
                 raise InvalidParameter(f"the limits v_max={limits.v_max}, a_max={limits.a_max}, "
                                        f"dec_max={limits.dec_max} give a ramp too short for "
-                                       "float64 to resolve at its start or end time")
+                                       "float64 to resolve at its start or end time: a "
+                                       f"{ramp.flat[k]:.6g} s ramp ends at t = {end.flat[k]:.6g} "
+                                       f"s, where an ulp is {np.spacing(end.flat[k]):.6g} s")
     if factor > 1.0:
         # the dilated positions are the planned polynomial in t / factor; scaling
         # may merge breakpoints an ulp apart into a zero-width piece, which

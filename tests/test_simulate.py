@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -32,6 +33,8 @@ from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _dilation
 from csv_oracle import repr_csv
 from simulate_oracle import joint_space_stream, pt1_step, run_loop
+
+SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "sim_snapshot.json")
 
 
 class TestPt1:
@@ -258,6 +261,19 @@ class TestRun:
             run(desired, robot_0, SimConfig(), "banana")
         with pytest.raises(InvalidParameter, match=r"unknown mode in \('banana',\)"):
             run_experiment(robot_0, robot_0, 0, modes=("banana",))
+
+    def test_fields_are_tick_major_views_of_channel_rows(self, designs, robot_D):
+        # each per-tick field reads (ticks, n), and its transpose is the
+        # C-contiguous (n, ticks) array the simulation stored, which the CSV
+        # writer takes row by row
+        for mode, sim in run_experiment(designs["robot_0"], designs["robot_D"], 4).items():
+            ticks = sim.t.size
+            for field in ("desired", "measured", "commanded", "true"):
+                array = getattr(sim, field)
+                assert array.shape == (ticks, 7), (mode, field)
+                assert array.T.flags.c_contiguous, (mode, field)
+        sim = run(self.constant_stream(robot_D, [0.004, 0.002], 30), robot_D, SimConfig(seed=2))
+        assert sim.desired.shape == (30, 7) and sim.desired.T.flags.c_contiguous
 
     def test_csv_schema(self, robot_0, tmp_path):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=50)
@@ -586,7 +602,45 @@ class TestRunsShareStreamWork:
             if not settled.any():
                 settled[:] = True
             assert settled.sum() == (1 if ticks == 1002 else ticks)
-            error = (sim.desired - sim.true)[settled]
+            # the metrics reduce each joint's contiguous row of ticks
+            error = np.ascontiguousarray((sim.desired - sim.true)[settled].T)
             np.testing.assert_array_equal(sim.rms_per_joint(),
-                                          np.sqrt(np.mean(error**2, axis=0)))
+                                          np.sqrt(np.mean(error**2, axis=1)))
             assert sim.max_abs_error() == np.max(np.abs(error))
+
+
+class TestSimSnapshot:
+    """Runs against tests/data/sim_snapshot.json, recorded while the simulation
+    still stored its per-tick arrays as (ticks, n): every ordered pair of
+    built-in designs in both transfer modes (seed 600 + 2 * pair + k and
+    3 + (pair + k) % 5 segments, k = 0 general, 1 symmetric), with each mode's
+    metrics and t, desired, measured, commanded and true at 32 evenly spaced ticks."""
+
+    def test_runs_match_snapshot(self, designs):
+        with open(SNAPSHOT) as handle:
+            snapshot = json.load(handle)
+        assert len(snapshot["cases"]) == 2 * len(ORDERED_PAIRS)
+
+        def close(got, want, label):
+            # a value that is zero in exact arithmetic is rounding noise, so each
+            # array is also allowed 1e-12 of its largest magnitude
+            want = np.asarray(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=label)
+
+        for case in snapshot["cases"]:
+            label = (case["surrogate"], case["target"], case["transfer_mode"], case["seed"])
+            runs = run_experiment(designs[case["surrogate"]], designs[case["target"]],
+                                  case["seed"], case["transfer_mode"], case["segments"])
+            assert tuple(runs) == tuple(case["runs"]) == MODES
+            index = np.linspace(0, case["ticks"] - 1, snapshot["tick_samples"]).round().astype(int)
+            for mode, want in case["runs"].items():
+                sim = runs[mode]
+                assert sim.t.size == case["ticks"], label
+                close(sim.t[index], case["t"], f"{label} t")
+                close(sim.desired[index], case["desired"], f"{label} desired")
+                for field in ("measured", "commanded", "true"):
+                    close(getattr(sim, field)[index], want[field], f"{label} {mode} {field}")
+                close(sim.rms_per_joint(), want["rms_per_joint_m"], f"{label} {mode} rms")
+                close(sim.rms_latent(), want["rms_latent"], f"{label} {mode} latent")
+                close(sim.max_abs_error(), want["max_abs_err_m"], f"{label} {mode} max")

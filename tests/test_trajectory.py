@@ -506,6 +506,19 @@ class TestBlendAndEvaluate:
         with pytest.raises(InvalidParameter, match=r"a_max=1e\+20"):
             plan_trajectory(vias, KinematicLimits(a_max=1e20))
 
+    def test_stop_rule_names_the_move(self):
+        # the 4e13 m move's fault is its length: its 0.197 s set-down ends at a
+        # horizon whose ulp is 0.25 s; the error names the ramp, its end and that ulp
+        state = plan_segment(np.array([4e13]))
+        end = float(state.t_lo[0] + state.t_cr[0] + state.t_sd[0])
+        with pytest.raises(InvalidParameter, match="too short for float64") as caught:
+            plan_trajectory(np.array([[0.0, 0.0, 0.0], [4e13, 0.0, 0.0]]))
+        message = str(caught.value)
+        assert message.startswith("the limits v_max=")
+        assert f"a {float(state.t_sd[0]):.6g} s ramp ends at t = {end:.6g} s" in message
+        assert f"where an ulp is {np.spacing(end):.6g} s" in message
+        assert "ends at t = 1.27324e+15 s, where an ulp is 0.25 s" in message
+
     def test_every_accepted_long_move_stops(self):
         # a set-down whose end rounds by an ulp of a long horizon leaves a
         # velocity there: 0.49 v_max at 2e13 m and 1.02 v_max at 4e13 m
