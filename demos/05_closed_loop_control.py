@@ -5,8 +5,9 @@ with uniform measurement noise of 2.5 mm.  Desired and measured joint
 vectors are both encoded to the 2-D latent pair, a single PD gain pair
 (Kp = 75, Kd = 0.0015) acts there, and the command is decoded back, so two
 controllers serve any joint count.  The full experiment samples via points
-on the three-joint surrogate, retargets the trajectory, and compares
-open-loop and closed-loop behavior.
+on the three-joint surrogate, retargets the trajectory, and solves the
+stream in all three modes at once; `run_experiment` returns the runs keyed
+by mode, and the comparisons below pick the ones they print.
 """
 
 import numpy as np
@@ -32,9 +33,7 @@ for name in ("robot_0", "robot_A", "robot_B", "robot_C", "robot_D"):
 # latent controller cannot realize, so the error floor rises sharply.
 print("\nclosed-loop rms/joint [mm]: compensated vs uncompensated retargeting")
 for name in ("robot_B", "robot_C", "robot_D"):
-    general = run_experiment(surrogate, designs[name], 42, "general",
-                             modes=("closed_loop",))["closed_loop"]
-    symmetric = run_experiment(surrogate, designs[name], 42, "symmetric",
-                               modes=("closed_loop",))["closed_loop"]
+    general = run_experiment(surrogate, designs[name], 42, "general")["closed_loop"]
+    symmetric = run_experiment(surrogate, designs[name], 42, "symmetric")["closed_loop"]
     print(f"{name:9s} {np.mean(general.rms_per_joint()) * 1000:8.4f} "
           f"vs {np.mean(symmetric.rms_per_joint()) * 1000:8.4f}")

@@ -131,7 +131,8 @@ def _read_via_file(path, n: int) -> np.ndarray:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(cell) for cell in line.replace(",", " ").split()])
+            # a comma-separated cell that holds no number is an empty field, which float rejects
+            rows.append([float(cell) for part in line.split(",") for cell in part.split() or [""]])
         # rows of unequal length do not form an array
         via = np.asarray(rows, dtype=float)
     except (OSError, ValueError) as exc:
@@ -201,8 +202,7 @@ def cmd_simulate(args) -> int:
     surrogate = get_design(args.surrogate)
     target = get_design(args.target)
     out_dir = Path(args.out_dir)
-    sim = run_experiment(surrogate, target, args.seed, args.transfer,
-                         modes=(args.mode,))[args.mode]
+    sim = run_experiment(surrogate, target, args.seed, args.transfer)[args.mode]
     stem = f"{target.name}_{args.mode}_{args.transfer}"
     manifest = Manifest("simulate", {"surrogate": surrogate.name, "target": target.name,
                                      "mode": args.mode, "transfer": args.transfer,

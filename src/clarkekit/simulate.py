@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -80,11 +80,11 @@ class SimRun:
 
     Each per-tick field is the (ticks, n) transpose of an (n, ticks) array: ticks run along
     contiguous memory.  The open-loop modes feed the actuators the desired stream itself, so
-    commanded is desired.  The runs of one stream (`run_experiment`, `evaluate_suite`) also
-    share arrays: desired and t in every mode, the open-loop true states (and so the error
-    metrics) in both open-loop modes, and the noise draw behind measured in open_loop_noisy
-    and closed_loop.  transfer_mode is the mode of the TransferMap that built the desired
-    stream, None for a stream given to `run`.
+    commanded is desired.  Every stream is solved in all three modes at once (`run` keeps
+    one of them), and the three runs share arrays: desired and t in every mode, the open-loop
+    true states (and so the error metrics) in both open-loop modes, and the noise draw behind
+    measured in open_loop_noisy and closed_loop.  transfer_mode is the mode of the
+    TransferMap that built the desired stream, None for a stream given to `run`.
     """
 
     design: RobotDesign
@@ -148,17 +148,17 @@ def run(desired, design: RobotDesign, config: SimConfig, mode: str = "closed_loo
     The actuators start on the desired state at t = 0.  A log-depth scan
     solves the loop in closed form; it is not stepped tick by tick.
     """
-    return _simulate(desired, design, config, (mode,), None)[mode]
+    if mode not in MODES:
+        raise InvalidParameter(f"unknown mode in {(mode,)}; choose from {MODES}")
+    return _simulate(desired, design, config, None)[mode]
 
 
-def _simulate(desired, design: RobotDesign, config: SimConfig, modes,
+def _simulate(desired, design: RobotDesign, config: SimConfig,
               transfer_mode: str | None) -> dict[str, SimRun]:
-    """Simulate each mode over one desired stream, as `run` does for that mode,
-    computing once what their runs share: the tick grid, the noise draw (the
-    config's seed and the stream's shape) and the open-loop state scan with its
-    error metrics.  Every run is labelled with transfer_mode."""
-    if any(mode not in MODES for mode in modes):
-        raise InvalidParameter(f"unknown mode in {tuple(modes)}; choose from {MODES}")
+    """The three runs of one desired stream in MODES order, each as `run` gives it,
+    computing once what they share: the tick grid, the noise draw (the config's seed
+    and the stream's shape) and the open-loop state scan with its error metrics.
+    Every run is labelled with transfer_mode."""
     design.arc_forward  # every run's metrics need it; a map that is not finite raises here
     desired = finite_array(desired, "desired stream")
     if desired.ndim != 2 or desired.shape[1] != design.n:
@@ -168,28 +168,23 @@ def _simulate(desired, design: RobotDesign, config: SimConfig, modes,
         raise InvalidParameter("desired stream is empty")
     rows = np.ascontiguousarray(desired.T)  # no copy of a transposed (n, ticks) stream
     desired = rows.T
-    t = np.arange(desired.shape[0]) * config.dt
     noise = 0.0
-    if config.noise_eps > 0.0 and any(mode != "open_loop_clean" for mode in modes):
+    if config.noise_eps > 0.0:
         noise = np.ascontiguousarray(np.random.default_rng(config.seed).uniform(
             -config.noise_eps, config.noise_eps, size=desired.shape).T)
-    runs, open_loop = {}, None
-    for mode in modes:
-        if mode == "closed_loop":
-            true, commanded = (states.T for states in _closed_loop(rows, noise, design, config))
-        else:
-            if open_loop is None:
-                open_loop = _open_loop(rows, config).T
-            true, commanded = open_loop, desired
-        measured = ((0.0 if mode == "open_loop_clean" else noise) + true.T).T
-        runs[mode] = SimRun(design=design, config=config, mode=mode, transfer_mode=transfer_mode,
-                            t=t, desired=desired, measured=measured, commanded=commanded,
-                            true=true)
+    open_true = _open_loop(rows, config).T
+    closed_true, command = (states.T for states in _closed_loop(rows, noise, design, config))
+    shared = partial(SimRun, design=design, config=config, transfer_mode=transfer_mode,
+                     t=np.arange(desired.shape[0]) * config.dt, desired=desired)
+    clean = shared(mode="open_loop_clean", measured=(0.0 + open_true.T).T, commanded=desired,
+                   true=open_true)
+    noisy = shared(mode="open_loop_noisy", measured=(noise + open_true.T).T, commanded=desired,
+                   true=open_true)
     # both open-loop modes track desired with the same true states
-    opened = [sim for sim in runs.values() if sim.true is open_loop]
-    for sim in opened[1:]:
-        sim.__dict__["_error_metrics"] = opened[0]._error_metrics
-    return runs
+    noisy.__dict__["_error_metrics"] = clean._error_metrics
+    closed = shared(mode="closed_loop", measured=(noise + closed_true.T).T, commanded=command,
+                    true=closed_true)
+    return {sim.mode: sim for sim in (clean, noisy, closed)}
 
 
 def _open_loop(desired: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -287,25 +282,25 @@ def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> Desi
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
-                   transfer_mode: str = "general", segment_count: int = 5,
-                   modes=MODES) -> dict[str, SimRun]:
+                   transfer_mode: str = "general", segment_count: int = 5) -> dict[str, SimRun]:
     """Full evaluation workflow for one surrogate/target pair.
 
     Samples segment_count + 1 via points on the surrogate, plans the
     blended trajectory under the default kinematic limits, retargets the
-    stream's positions only, and simulates the requested modes (all three by default).
+    stream's positions only, and returns its three runs keyed by mode, in MODES order.
     """
     trajectory = surrogate_trajectory(surrogate, seed, segment_count)
     transfer = make_transfer_map(surrogate, target, transfer_mode)
     return _simulate(_retarget(trajectory, transfer, 0)[1].T, target, SimConfig(seed=seed),
-                     modes, transfer.mode)
+                     transfer.mode)
 
 
 def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     """The five-robot evaluation behind `clarkekit demo`, from one plan of the
     surrogate robot_0: every mode on each target's compensated stream, the
-    uncompensated closed loop where the two transfer modes differ, and a
-    fixed joint-location offset of robot_0 swept over a polar latent grid.
+    uncompensated closed loop where the two transfer modes differ (its
+    symmetric stream is evaluated for positions only), and a fixed
+    joint-location offset of robot_0 swept over a polar latent grid.
     Returns the runs keyed by output stem, the perturbation table and the summary."""
     designs = builtin_designs()
     surrogate = designs["robot_0"]
@@ -321,23 +316,20 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
             entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + _BINDING_TOLERANCE))
-        for mode, sim in _simulate(stream.positions, target, config, MODES,
-                                   transfer.mode).items():
+        for mode, sim in _simulate(stream.positions, target, config, transfer.mode).items():
             runs[f"{name}_{mode}"] = sim
             entry[f"rms_latent_{mode}"] = sim.rms_latent()
         rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
         entry["rms_per_joint_closed_loop_m"] = [float(x) for x in rms_comp]
         sym_transfer = make_transfer_map(surrogate, target, "symmetric")
-        sym_stream = desired_stream(trajectory, sym_transfer)
-        shared = min(sym_stream.positions.shape[0], stream.positions.shape[0])
-        deviation = float(np.max(np.abs(sym_stream.positions[:shared]
-                                        - stream.positions[:shared])))
+        sym_positions = _retarget(trajectory, sym_transfer, 0)[1].T
+        shared = min(sym_positions.shape[0], stream.positions.shape[0])
+        deviation = float(np.max(np.abs(sym_positions[:shared] - stream.positions[:shared])))
         entry["transfer_modes_equivalent"] = bool(
-            deviation < 1e-12 and sym_stream.positions.shape == stream.positions.shape)
+            deviation < 1e-12 and sym_positions.shape == stream.positions.shape)
         entry["transfer_mode_deviation_m"] = deviation
         if not entry["transfer_modes_equivalent"] and name != "robot_0":
-            uncomp = _simulate(sym_stream.positions, target, config, ("closed_loop",),
-                               sym_transfer.mode)["closed_loop"]
+            uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]
             runs[f"{name}_closed_loop_uncompensated"] = uncomp
             rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
             entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp

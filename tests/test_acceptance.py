@@ -213,10 +213,8 @@ def test_criterion_12_compensation_dominance(designs):
     for name in ("robot_B", "robot_C", "robot_D"):
         target = designs[name]
         for seed in seeds:
-            general = run_experiment(surrogate, target, seed, "general",
-                                     modes=("closed_loop",))["closed_loop"]
-            symmetric = run_experiment(surrogate, target, seed, "symmetric",
-                                       modes=("closed_loop",))["closed_loop"]
+            general = run_experiment(surrogate, target, seed, "general")["closed_loop"]
+            symmetric = run_experiment(surrogate, target, seed, "symmetric")["closed_loop"]
             assert np.all(general.rms_per_joint() < symmetric.rms_per_joint()), (name, seed)
     trajectory = surrogate_trajectory(surrogate, 42)
     sym_stream = desired_stream(trajectory,

@@ -59,6 +59,5 @@ def test_traced_names_exist(monkeypatch):
 
 def test_run_experiment_accepts_segment_count():
     robot_0 = builtin_designs()["robot_0"]
-    runs = run_experiment(robot_0, robot_0, 0, "general", segment_count=1,
-                          modes=("closed_loop",))
+    runs = run_experiment(robot_0, robot_0, 0, "general", segment_count=1)
     assert runs["closed_loop"].t.size > 1

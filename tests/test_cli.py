@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import clarkekit
-from clarkekit import (builtin_designs, cli, run_experiment, sample_clarke_disk, sample_joints,
-                       simulate, trajectory)
+from clarkekit import (MODES, builtin_designs, cli, run_experiment, sample_clarke_disk,
+                       sample_joints, simulate, trajectory)
 from clarkekit.cli import main
 from clarkekit.fileio import sha256_file
 from csv_oracle import repr_csv
@@ -216,23 +216,29 @@ class TestSample:
 class TestTraj:
     def test_via_file(self, capsys, tmp_path):
         via = tmp_path / "via.txt"
-        via.write_text("0 0 0\n0.01 -0.005 -0.005\n0 0 0\n")
         out = tmp_path / "t.csv"
-        code, stdout, _ = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
-                                 "--overlap", "0", "--out", str(out))
-        assert code == 0
-        assert "planned 2 segments" in stdout
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("t_s,rho_1_m,vel_1_mps,acc_1_mps2")
+        # cells split by whitespace or by commas
+        for text in ("0 0 0\n0.01 -0.005 -0.005\n0 0 0\n",
+                     "0,0,0\n0.01, -0.005, -0.005\n0, 0,0\n"):
+            via.write_text(text)
+            code, stdout, _ = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
+                                     "--overlap", "0", "--out", str(out))
+            assert code == 0
+            assert "planned 2 segments" in stdout
+            header = out.read_text().splitlines()[0]
+            assert header.startswith("t_s,rho_1_m,vel_1_mps,acc_1_mps2")
 
     def test_bad_via_file_exits_2(self, capsys, tmp_path):
         via = tmp_path / "via.txt"
-        # too few joints per row, then rows of unequal length
-        for text in ("0 0\n0.01 -0.005\n", "0 0 0\n0.01 -0.005\n"):
+        # too few joints per row, rows of unequal length, then empty comma-separated
+        # cells, which would otherwise leave 4-field rows read as 3 joints
+        for text in ("0 0\n0.01 -0.005\n", "0 0 0\n0.01 -0.005\n",
+                     "0,,0,0\n0.001,0.002,,0.003\n"):
             via.write_text(text)
             code, _, err = invoke(capsys, "traj", "robot_0", "--via-file", str(via),
                                   "--out", str(tmp_path / "t.csv"))
             assert code == 2 and err.startswith("error:")
+            assert list(tmp_path.iterdir()) == [via]
 
     @pytest.mark.parametrize("argv, via", [(["--amax", "1e-300"], None),
                                            ([], "0 0 0\n1e14 0 0\n"),
@@ -308,18 +314,20 @@ class TestTraj:
 
 
 class TestSimulate:
-    def test_artifacts(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_artifacts(self, capsys, tmp_path, mode):
+        # every mode is solved, but only the chosen run is written
         code, _, _ = invoke(capsys, "simulate", "robot_0", "robot_B",
-                            "--mode", "closed_loop", "--transfer", "general",
+                            "--mode", mode, "--transfer", "general",
                             "--seed", "3", "--out-dir", str(tmp_path))
         assert code == 0
-        csv = tmp_path / "robot_B_closed_loop_general.csv"
-        metrics = tmp_path / "robot_B_closed_loop_general_metrics.json"
-        manifest = tmp_path / "robot_B_closed_loop_general.manifest.json"
-        assert csv.exists() and metrics.exists() and manifest.exists()
+        csv = tmp_path / f"robot_B_{mode}_general.csv"
+        metrics = tmp_path / f"robot_B_{mode}_general_metrics.json"
+        manifest = tmp_path / f"robot_B_{mode}_general.manifest.json"
+        assert sorted(tmp_path.iterdir()) == sorted([csv, metrics, manifest])
         data = json.loads(metrics.read_text())
         assert data["robot"] == "robot_B"
-        assert data["mode"] == "closed_loop"
+        assert data["mode"] == mode
         assert data["transfer_mode"] == "general"
         assert len(data["rms_per_joint_m"]) == 3
         recorded = json.loads(manifest.read_text())

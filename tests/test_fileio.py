@@ -212,8 +212,7 @@ class TestFormattedCache:
     def test_open_loop_clean_run_has_one_plus_2n_distinct_columns(self, designs, tmp_path):
         # rho_cmd is rho_d and rho_meas is rho_true in the noiseless open loop
         for name in ("robot_0", "robot_D"):
-            sim = run_experiment(designs["robot_0"], designs[name], 5,
-                                 modes=("open_loop_clean",))["open_loop_clean"]
+            sim = run_experiment(designs["robot_0"], designs[name], 5)["open_loop_clean"]
             formatted = {}
             cli._write_run(tmp_path, name, sim, cli.Manifest("simulate", {}, [], []), formatted)
             assert len(formatted) == 1 + 2 * sim.design.n

@@ -259,8 +259,6 @@ class TestRun:
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=20)
         with pytest.raises(InvalidParameter, match=r"unknown mode in \('banana',\)"):
             run(desired, robot_0, SimConfig(), "banana")
-        with pytest.raises(InvalidParameter, match=r"unknown mode in \('banana',\)"):
-            run_experiment(robot_0, robot_0, 0, modes=("banana",))
 
     def test_fields_are_tick_major_views_of_channel_rows(self, designs, robot_D):
         # each per-tick field reads (ticks, n), and its transpose is the
@@ -488,8 +486,7 @@ class TestDesiredStream:
         assert stretched > 0
 
     def test_tick_grid(self, designs):
-        sim = run_experiment(designs["robot_0"], designs["robot_B"], 7,
-                             modes=("open_loop_clean",))["open_loop_clean"]
+        sim = run_experiment(designs["robot_0"], designs["robot_B"], 7)["open_loop_clean"]
         assert sim.t[0] == 0.0
         np.testing.assert_allclose(np.diff(sim.t), 1e-3, rtol=1e-12)
         assert sim.desired.shape == (sim.t.size, 3)
@@ -512,7 +509,7 @@ class TestRunExperiment:
             run_experiment(robot_0, robot_0, 0, segment_count=segment_count)
 
     def test_large_integer_seed(self, robot_0):
-        runs = run_experiment(robot_0, robot_0, 2**70, segment_count=1, modes=("closed_loop",))
+        runs = run_experiment(robot_0, robot_0, 2**70, segment_count=1)
         assert np.isfinite(runs["closed_loop"].true).all()
 
     def test_closed_loop_beats_open_loop(self, robot_0):
@@ -525,10 +522,8 @@ class TestRunExperiment:
     def test_compensation_dominance_single_seed(self, designs):
         surrogate = designs["robot_0"]
         target = designs["robot_B"]
-        general = run_experiment(surrogate, target, 3, "general",
-                                 modes=("closed_loop",))["closed_loop"]
-        symmetric = run_experiment(surrogate, target, 3, "symmetric",
-                                   modes=("closed_loop",))["closed_loop"]
+        general = run_experiment(surrogate, target, 3, "general")["closed_loop"]
+        symmetric = run_experiment(surrogate, target, 3, "symmetric")["closed_loop"]
         assert np.mean(general.rms_per_joint()) < np.mean(symmetric.rms_per_joint())
 
     def test_shared_noise_across_modes(self, robot_0):
@@ -576,18 +571,19 @@ class TestRunsShareStreamWork:
         clean, noisy = runs["open_loop_clean"], runs["open_loop_noisy"]
         assert noisy.true is clean.true and noisy.t is runs["closed_loop"].t
 
-    @pytest.mark.parametrize("modes, transfer_mode", [
-        (("closed_loop",), "symmetric"),   # evaluate_suite's uncompensated run
-        (("open_loop_noisy",), "general"),
-        (("open_loop_noisy", "open_loop_clean"), "general"),
-    ])
-    def test_mode_subsets(self, designs, modes, transfer_mode):
-        surrogate, target = designs["robot_0"], designs["robot_B"]
-        runs = run_experiment(surrogate, target, 314, transfer_mode, modes=modes)
-        assert tuple(runs) == modes
-        stream = desired_stream(surrogate_trajectory(surrogate, 314),
-                                make_transfer_map(surrogate, target, transfer_mode))
-        assert_runs_match_independent_runs(runs, stream, target, 314, transfer_mode)
+    @pytest.mark.parametrize("seed", [42, 12])
+    def test_uncompensated_runs_equal_run_experiment(self, designs, seed):
+        # the demo's uncompensated run retargets the symmetric stream for
+        # positions only; it must be run_experiment's symmetric closed loop
+        runs, _, _ = evaluate_suite(seed)
+        for name in ("robot_B", "robot_C", "robot_D"):
+            demo = runs[f"{name}_closed_loop_uncompensated"]
+            alone = run_experiment(designs["robot_0"], designs[name], seed,
+                                   "symmetric")["closed_loop"]
+            for field in ("t", "desired", "measured", "commanded", "true"):
+                np.testing.assert_array_equal(getattr(demo, field), getattr(alone, field),
+                                              err_msg=f"{name} {field}")
+            assert demo.metrics() == alone.metrics(), name
 
     @pytest.mark.parametrize("ticks", [1, 2, 999, 1001, 1002])
     def test_streams_around_the_transient_cutoff(self, robot_D, ticks):
@@ -595,7 +591,7 @@ class TestRunsShareStreamWork:
         # tick counts; 1002 ticks leave only the last one
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
         stream = DesiredStream(positions=desired, velocities=np.zeros_like(desired))
-        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), MODES, None)
+        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), None)
         assert_runs_match_independent_runs(runs, stream, robot_D, 6, None)
         for sim in runs.values():
             settled = sim.t > TRANSIENT_CUTOFF_S
