@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .sampling import sample_joints
 from .trajectory import (_BINDING_TOLERANCE, DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory,
                          _dilation, _horner, peak_abs, plan_trajectory)
 
-__all__ = ["MODES", "DesiredStream", "SimConfig", "SimRun", "desired_stream", "evaluate_suite",
-           "run", "run_experiment", "surrogate_trajectory"]
+__all__ = ["MODES", "SimConfig", "SimRun", "desired_stream", "evaluate_suite", "run",
+           "run_experiment", "surrogate_trajectory"]
 
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
 
@@ -237,14 +236,6 @@ def _linear_scan(x: np.ndarray, transition: np.ndarray) -> np.ndarray:
     return x
 
 
-class DesiredStream(NamedTuple):
-    """Per-tick desired joints for a target robot, derived from a surrogate
-    trajectory pushed through a transfer map."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-
 def surrogate_trajectory(surrogate: RobotDesign, seed: int,
                          segment_count: int = 5) -> PlannedTrajectory:
     """Sample segment_count + 1 via points on the surrogate and plan their
@@ -254,31 +245,28 @@ def surrogate_trajectory(surrogate: RobotDesign, seed: int,
                                          check_integer(segment_count, "segment_count", 1) + 1))
 
 
-def _retarget(trajectory: PlannedTrajectory, transfer: TransferMap, order: int):
-    """`desired_stream`'s stretch, (n, ticks) positions and order-1 latent velocities."""
-    stretch = _dilation(peak_abs(trajectory, "velocity", weights=transfer.matrix)
-                        / DEFAULT_LIMITS.v_max)
-    ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
-    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
-    poly = trajectory.position_poly
-    latent = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, order)
-    return stretch, transfer.decoder @ latent[0].T, latent[1:]
-
-
-def desired_stream(trajectory: PlannedTrajectory, transfer: TransferMap) -> DesiredStream:
+def desired_stream(trajectory: PlannedTrajectory,
+                   transfer: TransferMap) -> tuple[np.ndarray, float]:
     """Retarget every tick (SimConfig's dt) of a planned surrogate trajectory
-    to the transfer map's target design.
+    to the transfer map's target design: the (ticks, n) desired positions and
+    the exact peak joint speed of the retargeted stream.
 
     Retargeting can raise individual joint speeds (a latent direction may
     align better with a target joint than with any surrogate joint), so the
     retargeted stream is checked against the default velocity limit and,
     when its peak exceeds the limit by more than 1e-9 relative (the rule the
     planner's dilation follows), the whole timeline is uniformly stretched
-    by the smallest factor restoring it.  The stream is evaluated on the two
-    latent columns of the encoded polynomial and then decoded.
+    by the smallest factor restoring it; the peak speed is divided by that
+    stretch.  The stream is evaluated on the two latent columns of the
+    encoded polynomial and then decoded.
     """
-    stretch, positions, (velocities,) = _retarget(trajectory, transfer, 1)
-    return DesiredStream(positions.T, velocities @ transfer.decoder.T / stretch)
+    peak = peak_abs(trajectory, "velocity", weights=transfer.matrix)
+    stretch = _dilation(peak / DEFAULT_LIMITS.v_max)
+    ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
+    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
+    poly = trajectory.position_poly
+    (latent,) = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 0)
+    return (transfer.decoder @ latent.T).T, peak / stretch
 
 
 def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
@@ -286,20 +274,19 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     """Full evaluation workflow for one surrogate/target pair.
 
     Samples segment_count + 1 via points on the surrogate, plans the
-    blended trajectory under the default kinematic limits, retargets the
-    stream's positions only, and returns its three runs keyed by mode, in MODES order.
+    blended trajectory under the default kinematic limits, retargets it and
+    returns the stream's three runs keyed by mode, in MODES order.
     """
     trajectory = surrogate_trajectory(surrogate, seed, segment_count)
     transfer = make_transfer_map(surrogate, target, transfer_mode)
-    return _simulate(_retarget(trajectory, transfer, 0)[1].T, target, SimConfig(seed=seed),
+    return _simulate(desired_stream(trajectory, transfer)[0], target, SimConfig(seed=seed),
                      transfer.mode)
 
 
 def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     """The five-robot evaluation behind `clarkekit demo`, from one plan of the
     surrogate robot_0: every mode on each target's compensated stream, the
-    uncompensated closed loop where the two transfer modes differ (its
-    symmetric stream is evaluated for positions only), and a fixed
+    uncompensated closed loop where the two transfer modes differ, and a fixed
     joint-location offset of robot_0 swept over a polar latent grid.
     Returns the runs keyed by output stem, the perturbation table and the summary."""
     designs = builtin_designs()
@@ -311,22 +298,22 @@ def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
     for name, target in designs.items():
         entry = design_report(target)
         transfer = make_transfer_map(surrogate, target, "general")
-        stream = desired_stream(trajectory, transfer)
-        entry["max_desired_velocity_mps"] = float(np.max(np.abs(stream.velocities)))
+        positions, peak_speed = desired_stream(trajectory, transfer)
+        entry["max_desired_velocity_mps"] = peak_speed
         entry["velocity_limit_mps"] = DEFAULT_V_MAX
         entry["velocity_limit_respected"] = bool(
             entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + _BINDING_TOLERANCE))
-        for mode, sim in _simulate(stream.positions, target, config, transfer.mode).items():
+        for mode, sim in _simulate(positions, target, config, transfer.mode).items():
             runs[f"{name}_{mode}"] = sim
             entry[f"rms_latent_{mode}"] = sim.rms_latent()
         rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
         entry["rms_per_joint_closed_loop_m"] = [float(x) for x in rms_comp]
         sym_transfer = make_transfer_map(surrogate, target, "symmetric")
-        sym_positions = _retarget(trajectory, sym_transfer, 0)[1].T
-        shared = min(sym_positions.shape[0], stream.positions.shape[0])
-        deviation = float(np.max(np.abs(sym_positions[:shared] - stream.positions[:shared])))
+        sym_positions = desired_stream(trajectory, sym_transfer)[0]
+        shared = min(sym_positions.shape[0], positions.shape[0])
+        deviation = float(np.max(np.abs(sym_positions[:shared] - positions[:shared])))
         entry["transfer_modes_equivalent"] = bool(
-            deviation < 1e-12 and sym_positions.shape == stream.positions.shape)
+            deviation < 1e-12 and sym_positions.shape == positions.shape)
         entry["transfer_mode_deviation_m"] = deviation
         if not entry["transfer_modes_equivalent"] and name != "robot_0":
             uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]

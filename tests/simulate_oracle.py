@@ -4,8 +4,9 @@ These are the exact PT1 step and the original per-tick loop that stepped
 every joint of the PT1 actuators and formed the PD error in the latent space,
 one tick at a time.  `clarkekit.simulate.run` replaced the loop with a
 closed-form scan of the latent recurrence.  The desired stream evaluated on
-every surrogate joint and mapped through the transfer matrix is what
-`desired_stream` replaced with an evaluation on the two latent columns.
+every surrogate joint and mapped through the transfer matrix, with its
+per-tick velocities, is what `desired_stream` replaced with an evaluation of
+the positions on the two latent columns and the exact peak speed.
 Tests compare the library against them.
 """
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from clarkekit import (DEFAULT_LIMITS, InvalidParameter, SimConfig, SimRun,
                        arc_forward_matrix, peak_abs)
-from clarkekit.simulate import DesiredStream
 from clarkekit.trajectory import _horner
 
 
@@ -69,8 +69,8 @@ def run_loop(desired, design, config, mode) -> SimRun:
 
 
 def joint_space_stream(trajectory, transfer):
-    """The desired positions and velocities evaluated on the surrogate's joints
-    and mapped through transfer.matrix, and the retarget stretch behind their
+    """The (ticks, n) desired positions and velocities evaluated on the surrogate's
+    joints and mapped through transfer.matrix, and the retarget stretch behind their
     timeline: none while the peak speed stays within 1e-9 of the limit, else
     the peak-to-limit ratio padded by 1 + 1e-12."""
     stretch = 1.0
@@ -82,5 +82,4 @@ def joint_space_stream(trajectory, transfer):
     poly = trajectory.position_poly
     positions, velocities = _horner(poly.c, poly.x,
                                     np.clip(times / stretch, 0.0, trajectory.horizon), 1)
-    return DesiredStream(positions @ transfer.matrix.T,
-                         velocities @ transfer.matrix.T / stretch), stretch
+    return (positions @ transfer.matrix.T, velocities @ transfer.matrix.T / stretch), stretch

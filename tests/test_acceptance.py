@@ -33,7 +33,7 @@ from clarkekit import (
 from clarkekit.cli import main as cli_main
 from clarkekit.fileio import sha256_file
 from conftest import random_design
-from simulate_oracle import pt1_step
+from simulate_oracle import joint_space_stream, pt1_step
 from test_trajectory import (assert_c4_velocity, one_sided_derivatives, plan_with_profiles,
                              smoothness_bounds)
 
@@ -165,12 +165,18 @@ def test_criterion_08_trajectory_smoothness_and_limits(robot_0):
 def test_criterion_09_transformed_profiles_respect_limits(designs):
     surrogate = designs["robot_0"]
     trajectory = surrogate_trajectory(surrogate, 42)
-    worst = 0.0
+    # the exact peak speed of each stream, and the velocity at each of its
+    # ticks evaluated on the surrogate's joints and mapped to the target
+    worst = worst_tick = 0.0
     for name in ("robot_A", "robot_B", "robot_C", "robot_D"):
-        stream = desired_stream(trajectory, make_transfer_map(surrogate, designs[name]))
-        worst = max(worst, float(np.max(np.abs(stream.velocities))))
+        transfer = make_transfer_map(surrogate, designs[name])
+        worst = max(worst, desired_stream(trajectory, transfer)[1])
+        (_, velocities), _ = joint_space_stream(trajectory, transfer)
+        worst_tick = max(worst_tick, float(np.max(np.abs(velocities))))
     assert worst <= DEFAULT_V_MAX * (1.0 + 1e-9), worst
-    report(9, f"retargeted profiles stay below 0.01*pi m/s, max {worst:.6f}")
+    assert worst_tick <= DEFAULT_V_MAX * (1.0 + 1e-9), worst_tick
+    report(9, f"retargeted profiles stay below 0.01*pi m/s, peak {worst:.6f}, "
+              f"max tick {worst_tick:.6f}")
 
 
 def test_criterion_10_pt1_analytics():
@@ -217,12 +223,12 @@ def test_criterion_12_compensation_dominance(designs):
             symmetric = run_experiment(surrogate, target, seed, "symmetric")["closed_loop"]
             assert np.all(general.rms_per_joint() < symmetric.rms_per_joint()), (name, seed)
     trajectory = surrogate_trajectory(surrogate, 42)
-    sym_stream = desired_stream(trajectory,
-                                make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
-    gen_stream = desired_stream(trajectory,
-                                make_transfer_map(surrogate, designs["robot_A"], "general"))
-    assert sym_stream.positions.shape == gen_stream.positions.shape
-    deviation = float(np.max(np.abs(sym_stream.positions - gen_stream.positions)))
+    sym_positions, _ = desired_stream(
+        trajectory, make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
+    gen_positions, _ = desired_stream(
+        trajectory, make_transfer_map(surrogate, designs["robot_A"], "general"))
+    assert sym_positions.shape == gen_positions.shape
+    deviation = float(np.max(np.abs(sym_positions - gen_positions)))
     assert deviation < 1e-12, deviation
     report(12, "distance-compensated retargeting strictly dominates on robot_B/C/D "
                f"(5 seeds); robot_A streams agree to {deviation:.1e}")

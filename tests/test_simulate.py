@@ -28,7 +28,7 @@ from clarkekit import (
     surrogate_trajectory,
 )
 from clarkekit.cli import Manifest, _write_run
-from clarkekit.simulate import TRANSIENT_CUTOFF_S, DesiredStream, _simulate
+from clarkekit.simulate import TRANSIENT_CUTOFF_S, _simulate
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _dilation
 from csv_oracle import repr_csv
@@ -302,18 +302,19 @@ class TestRun:
             assert (tmp_path / f"{stem}.csv").read_bytes() == repr_csv(header, rows), stem
 
 
-def assert_matches_loop(desired, design, config, mode):
-    """true, measured and commanded agree with the per-tick loop to 1e-12 of
-    the loop's largest magnitude; the first state and open-loop commands exactly."""
-    sim = run(desired, design, config, mode)
-    ref = run_loop(desired, design, config, mode)
+def assert_matches_loop(sim, desired):
+    """A run's true, measured and commanded agree with the per-tick loop of its
+    design, config and mode on the stream `desired` to 1e-12 of the loop's largest
+    magnitude; its tick times, first state and open-loop commands exactly."""
+    ref = run_loop(desired, sim.design, sim.config, sim.mode)
+    np.testing.assert_array_equal(sim.t, ref.t)
     for field in ("true", "measured", "commanded"):
         got, want = getattr(sim, field), getattr(ref, field)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(want)), err_msg=field)
     np.testing.assert_array_equal(sim.true[0], desired[0])
-    if mode != "closed_loop":
+    if sim.mode != "closed_loop":
         np.testing.assert_array_equal(sim.commanded, desired)
 
 
@@ -324,15 +325,16 @@ class TestClosedFormMatchesLoop:
     def test_seeded_streams(self, designs, target, transfer_mode, seed):
         trajectory = surrogate_trajectory(designs["robot_0"], seed, segment_count=3 + seed)
         transfer = make_transfer_map(designs["robot_0"], designs[target], transfer_mode)
-        stream = desired_stream(trajectory, transfer)
+        positions, _ = desired_stream(trajectory, transfer)
         for mode in MODES:
-            assert_matches_loop(stream.positions, designs[target], SimConfig(seed=seed), mode)
+            assert_matches_loop(run(positions, designs[target], SimConfig(seed=seed), mode),
+                                positions)
 
     @pytest.mark.parametrize("ticks", [1, 2, 3])
     def test_short_streams(self, robot_D, ticks):
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
         for mode in MODES:
-            assert_matches_loop(desired, robot_D, SimConfig(seed=4), mode)
+            assert_matches_loop(run(desired, robot_D, SimConfig(seed=4), mode), desired)
 
     @pytest.mark.parametrize("overrides", [
         {"kp": 0.0, "kd": 0.0},   # slow pole 1 - alpha
@@ -340,11 +342,11 @@ class TestClosedFormMatchesLoop:
         {"noise_eps": 0.0},
     ])
     def test_pole_and_noise_edge_cases(self, designs, overrides):
-        stream = desired_stream(surrogate_trajectory(designs["robot_0"], 5),
-                                make_transfer_map(designs["robot_0"], designs["robot_C"]))
+        positions, _ = desired_stream(surrogate_trajectory(designs["robot_0"], 5),
+                                      make_transfer_map(designs["robot_0"], designs["robot_C"]))
+        config = SimConfig(seed=5, **overrides)
         for mode in MODES:
-            assert_matches_loop(stream.positions, designs["robot_C"],
-                                SimConfig(seed=5, **overrides), mode)
+            assert_matches_loop(run(positions, designs["robot_C"], config, mode), positions)
 
 
 def run_python(code: str) -> str:
@@ -438,52 +440,70 @@ class TestOneDilationRule:
         for surrogate, seed, traj in rule_cases:
             for target in designs.values():
                 transfer = make_transfer_map(surrogate, target, TRANSFER_MODES[seed % 2])
-                stream = desired_stream(traj, transfer)
+                positions, speed = desired_stream(traj, transfer)
                 peak = peak_abs(traj, "velocity", weights=transfer.matrix)
                 stretch = _dilation(peak / DEFAULT_V_MAX)
-                assert stream.positions.shape[0] == math.floor(
-                    traj.horizon * stretch / SimConfig.dt) + 1
-                assert peak / stretch <= limit, (surrogate.name, target.name, seed)
-                assert np.max(np.abs(stream.velocities)) <= limit
+                assert positions.shape[0] == math.floor(traj.horizon * stretch / SimConfig.dt) + 1
+                assert speed == peak / stretch
+                assert speed <= limit, (surrogate.name, target.name, seed)
 
 
 class TestDesiredStream:
     def test_velocity_limit_respected_for_all_targets(self, designs):
+        # the returned peak speed, and the tick velocities of the joint-space stream
         surrogate = designs["robot_0"]
         trajectory = surrogate_trajectory(surrogate, 42)
+        limit = DEFAULT_V_MAX * (1.0 + 1e-9)
         for name, target in designs.items():
             for mode in ("general", "symmetric"):
-                stream = desired_stream(trajectory, make_transfer_map(surrogate, target, mode))
-                assert np.max(np.abs(stream.velocities)) <= DEFAULT_V_MAX * (1.0 + 1e-9), name
+                transfer = make_transfer_map(surrogate, target, mode)
+                assert desired_stream(trajectory, transfer)[1] <= limit, (name, mode)
+                (_, velocities), _ = joint_space_stream(trajectory, transfer)
+                assert np.max(np.abs(velocities)) <= limit, (name, mode)
 
     def test_equivalence_on_matching_distances(self, designs):
         # a constant-distance target with the surrogate's distance and
         # length yields identical streams for both transfer modes
         surrogate = designs["robot_0"]
         trajectory = surrogate_trajectory(surrogate, 42)
-        sym = desired_stream(trajectory,
-                             make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
-        gen = desired_stream(trajectory,
-                             make_transfer_map(surrogate, designs["robot_A"], "general"))
-        assert np.max(np.abs(sym.positions - gen.positions)) < 1e-12
+        sym, _ = desired_stream(trajectory,
+                                make_transfer_map(surrogate, designs["robot_A"], "symmetric"))
+        gen, _ = desired_stream(trajectory,
+                                make_transfer_map(surrogate, designs["robot_A"], "general"))
+        assert np.max(np.abs(sym - gen)) < 1e-12
 
     @pytest.mark.parametrize("transfer_mode", TRANSFER_MODES)
     def test_latent_stream_matches_joint_space(self, designs, transfer_mode):
         # evaluated on the 2 latent columns and decoded, against the surrogate's
-        # joints mapped through the transfer matrix
+        # joints mapped through the transfer matrix; the peak speed is the weighted
+        # peak of the plan over the joint-space stream's stretch
         stretched = 0
         for pair, names in enumerate(ORDERED_PAIRS):
             surrogate, target = (designs[name] for name in names)
             trajectory = surrogate_trajectory(surrogate, 9001 + 7 * pair, 3 + pair % 4)
             transfer = make_transfer_map(surrogate, target, transfer_mode)
-            stream = desired_stream(trajectory, transfer)
-            expected, stretch = joint_space_stream(trajectory, transfer)
+            positions, speed = desired_stream(trajectory, transfer)
+            (expected, _), stretch = joint_space_stream(trajectory, transfer)
             stretched += stretch > 1.0
-            for got, reference in ((stream.positions, expected.positions),
-                                   (stream.velocities, expected.velocities)):
-                assert got.shape == reference.shape
-                assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+            assert positions.shape == expected.shape
+            assert np.max(np.abs(positions - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert speed == peak_abs(trajectory, "velocity", weights=transfer.matrix) / stretch
         assert stretched > 0
+
+    @pytest.mark.parametrize("transfer_mode", TRANSFER_MODES)
+    def test_peak_speed_bounds_every_tick(self, designs, transfer_mode):
+        # the exact peak is at least the speed of every joint at every tick of
+        # the joint-space stream, stretched or not, to 1e-12 relative
+        stretched = []
+        for pair, names in enumerate(ORDERED_PAIRS):
+            surrogate, target = (designs[name] for name in names)
+            trajectory = surrogate_trajectory(surrogate, 9001 + 7 * pair, 3 + pair % 4)
+            transfer = make_transfer_map(surrogate, target, transfer_mode)
+            speed = desired_stream(trajectory, transfer)[1]
+            (_, velocities), stretch = joint_space_stream(trajectory, transfer)
+            stretched.append(stretch > 1.0)
+            assert np.max(np.abs(velocities)) <= speed * (1.0 + 1e-12), names
+        assert any(stretched) and not all(stretched)
 
     def test_tick_grid(self, designs):
         sim = run_experiment(designs["robot_0"], designs["robot_B"], 7)["open_loop_clean"]
@@ -537,44 +557,61 @@ class TestRunExperiment:
                                    rtol=0.0, atol=1e-16)
 
 
-def assert_runs_match_independent_runs(runs, stream, target, seed, transfer_mode):
-    """Runs that share one stream's work equal a separate `run` per mode, bit for
-    bit, and carry the transfer mode of their stream where `run` carries None."""
-    for mode, shared in runs.items():
-        alone = run(stream.positions, target, SimConfig(seed=seed), mode)
-        for field in ("t", "desired", "measured", "commanded", "true"):
-            np.testing.assert_array_equal(getattr(shared, field), getattr(alone, field),
-                                          err_msg=f"{mode} {field}")
-        assert shared.metrics() == {**alone.metrics(), "transfer_mode": transfer_mode}, mode
-        np.testing.assert_array_equal(shared.rms_per_joint(), alone.rms_per_joint())
+def assert_runs_of_stream(runs, positions, transfer_mode):
+    """The runs of one stream come in MODES order, each labelled with its own mode
+    and its stream's transfer mode and carrying that stream bit for bit; what the
+    runs share is the same array, not a copy."""
+    assert tuple(runs) == MODES
+    for mode, sim in runs.items():
+        assert (sim.mode, sim.transfer_mode) == (mode, transfer_mode)
+        metrics = sim.metrics()
+        assert (metrics["mode"], metrics["transfer_mode"]) == (mode, transfer_mode)
+        np.testing.assert_array_equal(sim.desired, positions, err_msg=mode)
+    clean, noisy = runs["open_loop_clean"], runs["open_loop_noisy"]
+    assert noisy.true is clean.true and noisy.t is runs["closed_loop"].t
 
 
 ORDERED_PAIRS = [(s, t) for s in ("robot_0", "robot_A", "robot_B", "robot_C", "robot_D")
                  for t in ("robot_0", "robot_A", "robot_B", "robot_C", "robot_D")]
 
+# indices into ORDERED_PAIRS of two derangements of the five designs, so each
+# design is twice a surrogate and twice a target; the per-tick loop is too slow
+# to run on all 50 streams
+LOOP_PAIRS = (3, 4, 8, 9, 10, 11, 15, 17, 21, 22)
+
+
+def pair_runs(designs, pair, transfer_mode):
+    """run_experiment's runs for ORDERED_PAIRS[pair] and the stream behind them."""
+    surrogate, target = (designs[name] for name in ORDERED_PAIRS[pair])
+    seed, segments = 9001 + 7 * pair, 3 + pair % 4
+    runs = run_experiment(surrogate, target, seed, transfer_mode, segments)
+    positions, _ = desired_stream(surrogate_trajectory(surrogate, seed, segments),
+                                  make_transfer_map(surrogate, target, transfer_mode))
+    return runs, positions
+
 
 class TestRunsShareStreamWork:
     """run_experiment computes the tick grid, the noise draw and the open-loop
-    scan with its metrics once per stream; the results must not change."""
+    scan with its metrics once per stream; every run must still be the per-tick
+    loop of its own mode."""
 
     @pytest.mark.parametrize("transfer_mode", ["general", "symmetric"])
     @pytest.mark.parametrize("pair", range(len(ORDERED_PAIRS)))
     def test_every_design_pair(self, designs, pair, transfer_mode):
-        surrogate, target = (designs[name] for name in ORDERED_PAIRS[pair])
-        seed, segments = 9001 + 7 * pair, 3 + pair % 4
-        runs = run_experiment(surrogate, target, seed, transfer_mode, segments)
-        assert tuple(runs) == MODES
-        stream = desired_stream(surrogate_trajectory(surrogate, seed, segments),
-                                make_transfer_map(surrogate, target, transfer_mode))
-        assert_runs_match_independent_runs(runs, stream, target, seed, transfer_mode)
-        # what the open-loop runs share is the same array, not a copy
-        clean, noisy = runs["open_loop_clean"], runs["open_loop_noisy"]
-        assert noisy.true is clean.true and noisy.t is runs["closed_loop"].t
+        runs, positions = pair_runs(designs, pair, transfer_mode)
+        assert_runs_of_stream(runs, positions, transfer_mode)
+
+    @pytest.mark.parametrize("transfer_mode", ["general", "symmetric"])
+    @pytest.mark.parametrize("pair", LOOP_PAIRS)
+    def test_design_pairs_match_the_per_tick_loop(self, designs, pair, transfer_mode):
+        runs, positions = pair_runs(designs, pair, transfer_mode)
+        for sim in runs.values():
+            assert_matches_loop(sim, positions)
 
     @pytest.mark.parametrize("seed", [42, 12])
     def test_uncompensated_runs_equal_run_experiment(self, designs, seed):
-        # the demo's uncompensated run retargets the symmetric stream for
-        # positions only; it must be run_experiment's symmetric closed loop
+        # the demo's uncompensated run is the closed loop on the symmetric
+        # stream; it must be run_experiment's symmetric closed loop
         runs, _, _ = evaluate_suite(seed)
         for name in ("robot_B", "robot_C", "robot_D"):
             demo = runs[f"{name}_closed_loop_uncompensated"]
@@ -590,10 +627,10 @@ class TestRunsShareStreamWork:
         # 1001 ticks end on t = 1.0 s, which is not past the cutoff, so every
         # tick counts; 1002 ticks leave only the last one
         desired = np.random.default_rng(ticks).uniform(-0.01, 0.01, size=(ticks, 7))
-        stream = DesiredStream(positions=desired, velocities=np.zeros_like(desired))
-        runs = _simulate(stream.positions, robot_D, SimConfig(seed=6), None)
-        assert_runs_match_independent_runs(runs, stream, robot_D, 6, None)
+        runs = _simulate(desired, robot_D, SimConfig(seed=6), None)
+        assert_runs_of_stream(runs, desired, None)
         for sim in runs.values():
+            assert_matches_loop(sim, desired)
             settled = sim.t > TRANSIENT_CUTOFF_S
             if not settled.any():
                 settled[:] = True
