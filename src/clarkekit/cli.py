@@ -1,7 +1,8 @@
 """Command-line interface wiring all toolkit capabilities.
 
 Subcommands: design-check, transform, sample, traj, simulate, and demo
-(the five-robot evaluation suite).  The library writes no file; this module
+(the five-robot evaluation suite, composed here from the library's plans,
+streams and runs).  The library writes no file; this module
 writes every output, and each file-producing command also emits a manifest
 with the config snapshot, seeds, design hashes, and output hashes,
 sufficient to replay the run bit-exactly.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,15 +23,17 @@ import numpy as np
 
 from . import __version__
 from .core import CONDITION_LIMIT, check_integer, check_positive, to_arc
-from .designs import design_report, design_to_dict, get_design
+from .designs import builtin_designs, design_report, design_to_dict, get_design
 from .errors import (ClarkeError, DegenerateDesign, DimensionMismatch,
                      InvalidParameter, ParseError)
 from .fileio import sha256_text, write_csv, write_json
-from .retarget import TRANSFER_MODES
+from .retarget import (TRANSFER_MODES, PerturbedDesign, make_transfer_map, perturbation_analysis,
+                       polar_clarke_grid)
 from .sampling import sample_clarke_disk, sample_joints
-from .simulate import MODES, SimRun, evaluate_suite, run_experiment
-from .trajectory import (DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits, PlannedTrajectory,
-                         evaluate, plan_trajectory)
+from .simulate import (MODES, SimConfig, SimRun, _simulate, desired_stream, run_experiment,
+                       surrogate_trajectory)
+from .trajectory import (_BINDING_TOLERANCE, DEFAULT_A_MAX, DEFAULT_V_MAX, KinematicLimits,
+                         PlannedTrajectory, _tick_count, evaluate, plan_trajectory)
 
 OUT_DIR_ENV = "CLARKEKIT_OUT_DIR"
 
@@ -146,12 +148,7 @@ def _write_trajectory_csv(path, traj: PlannedTrajectory, dt: float) -> str:
     """Trajectory CSV on an exact dt grid: t_s, then rho/vel/acc per joint;
     returns the file's SHA-256 hex digest."""
     dt = check_positive(dt, "dt")
-    steps = traj.horizon / dt
-    # numpy rejects an array whose byte count overflows intp with a ValueError
-    if not steps < np.iinfo(np.intp).max / 8:
-        raise MemoryError(f"Unable to allocate {steps:.3g} rows of trajectory output")
-    ticks = int(math.floor(steps)) + 1
-    times = np.arange(ticks) * dt
+    times = np.arange(_tick_count(traj.horizon, dt)) * dt
     pos, vel, acc = evaluate(traj, times)
     header = ["t_s"] + [f"{name}_{i + 1}_{unit}" for i in range(traj.n)
                         for name, unit in (("rho", "m"), ("vel", "mps"), ("acc", "mps2"))]
@@ -214,28 +211,70 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: PlannedTrajectory,
+                       config: SimConfig) -> dict:
+    """Solve one target of the demo and return its summary entry.  Its runs, which share
+    columns and so one column cache, go to `runs` as (stem, run, cache), held nowhere else."""
+    entry, formatted = design_report(target), {}
+    transfer = make_transfer_map(surrogate, target, "general")
+    positions, peak_speed = desired_stream(trajectory, transfer)
+    entry.update(max_desired_velocity_mps=peak_speed, velocity_limit_mps=DEFAULT_V_MAX,
+                 velocity_limit_respected=peak_speed <= DEFAULT_V_MAX * (1 + _BINDING_TOLERANCE))
+    solved = _simulate(positions, target, config, transfer.mode)
+    for mode, sim in solved.items():
+        runs.append((f"{name}_{mode}", sim, formatted))
+        entry[f"rms_latent_{mode}"] = sim.rms_latent()
+    rms_comp = solved["closed_loop"].rms_per_joint()
+    entry["rms_per_joint_closed_loop_m"] = rms_comp.tolist()
+    sym_transfer = make_transfer_map(surrogate, target, "symmetric")
+    sym_positions = desired_stream(trajectory, sym_transfer)[0]
+    shared = min(sym_positions.shape[0], positions.shape[0])
+    deviation = float(np.max(np.abs(sym_positions[:shared] - positions[:shared])))
+    entry.update(transfer_mode_deviation_m=deviation, transfer_modes_equivalent=bool(
+        deviation < 1e-12 and sym_positions.shape == positions.shape))
+    if not entry["transfer_modes_equivalent"] and name != "robot_0":
+        uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]
+        runs.append((f"{name}_closed_loop_uncompensated", uncomp, formatted))
+        rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
+        entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp
+        entry["degraded_without_compensation"] = bool(rms_uncomp > float(np.mean(rms_comp)))
+    return entry
+
+
 def cmd_demo(args) -> int:
-    """Five-robot evaluation (simulate.evaluate_suite): writes every run, the
-    surrogate's joint-location uncertainty grid, the summary and the manifest."""
+    """Five-robot evaluation from one plan of robot_0: every mode of each target's stream, the
+    uncompensated closed loop where the transfer modes differ, and a joint-location offset of
+    robot_0 over a polar latent grid.  Every run is solved, then each is written and dropped."""
     out_dir = Path(args.out_dir)
-    runs, records, summary = evaluate_suite(args.seed)
-    manifest = Manifest("demo", {"seed": args.seed}, [args.seed],
-                        [sim.design for sim in runs.values()])
-    # runs arrive in target order and share columns only within a target, so
-    # each target gets its own cache; a written run is dropped to free its arrays
-    formatted, target = {}, None
-    for stem in list(runs):
-        sim = runs.pop(stem)
-        if sim.design.name != target:
-            formatted, target = {}, sim.design.name
+    designs = builtin_designs()
+    surrogate = designs["robot_0"]
+    trajectory = surrogate_trajectory(surrogate, args.seed)
+    config = SimConfig(seed=args.seed)
+    runs: list[tuple[str, SimRun, dict]] = []
+    summary = {"seed": args.seed, "surrogate": "robot_0", "robots": {
+        name: _solve_demo_target(runs, surrogate, name, target, trajectory, config)
+        for name, target in designs.items()}}
+    manifest = Manifest("demo", {"seed": args.seed}, [args.seed], designs.values())
+    while runs:  # a written run is dropped to free its arrays
+        stem, sim, formatted = runs.pop(0)
         _write_run(out_dir, stem, sim, manifest, formatted)
+    psi_offset = np.array([0.05, -0.03, 0.02])
+    d_offset_mm = np.array([0.5, -0.3, 0.2])
+    perturbed = PerturbedDesign(nominal=surrogate, true_psi=surrogate.psi + psi_offset,
+                                true_d=surrogate.d + d_offset_mm / 1000.0)
+    records = perturbation_analysis(
+        perturbed, polar_clarke_grid(float(np.min(surrogate.d)), radii=5, angles=16))
+    summary["perturbation"] = {
+        "robot": "robot_0", "psi_offset_rad": psi_offset.tolist(),
+        "d_offset_mm": d_offset_mm.tolist(), "grid_points": len(records),
+        "max_abs_dkappa_l": float(np.max(np.abs(records.dkappa_l))),
+        "max_abs_dtheta_rad": float(np.max(np.abs(records.dtheta)))}
     pert_path = out_dir / "perturbation_robot_0.csv"
-    digest = write_csv(pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
-                                   "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"],
-                       [*records.clarke.T, records.kappa_cmd, records.theta_cmd,
-                        records.kappa_real, records.theta_real, records.dkappa_l,
-                        records.dtheta])
-    manifest.add(pert_path, digest)
+    # the record fields are in the CSV's column order
+    manifest.add(pert_path, write_csv(
+        pert_path, ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad", "kappa_real_1pm",
+                    "theta_real_rad", "dkappa_l", "dtheta_rad"],
+        [*records.clarke.T, *(records[field] for field in records.dtype.names[1:])]))
     summary_path = out_dir / "summary.json"
     manifest.add(summary_path, write_json(summary_path, summary))
     manifest.write(out_dir / "manifest.json")

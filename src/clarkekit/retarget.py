@@ -73,9 +73,13 @@ def _factors(source: RobotDesign, target: RobotDesign, mode: str):
 
 def make_transfer_map(source: RobotDesign, target: RobotDesign,
                       mode: str = "general") -> TransferMap:
-    """Build the retargeting matrix for one ordered design pair."""
+    """Build the retargeting matrix, finite in float64, for one ordered design pair."""
     encoder, decoder = _factors(source, target, mode)
-    matrix = decoder @ encoder
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = decoder @ encoder
+    if not np.isfinite(matrix).all():
+        raise InvalidParameter(f"the {mode} transfer map from {source.name!r} to "
+                               f"{target.name!r} is not finite in float64")
     matrix.setflags(write=False)
     return TransferMap(source, target, mode, matrix, encoder, decoder)
 

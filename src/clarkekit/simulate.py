@@ -1,15 +1,14 @@
 """Discrete-time displacement control of first-order actuators at 1 kHz.
 
-Every joint is an independent first-order lag (unity steady-state gain,
-time constant T) stepped with the exact exponential-hold update.  The
-closed loop forms its error in the target design's 2-D latent space: the
-desired and the noisy measured joint vectors are both encoded with the
-design-compensated arc mapping, a single PD gain pair acts on the latent
-error, and the latent command is decoded back to joint commands.  Because
-the encoding already absorbs the design's distances and length, the same
-two gains serve any joint count and any design.
+Every joint is an independent first-order lag (unity steady-state gain, time constant T)
+stepped with the exact exponential-hold update.  The closed loop forms its error in the
+target design's 2-D latent space: the desired and the noisy measured joint vectors are both
+encoded with the design-compensated arc mapping, a single PD gain pair acts on the latent
+error, and the latent command is decoded back to joint commands.  Because the encoding
+already absorbs the design's distances and length, the same two gains serve any joint count
+and any design.  The five-robot evaluation of `clarkekit demo` is composed from these runs,
+and written, by cli.cmd_demo.
 """
-
 from __future__ import annotations
 
 import math
@@ -19,16 +18,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .core import RobotDesign, check_integer, check_positive, check_real, finite_array
-from .designs import builtin_designs, design_report
 from .errors import DimensionMismatch, InvalidParameter
-from .retarget import (PerturbedDesign, TransferMap, make_transfer_map, perturbation_analysis,
-                       polar_clarke_grid)
+from .retarget import TransferMap, make_transfer_map
 from .sampling import sample_joints
-from .trajectory import (_BINDING_TOLERANCE, DEFAULT_LIMITS, DEFAULT_V_MAX, PlannedTrajectory,
-                         _dilation, _horner, peak_abs, plan_trajectory)
+from .trajectory import (DEFAULT_LIMITS, PlannedTrajectory, _dilation, _horner, _tick_count,
+                         peak_abs, plan_trajectory)
 
-__all__ = ["MODES", "SimConfig", "SimRun", "desired_stream", "evaluate_suite", "run",
-           "run_experiment", "surrogate_trajectory"]
+__all__ = ["MODES", "SimConfig", "SimRun", "desired_stream", "run", "run_experiment",
+           "surrogate_trajectory"]
 
 MODES = ("open_loop_clean", "open_loop_noisy", "closed_loop")
 
@@ -105,12 +102,18 @@ class SimRun:
         first = int(np.searchsorted(self.t, TRANSIENT_CUTOFF_S, side="right"))
         if first == self.t.size:
             first = 0
-        latent = self.design.arc_forward @ error
+        latent = (self.design.arc_forward @ error)[:, first:]
         error = error[:, first:]
-        rms_per_joint = np.sqrt(np.mean(error**2, axis=1))
+        with np.errstate(over="ignore"):
+            rms_per_joint = np.sqrt(np.mean(error**2, axis=1))
+            rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0)))
+        # finite errors whose squares overflow float64 are first scaled, exactly, by 2**-600
+        big = np.isinf(rms_per_joint)
+        rms_per_joint[big] = np.sqrt(np.mean((error[big] * 2.0**-600)**2, axis=1)) * 2.0**600
+        if np.isinf(rms_latent):
+            rms_latent = np.sqrt(np.mean(np.sum((latent * 2.0**-600)**2, axis=0))) * 2.0**600
         rms_per_joint.setflags(write=False)
-        return (rms_per_joint, float(np.sqrt(np.mean(np.sum(latent[:, first:]**2, axis=0)))),
-                float(np.max(np.abs(error))))
+        return rms_per_joint, float(rms_latent), float(np.max(np.abs(error)))
 
     def rms_per_joint(self) -> np.ndarray:
         """Per-joint RMS tracking error after the transient cutoff."""
@@ -258,11 +261,11 @@ def desired_stream(trajectory: PlannedTrajectory,
     planner's dilation follows), the whole timeline is uniformly stretched
     by the smallest factor restoring it; the peak speed is divided by that
     stretch.  The stream is evaluated on the two latent columns of the
-    encoded polynomial and then decoded.
+    encoded polynomial and then decoded; a stream too long to tick raises MemoryError.
     """
     peak = peak_abs(trajectory, "velocity", weights=transfer.matrix)
     stretch = _dilation(peak / DEFAULT_LIMITS.v_max)
-    ticks = int(math.floor(trajectory.horizon * stretch / SimConfig.dt)) + 1
+    ticks = _tick_count(trajectory.horizon * stretch, SimConfig.dt)
     source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
     poly = trajectory.position_poly
     (latent,) = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 0)
@@ -282,60 +285,3 @@ def run_experiment(surrogate: RobotDesign, target: RobotDesign, seed: int,
     return _simulate(desired_stream(trajectory, transfer)[0], target, SimConfig(seed=seed),
                      transfer.mode)
 
-
-def evaluate_suite(seed: int) -> tuple[dict[str, SimRun], np.recarray, dict]:
-    """The five-robot evaluation behind `clarkekit demo`, from one plan of the
-    surrogate robot_0: every mode on each target's compensated stream, the
-    uncompensated closed loop where the two transfer modes differ, and a fixed
-    joint-location offset of robot_0 swept over a polar latent grid.
-    Returns the runs keyed by output stem, the perturbation table and the summary."""
-    designs = builtin_designs()
-    surrogate = designs["robot_0"]
-    trajectory = surrogate_trajectory(surrogate, seed)
-    config = SimConfig(seed=seed)
-    runs: dict[str, SimRun] = {}
-    summary: dict = {"seed": seed, "surrogate": "robot_0", "robots": {}}
-    for name, target in designs.items():
-        entry = design_report(target)
-        transfer = make_transfer_map(surrogate, target, "general")
-        positions, peak_speed = desired_stream(trajectory, transfer)
-        entry["max_desired_velocity_mps"] = peak_speed
-        entry["velocity_limit_mps"] = DEFAULT_V_MAX
-        entry["velocity_limit_respected"] = bool(
-            entry["max_desired_velocity_mps"] <= DEFAULT_V_MAX * (1.0 + _BINDING_TOLERANCE))
-        for mode, sim in _simulate(positions, target, config, transfer.mode).items():
-            runs[f"{name}_{mode}"] = sim
-            entry[f"rms_latent_{mode}"] = sim.rms_latent()
-        rms_comp = runs[f"{name}_closed_loop"].rms_per_joint()
-        entry["rms_per_joint_closed_loop_m"] = [float(x) for x in rms_comp]
-        sym_transfer = make_transfer_map(surrogate, target, "symmetric")
-        sym_positions = desired_stream(trajectory, sym_transfer)[0]
-        shared = min(sym_positions.shape[0], positions.shape[0])
-        deviation = float(np.max(np.abs(sym_positions[:shared] - positions[:shared])))
-        entry["transfer_modes_equivalent"] = bool(
-            deviation < 1e-12 and sym_positions.shape == positions.shape)
-        entry["transfer_mode_deviation_m"] = deviation
-        if not entry["transfer_modes_equivalent"] and name != "robot_0":
-            uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]
-            runs[f"{name}_closed_loop_uncompensated"] = uncomp
-            rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
-            entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp
-            entry["degraded_without_compensation"] = bool(
-                rms_uncomp > float(np.mean(rms_comp)))
-        summary["robots"][name] = entry
-
-    psi_offset = np.array([0.05, -0.03, 0.02])
-    d_offset_mm = np.array([0.5, -0.3, 0.2])
-    perturbed = PerturbedDesign(nominal=surrogate, true_psi=surrogate.psi + psi_offset,
-                                true_d=surrogate.d + d_offset_mm / 1000.0)
-    records = perturbation_analysis(
-        perturbed, polar_clarke_grid(float(np.min(surrogate.d)), radii=5, angles=16))
-    summary["perturbation"] = {
-        "robot": "robot_0",
-        "psi_offset_rad": [float(x) for x in psi_offset],
-        "d_offset_mm": [float(x) for x in d_offset_mm],
-        "grid_points": len(records),
-        "max_abs_dkappa_l": float(np.max(np.abs(records.dkappa_l))),
-        "max_abs_dtheta_rad": float(np.max(np.abs(records.dtheta))),
-    }
-    return runs, records, summary

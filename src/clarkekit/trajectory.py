@@ -401,6 +401,15 @@ def _dilation(velocity_ratio: float, acceleration_ratio: float = 0.0) -> float:
     return max(velocity_ratio, math.sqrt(acceleration_ratio)) * (1.0 + 1e-12)
 
 
+def _tick_count(horizon: float, dt: float) -> int:
+    """Ticks of the grid 0, dt, 2 dt, ... up to horizon; a grid too long to allocate raises
+    MemoryError first (numpy would raise ValueError, and math.floor OverflowError on inf)."""
+    steps = horizon / dt
+    if not steps < np.iinfo(np.intp).max / 8:
+        raise MemoryError(f"Unable to allocate a grid of {steps:.3g} ticks")
+    return int(math.floor(steps)) + 1
+
+
 def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                     overlap_fraction: float = 0.5) -> PlannedTrajectory:
     """Plan a blended trajectory through an (m+1) x n table of via points.

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import clarkekit
-from clarkekit import (MODES, builtin_designs, cli, run_experiment, sample_clarke_disk,
-                       sample_joints, simulate, trajectory)
+from clarkekit import (MODES, PerturbedDesign, builtin_designs, cli, perturbation_analysis,
+                       polar_clarke_grid, run_experiment, sample_clarke_disk, sample_joints,
+                       simulate, trajectory)
 from clarkekit.cli import main
 from clarkekit.fileio import sha256_file
 from csv_oracle import repr_csv
@@ -342,6 +343,45 @@ class TestSimulate:
         assert (tmp_path / "robot_A_open_loop_clean_general.csv").exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+class TestExtremeDesigns:
+    """Designs that pass design-check but whose streams are too long to tick, whose
+    transfer map overflows, or whose latent errors square past float64."""
+
+    @pytest.mark.parametrize("d_mm, l_m, exit_code, message", [
+        ([1e300, 10, 10], 0.1, 4, "error: Unable to allocate a grid of "),
+        ([10, 10, 10], 1e308, 2,
+         "error: the general transfer map from 'robot_0' to 'extreme' is not finite in float64"),
+        ([1e-290, 1e-290, 1e-290], 1e-10, 0, ""),
+    ], ids=["long", "huge", "small"])
+    def test_simulate_exits_without_traceback(self, capsys, tmp_path, d_mm, l_m, exit_code,
+                                              message):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"name": "extreme", "n": 3, "psi_rad": [0, 2, 4],
+                                    "d_mm": d_mm, "l_m": l_m}))
+        assert invoke(capsys, "design-check", str(path))[0] == 0
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "simulate", "robot_0", str(path),
+                                    "--out-dir", str(out_dir))
+        assert code == exit_code
+        assert "Traceback" not in err
+        if exit_code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith(message)
+            assert not out_dir.exists()
+            return
+        assert err == ""
+        stem = out_dir / "extreme_closed_loop_general"
+        metrics = json.loads(Path(f"{stem}_metrics.json").read_text(),
+                             parse_constant=reject_constant)
+        assert 1e299 < metrics["rms_latent"] < 1e301
+        assert np.isfinite(np.loadtxt(f"{stem}.csv", delimiter=",", skiprows=1)).all()
+
+
 class TestManifestDigests:
     @pytest.mark.parametrize("argv, manifest", [
         (["demo", "--seed", "3", "--out-dir", "."], "manifest.json"),
@@ -445,38 +485,19 @@ class TestDemo:
                 recorded = json.loads((tmp_path / f"{name}_{mode}_metrics.json").read_text())
                 assert recorded == sim.metrics(), (name, mode)
 
-
-    def test_perturbation_csv_matches_row_by_row_formatting(self, capsys, tmp_path,
-                                                             monkeypatch):
-        tables = []
-
-        def keeping_table(seed):
-            result = simulate.evaluate_suite(seed)
-            tables.append(result[1])
-            return result
-
-        monkeypatch.setattr(cli, "evaluate_suite", keeping_table)
-        assert main(["demo", "--seed", "42", "--out-dir", str(tmp_path / "demo")]) == 0
-        (records,) = tables
+    def test_perturbation_csv_matches_row_by_row_formatting(self, capsys, tmp_path):
+        # the table is rebuilt from the offsets the summary records
+        assert main(["demo", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+        recorded = json.loads((tmp_path / "summary.json").read_text())["perturbation"]
+        robot_0 = builtin_designs()["robot_0"]
+        perturbed = PerturbedDesign(
+            nominal=robot_0, true_psi=robot_0.psi + np.array(recorded["psi_offset_rad"]),
+            true_d=robot_0.d + np.array(recorded["d_offset_mm"]) / 1000.0)
+        records = perturbation_analysis(
+            perturbed, polar_clarke_grid(float(np.min(robot_0.d)), radii=5, angles=16))
         header = ["rho_re_m", "rho_im_m", "kappa_cmd_1pm", "theta_cmd_rad",
                   "kappa_real_1pm", "theta_real_rad", "dkappa_l", "dtheta_rad"]
         rows = [[r.clarke[0], r.clarke[1], r.kappa_cmd, r.theta_cmd, r.kappa_real,
                  r.theta_real, r.dkappa_l, r.dtheta] for r in records]
-        assert len(rows) == 80
-        assert ((tmp_path / "demo" / "perturbation_robot_0.csv").read_bytes()
-                == repr_csv(header, rows))
-
-
-class TestEvaluateSuite:
-    def test_matches_golden_snapshot_without_writing(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        runs, records, summary = simulate.evaluate_suite(42)
-        assert list(tmp_path.iterdir()) == []
-        want = json.loads(SNAPSHOT.read_text())
-        metrics_names = sorted(name for name in want if name.endswith("_metrics.json"))
-        assert len(metrics_names) == 18
-        assert sorted(f"{stem}_metrics.json" for stem in runs) == metrics_names
-        got = {f"{stem}_metrics.json": sim.metrics() for stem, sim in runs.items()}
-        got["summary.json"] = summary
-        assert_matches_snapshot(got, want)
-        assert summary["perturbation"]["grid_points"] == len(records)
+        assert recorded["grid_points"] == len(rows) == 80
+        assert (tmp_path / "perturbation_robot_0.csv").read_bytes() == repr_csv(header, rows)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from clarkekit import (
     DimensionMismatch,
     InvalidParameter,
     PerturbedDesign,
+    RobotDesign,
     arc_forward_matrix,
     make_transfer_map,
     perturbation_analysis,
@@ -136,6 +138,16 @@ class TestTransferMap:
             singular = np.linalg.svd(make_transfer_map(source, target).matrix,
                                      compute_uv=False)
             assert singular.size < 3 or singular[2] < 1e-12 * singular[0]
+
+    def test_matrix_that_is_not_finite_is_rejected(self, robot_0):
+        # both factors are finite, but l = 1e308 overflows the general map's product
+        huge = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[0.01] * 3, l=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="the general transfer map from "
+                               "'robot_0' to 'huge' is not finite in float64"):
+                make_transfer_map(robot_0, huge, "general")
+            assert np.isfinite(make_transfer_map(robot_0, huge, "symmetric").matrix).all()
 
     def test_self_map_is_idempotent(self, robot_0):
         matrix = make_transfer_map(robot_0, robot_0, "general").matrix

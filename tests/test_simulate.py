@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,17 +18,17 @@ from clarkekit import (
     MODES,
     DimensionMismatch,
     InvalidParameter,
+    RobotDesign,
     SimConfig,
     arc_forward_matrix,
     desired_stream,
-    evaluate_suite,
     make_transfer_map,
     peak_abs,
     run,
     run_experiment,
     surrogate_trajectory,
 )
-from clarkekit.cli import Manifest, _write_run
+from clarkekit.cli import Manifest, _write_run, main
 from clarkekit.simulate import TRANSIENT_CUTOFF_S, _simulate
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import _dilation
@@ -273,6 +274,35 @@ class TestRun:
         sim = run(self.constant_stream(robot_D, [0.004, 0.002], 30), robot_D, SimConfig(seed=2))
         assert sim.desired.shape == (30, 7) and sim.desired.T.flags.c_contiguous
 
+    def test_latent_rms_of_errors_whose_squares_overflow(self, robot_0):
+        # the noise moves the true states by millimetres, which this design's arc
+        # map turns into latent errors near 1e300: finite, but not their squares
+        small = RobotDesign(name="small", psi=[0.0, 2.0, 4.0], d=[1e-293] * 3, l=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = run_experiment(robot_0, small, 42)
+            for sim in runs.values():
+                error = (sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T
+                latent = small.arc_forward @ error
+                scale = 1.0 / np.max(np.abs(latent))
+                want = math.sqrt(np.mean(np.sum((scale * latent)**2, axis=0))) / scale
+                assert math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
+        assert runs["closed_loop"].rms_latent() > 1e299
+
+    def test_joint_rms_of_errors_whose_squares_overflow(self, robot_0):
+        # the symmetric stream leaves this design's latent range, and the closed
+        # loop drives its first joint to about 1e297 m; the other joints' RMS is
+        # the plain one, bit for bit
+        long = RobotDesign(name="long", psi=[0.0, 2.0, 4.0], d=[1e297, 0.01, 0.01], l=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = run_experiment(robot_0, long, 42, "symmetric")["closed_loop"]
+            rms = sim.rms_per_joint()
+        error = np.ascontiguousarray((sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T)
+        want = math.sqrt(np.mean((error[0] * 1e-300)**2)) / 1e-300
+        assert want > 1e296 and math.isclose(rms[0], want, rel_tol=1e-12)
+        np.testing.assert_array_equal(rms[1:], np.sqrt(np.mean(error[1:]**2, axis=1)))
+
     def test_csv_schema(self, robot_0, tmp_path):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=50)
         sim = run(desired, robot_0, SimConfig(seed=2))
@@ -283,23 +313,27 @@ class TestRun:
         assert "rho_meas_1" in lines[0] and "rho_cmd_1" in lines[0] and "rho_true_1" in lines[0]
         assert len(lines) == 51
 
-    def test_csv_bytes_match_row_by_row_formatting(self, tmp_path):
-        # every run of the demo, written as the demo writes them (one column
-        # cache per target), must match formatting every cell of every row
-        # on its own
-        runs, _, _ = evaluate_suite(42)
-        assert len(runs) == 18
-        formatted, target, manifest = {}, None, Manifest("demo", {}, [], [])
-        for stem, sim in runs.items():
-            if sim.design.name != target:
-                formatted, target = {}, sim.design.name
-            _write_run(tmp_path, stem, sim, manifest, formatted)
-            header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0].split(",")
-            columns = zip(sim.t.tolist(), sim.desired.tolist(), sim.measured.tolist(),
-                          sim.commanded.tolist(), sim.true.tolist())
-            rows = ([t, *d, *m, *c, *r] for t, d, m, c, r in columns)
-            assert len(header) == 1 + 4 * sim.design.n
-            assert (tmp_path / f"{stem}.csv").read_bytes() == repr_csv(header, rows), stem
+    def test_csv_bytes_match_row_by_row_formatting(self, designs, tmp_path):
+        # every run the demo writes must match formatting every cell of every row
+        # on its own, with the run rebuilt by run_experiment: the general stream's
+        # modes, and the symmetric stream's closed loop for an uncompensated run
+        assert main(["demo", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+        written = 0
+        for name, target in designs.items():
+            runs = {f"{name}_{mode}": sim for mode, sim in
+                    run_experiment(designs["robot_0"], target, 42, "general").items()}
+            if (tmp_path / f"{name}_closed_loop_uncompensated.csv").exists():
+                runs[f"{name}_closed_loop_uncompensated"] = run_experiment(
+                    designs["robot_0"], target, 42, "symmetric")["closed_loop"]
+            for stem, sim in runs.items():
+                header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0].split(",")
+                columns = zip(sim.t.tolist(), sim.desired.tolist(), sim.measured.tolist(),
+                              sim.commanded.tolist(), sim.true.tolist())
+                rows = ([t, *d, *m, *c, *r] for t, d, m, c, r in columns)
+                assert len(header) == 1 + 4 * sim.design.n
+                assert (tmp_path / f"{stem}.csv").read_bytes() == repr_csv(header, rows), stem
+                written += 1
+        assert written == 18 == len(list(tmp_path.glob("robot_*.csv")))
 
 
 def assert_matches_loop(sim, desired):
@@ -505,6 +539,14 @@ class TestDesiredStream:
             assert np.max(np.abs(velocities)) <= speed * (1.0 + 1e-12), names
         assert any(stretched) and not all(stretched)
 
+    def test_stream_too_long_to_tick_raises_memory_error(self, robot_0):
+        # a 1e297 m joint distance stretches the stream far past any grid numpy
+        # could allocate; the tick count is rejected before any array is made
+        long = RobotDesign(name="long", psi=[0.0, 2.0, 4.0], d=[1e297, 0.01, 0.01], l=0.1)
+        transfer = make_transfer_map(robot_0, long, "general")
+        with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
+            desired_stream(surrogate_trajectory(robot_0, 42), transfer)
+
     def test_tick_grid(self, designs):
         sim = run_experiment(designs["robot_0"], designs["robot_B"], 7)["open_loop_clean"]
         assert sim.t[0] == 0.0
@@ -609,18 +651,19 @@ class TestRunsShareStreamWork:
             assert_matches_loop(sim, positions)
 
     @pytest.mark.parametrize("seed", [42, 12])
-    def test_uncompensated_runs_equal_run_experiment(self, designs, seed):
+    def test_uncompensated_runs_equal_run_experiment(self, designs, seed, tmp_path):
         # the demo's uncompensated run is the closed loop on the symmetric
-        # stream; it must be run_experiment's symmetric closed loop
-        runs, _, _ = evaluate_suite(seed)
+        # stream; what it writes must be run_experiment's symmetric closed loop
+        assert main(["demo", "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
         for name in ("robot_B", "robot_C", "robot_D"):
-            demo = runs[f"{name}_closed_loop_uncompensated"]
+            stem = f"{name}_closed_loop_uncompensated"
             alone = run_experiment(designs["robot_0"], designs[name], seed,
                                    "symmetric")["closed_loop"]
-            for field in ("t", "desired", "measured", "commanded", "true"):
-                np.testing.assert_array_equal(getattr(demo, field), getattr(alone, field),
-                                              err_msg=f"{name} {field}")
-            assert demo.metrics() == alone.metrics(), name
+            table = np.loadtxt(tmp_path / f"{stem}.csv", delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(table, np.column_stack(
+                [alone.t, alone.desired, alone.measured, alone.commanded, alone.true]), name)
+            recorded = json.loads((tmp_path / f"{stem}_metrics.json").read_text())
+            assert recorded == alone.metrics(), name
 
     @pytest.mark.parametrize("ticks", [1, 2, 999, 1001, 1002])
     def test_streams_around_the_transient_cutoff(self, robot_D, ticks):

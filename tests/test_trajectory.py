@@ -30,7 +30,7 @@ from clarkekit import trajectory
 from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import (_dilation, _horner, _peak_at_roots, _piece_bounds,
-                                  _position_poly, _synchronize)
+                                  _position_poly, _synchronize, _tick_count)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs, smoothstep, smoothstep_integral,
@@ -610,6 +610,21 @@ class TestDilationFactor:
         assert _dilation(0.5, 4.0) == 2.0 * (1.0 + 1e-12)
         assert _dilation(1.5, 1.21) == 1.5 * (1.0 + 1e-12)
 
+
+
+class TestTickCount:
+    def test_grid_runs_from_zero_to_the_horizon(self):
+        assert _tick_count(0.0, 1e-3) == 1
+        assert _tick_count(2.5, 0.5) == 6
+        assert _tick_count(0.0009, 1e-3) == 1
+
+    @pytest.mark.parametrize("horizon, dt", [(1e300, 1e-12), (1e300, 1e-300), (math.inf, 1e-3),
+                                             (math.nan, 1e-3)])
+    def test_grid_too_long_to_allocate_raises_memory_error(self, horizon, dt):
+        # rejected before numpy is asked for the array, whose byte count would
+        # overflow intp, and before math.floor meets an infinite count
+        with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
+            _tick_count(horizon, dt)
 
 def random_plans(count: int = 40):
     """Plans over all five designs with 3-12 segments and mixed overlaps,
