@@ -112,6 +112,12 @@ class SimRun:
         rms_per_joint[big] = np.sqrt(np.mean((error[big] * 2.0**-600)**2, axis=1)) * 2.0**600
         if np.isinf(rms_latent):
             rms_latent = np.sqrt(np.mean(np.sum((latent * 2.0**-600)**2, axis=0))) * 2.0**600
+        # below 2**-500 the squares may have left float64's normal range, and a tiny arc
+        # map leaves the latent errors subnormal before they are squared: its product is
+        # formed from the map scaled, exactly, by 2**600
+        elif rms_latent < 2.0**-500 and error.any():
+            latent = (self.design.arc_forward * 2.0**600) @ error
+            rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0))) * 2.0**-600
         rms_per_joint.setflags(write=False)
         return rms_per_joint, float(rms_latent), float(np.max(np.abs(error)))
 

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import os
 import stat
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -54,6 +56,61 @@ class TestArrayPathMatchesRows:
         assert got == want
 
 
+class TestScatter:
+    """Cells of every length laid out in order: a cell's NUL tail reaches past
+    the cells that follow it, which overwrite it."""
+
+    SHORT_AND_LONG = [0.0, np.nan, np.inf, -2.2250738585072014e-308]
+
+    def test_three_byte_cells_next_to_twenty_four_byte_cells(self, tmp_path):
+        # every sequence of 3 cells: a 3-byte cell's tail reaches past the next
+        # two cells and, at the end of a row, past its newline into the next row
+        table = np.array(list(itertools.product(self.SHORT_AND_LONG, repeat=3)))
+        got, want = columns_and_rows_bytes(tmp_path, ["a", "b", "c"], table)
+        assert got == want
+        assert got.splitlines()[1:3] == [b"0.0,0.0,0.0", b"0.0,0.0,nan"]
+
+    @pytest.mark.parametrize("rows", [1, 5, 1025])
+    def test_one_column_table(self, tmp_path, rows):
+        table = np.resize(self.SHORT_AND_LONG + [0.5, -1e-7], (rows, 1))
+        got, want = columns_and_rows_bytes(tmp_path, ["a"], table)
+        assert got == want
+
+    @pytest.mark.parametrize("width", [1, 2, 29])
+    def test_one_row_table(self, tmp_path, width):
+        table = np.resize(self.SHORT_AND_LONG + [123.456], (1, width))
+        got, want = columns_and_rows_bytes(tmp_path, [f"c{j}" for j in range(width)], table)
+        assert got == want
+
+    def test_integer_column_between_float_columns(self, tmp_path):
+        rows = 1030
+        floats = np.resize(self.SHORT_AND_LONG + [-0.001, 12.5], (2, rows))
+        ints = np.arange(rows) * 997 - 10 ** 6
+        write_csv(tmp_path / "mixed.csv", ["x", "i", "y"], [floats[0], ints, floats[1]])
+        want = repr_csv(["x", "i", "y"], zip(floats[0].tolist(), ints.tolist(), floats[1].tolist()))
+        assert (tmp_path / "mixed.csv").read_bytes() == want
+
+    def test_no_block_allocates(self, tmp_path):
+        # once this thread's buffers are warm, a table raises the traced peak by
+        # its column cache (keys, cells and lengths) and at most BOUND beside
+        bound = 256 * 1024
+        rng = np.random.default_rng(4)
+        header = [f"c{j}" for j in range(29)]
+        write_csv(tmp_path / "warm.csv", header, list(rng.standard_normal((29, 20_000))))
+        columns, formatted = list(rng.standard_normal((29, 20_000)) * 1e-3), {}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / "table.csv", header, columns, formatted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cached = sum(len(key) + sum(part.nbytes for part in value)
+                     for key, value in formatted.items())
+        assert len(formatted) == 29 and cached > 29 * 20_000 * 24
+        assert peak - before <= cached + bound, (peak - before - cached) / 1024
+
+
 class TestColumnShapes:
     def test_count_mismatch_raises(self, tmp_path):
         # a (rows, 3) table passed whole is 4 columns of 3 values, not 3 columns
@@ -75,18 +132,26 @@ class TestColumnShapes:
 
 
 def assert_cells_match_repr(values):
-    """_repr_cells gives repr(float(v)) of every value, NUL-padded, byte for byte."""
+    """_repr_cells gives repr(float(v)) of every value, NUL-padded, byte for
+    byte, and its length."""
     values = np.asarray(values, dtype=float)
-    got = fileio._repr_cells(values)
-    want = np.array([repr(v).encode() for v in values.tolist()], dtype="S24")
-    bad = np.flatnonzero((got != want.view(np.uint8).reshape(-1, 24)).any(axis=1))
-    assert bad.size == 0, [(values[i].hex(), bytes(got[i])) for i in bad[:5]]
+    got, lengths = fileio._repr_cells(values)
+    texts = [repr(v).encode() for v in values.tolist()]
+    want = np.array(texts, dtype="S24")
+    bad = np.flatnonzero((got != want.view(np.uint8).reshape(-1, 24)).any(axis=1)
+                         | (lengths != [len(text) for text in texts]))
+    assert bad.size == 0, [(values[i].hex(), bytes(got[i]), lengths[i]) for i in bad[:5]]
 
 
 def decided(values):
     """Mask of the values the integer kernel formats without repr."""
-    values = np.asarray(values, dtype=float)
-    return fileio._block_cells(values, np.empty((values.size, 24), dtype=np.uint8))
+    values = np.ascontiguousarray(values, dtype=float)
+    cells = np.empty((values.size, 24), dtype=np.uint8)
+    lengths = np.empty(values.size, dtype=np.uint8)
+    blocks = [slice(start, start + fileio._BLOCK) for start in range(0, values.size, fileio._BLOCK)]
+    # a returned mask is valid until the next call
+    return np.concatenate([fileio._block_cells(values[b], cells[b], lengths[b]).copy()
+                           for b in blocks] or [np.zeros(0, dtype=bool)])
 
 
 class TestReprCells:

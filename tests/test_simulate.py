@@ -289,6 +289,21 @@ class TestRun:
                 assert math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
         assert runs["closed_loop"].rms_latent() > 1e299
 
+    def test_latent_rms_of_errors_whose_squares_underflow(self, robot_0):
+        # this design's arc map is about 6e-307, so millimetre errors map to
+        # subnormal latent errors whose squares flush to zero
+        huge = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[0.01] * 3, l=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = run_experiment(robot_0, huge, 42, "symmetric")
+            for sim in runs.values():
+                error = (sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T
+                latent = huge.arc_forward @ (error * 1e300)
+                scale = 1.0 / np.max(np.abs(latent))
+                want = math.sqrt(np.mean(np.sum((scale * latent)**2, axis=0))) / scale * 1e-300
+                assert want > 0.0 and math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
+        assert 7.5e-310 < runs["closed_loop"].rms_latent() < 7.6e-310
+
     def test_joint_rms_of_errors_whose_squares_overflow(self, robot_0):
         # the symmetric stream leaves this design's latent range, and the closed
         # loop drives its first joint to about 1e297 m; the other joints' RMS is
