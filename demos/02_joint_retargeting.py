@@ -1,7 +1,8 @@
 """Retargeting joint values between robot designs through the latent space.
 
 Joint values of a source robot are encoded to two latent values and decoded
-into the target robot's joint space.  The symmetric mode preserves Clarke
+into the target robot's joint space.  Every retarget is one TransferMap from
+make_transfer_map(source, target, mode).  The symmetric mode preserves Clarke
 coordinates and ignores distances; the general mode also strips/adds the
 kinematic design parameters, which makes it geometrically exact for any
 pair of designs, including different joint counts.
@@ -14,7 +15,6 @@ from clarkekit import (
     make_transfer_map,
     sample_joints,
     to_arc,
-    transfer_general,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -28,7 +28,8 @@ print("surrogate joints:", rho * 1000, "mm")
 print("surrogate arc:   ", to_arc(robot_0, rho))
 
 # General mode: the target bends into exactly the same arc.
-out = transfer_general(robot_0, robot_D, rho)
+tmap = make_transfer_map(robot_0, robot_D, "general")
+out = tmap.apply(rho)
 print("\nrobot_D joints:  ", out * 1000, "mm")
 print("robot_D arc:     ", to_arc(robot_D, out))
 
@@ -39,16 +40,17 @@ naive = make_transfer_map(robot_0, robot_D, "symmetric").apply(rho)
 print("\nsymmetric-mode joints:", naive * 1000, "mm")
 print("symmetric-mode arc:   ", to_arc(robot_D, naive))
 
-# The whole encoder-decoder collapses into one matrix for per-tick reuse.
-tmap = make_transfer_map(robot_0, robot_D, "general")
+# The whole encoder-decoder collapses into one matrix for per-tick reuse:
+# decoding the encoded vector gives the same joints.
 print("\ntransfer matrix shape:", tmap.matrix.shape)
 print("rank (factors through a 2-D latent space):",
       np.linalg.matrix_rank(tmap.matrix))
-print("matrix application matches the operation:",
-      np.allclose(tmap.apply(rho), out, atol=1e-15))
+print("matrix matches encode-then-decode:",
+      np.allclose(tmap.decoder @ (tmap.encoder @ rho), out, atol=1e-15))
 
 # Chaining designs composes exactly: A -> B -> C equals A -> C.
 robot_B = designs["robot_B"]
-direct = transfer_general(robot_0, robot_D, rho)
-chained = transfer_general(robot_B, robot_D, transfer_general(robot_0, robot_B, rho))
-print("composition deviation:", np.max(np.abs(direct - chained)))
+to_B = make_transfer_map(robot_0, robot_B, "general")
+B_to_D = make_transfer_map(robot_B, robot_D, "general")
+chained = B_to_D.apply(to_B.apply(rho))
+print("composition deviation:", np.max(np.abs(out - chained)))

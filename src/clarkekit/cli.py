@@ -232,7 +232,7 @@ def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: Pla
     deviation = float(np.max(np.abs(sym_positions[:shared] - positions[:shared])))
     entry.update(transfer_mode_deviation_m=deviation, transfer_modes_equivalent=bool(
         deviation < 1e-12 and sym_positions.shape == positions.shape))
-    if not entry["transfer_modes_equivalent"] and name != "robot_0":
+    if not entry["transfer_modes_equivalent"]:
         uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]
         runs.append((f"{name}_closed_loop_uncompensated", uncomp, formatted))
         rms_uncomp = float(np.mean(uncomp.rms_per_joint()))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DegenerateDesign, DimensionMismatch, InvalidParameter
 
-__all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "arc_forward_matrix", "from_arc",
-           "gram_condition", "symmetric_design", "to_arc", "transform_pair", "wrap_angle"]
+__all__ = ["ArcParameters", "CONDITION_LIMIT", "RobotDesign", "from_arc", "gram_condition",
+           "symmetric_design", "to_arc", "wrap_angle"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,8 +265,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def transform_pair(design: RobotDesign) -> RobotDesign:
-    """The design itself, which carries its Clarke maps (`forward_matrix`,
-    `inverse_matrix`, `forward`, `inverse`); the benchmark binds this name."""
+    """The design itself; kept out of __all__ for bench/workloads.py and bench/tracer.py."""
     return design
 
 
@@ -277,7 +276,7 @@ def gram_condition(design: RobotDesign) -> float:
 
 
 def arc_forward_matrix(design: RobotDesign) -> np.ndarray:
-    """Alias of `RobotDesign.arc_forward`, the spelling to use."""
+    """`design.arc_forward`; kept out of __all__ for bench/workloads.py and bench/tracer.py."""
     return design.arc_forward
 
 

@@ -23,7 +23,7 @@ from .core import (RobotDesign, check_integer, check_joints, check_positive, fin
 from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = ["PerturbedDesign", "TransferMap", "make_transfer_map", "perturbation_analysis",
-           "polar_clarke_grid", "transfer_general"]
+           "polar_clarke_grid"]
 
 TRANSFER_MODES = ("symmetric", "general")
 
@@ -85,13 +85,7 @@ def make_transfer_map(source: RobotDesign, target: RobotDesign,
 
 
 def transfer_general(source: RobotDesign, target: RobotDesign, joints) -> np.ndarray:
-    """Retarget one finite joint vector between two arbitrary designs, as
-    `make_transfer_map(source, target, "general").apply` does.
-
-    The source's kinematic design parameters are stripped and the target's
-    added, so both robots realize the same arc.  Kept because the benchmark
-    harness binds it.
-    """
+    """`make_transfer_map(source, target).apply`; kept out of __all__ for bench/workloads.py."""
     return target.arc_inverse @ (source.arc_forward @ check_joints(joints, source.n))
 
 

@@ -21,8 +21,8 @@ from .core import RobotDesign, check_integer, check_positive, check_real, finite
 from .errors import DimensionMismatch, InvalidParameter
 from .retarget import TransferMap, make_transfer_map
 from .sampling import sample_joints
-from .trajectory import (DEFAULT_LIMITS, PlannedTrajectory, _dilation, _horner, _tick_count,
-                         peak_abs, plan_trajectory)
+from .trajectory import (DEFAULT_LIMITS, PlannedTrajectory, _dilation, _horner, _retime,
+                         _tick_count, peak_abs, plan_trajectory)
 
 __all__ = ["MODES", "SimConfig", "SimRun", "desired_stream", "run", "run_experiment",
            "surrogate_trajectory"]
@@ -260,21 +260,20 @@ def desired_stream(trajectory: PlannedTrajectory,
     to the transfer map's target design: the (ticks, n) desired positions and
     the exact peak joint speed of the retargeted stream.
 
-    Retargeting can raise individual joint speeds (a latent direction may
-    align better with a target joint than with any surrogate joint), so the
-    retargeted stream is checked against the default velocity limit and,
-    when its peak exceeds the limit by more than 1e-9 relative (the rule the
-    planner's dilation follows), the whole timeline is uniformly stretched
-    by the smallest factor restoring it; the peak speed is divided by that
-    stretch.  The stream is evaluated on the two latent columns of the
-    encoded polynomial and then decoded; a stream too long to tick raises MemoryError.
+    Retargeting can raise individual joint speeds (a latent direction may align better
+    with a target joint than with any surrogate joint).  When the stream's peak exceeds
+    the default velocity limit by more than 1e-9 relative, it is retimed as
+    plan_trajectory dilates a plan: its polynomial in t / stretch, for the smallest
+    stretch restoring the limit, and the peak speed is divided by that stretch.  The
+    stream is the encoded polynomial on its two latent columns, evaluated on the tick
+    grid and then decoded; a stream too long to tick raises MemoryError.
     """
     peak = peak_abs(trajectory, "velocity", weights=transfer.matrix)
     stretch = _dilation(peak / DEFAULT_LIMITS.v_max)
-    ticks = _tick_count(trajectory.horizon * stretch, SimConfig.dt)
-    source_times = np.clip(np.arange(ticks) * SimConfig.dt / stretch, 0.0, trajectory.horizon)
+    # the grid first: a stream too long to tick raises MemoryError before it is retimed
+    times = np.arange(_tick_count(trajectory.horizon * stretch, SimConfig.dt)) * SimConfig.dt
     poly = trajectory.position_poly
-    (latent,) = _horner(poly.c @ transfer.encoder.T, poly.x, source_times, 0)
+    (latent,) = _horner(*_retime(poly._replace(c=poly.c @ transfer.encoder.T), stretch), times, 0)
     return (transfer.decoder @ latent.T).T, peak / stretch
 
 

@@ -401,6 +401,19 @@ def _dilation(velocity_ratio: float, acceleration_ratio: float = 0.0) -> float:
     return max(velocity_ratio, math.sqrt(acceleration_ratio)) * (1.0 + 1e-12)
 
 
+def _retime(poly: _PiecewisePolynomial, factor: float) -> _PiecewisePolynomial:
+    """The piecewise polynomial in t / factor, the one uniform time stretch of a plan or a
+    stream: each coefficient divided by factor to its power, each breakpoint times factor
+    (which may merge breakpoints an ulp apart into a zero-width piece, as _horner and
+    peak_abs accept).  A factor of 1.0 returns the same bits; one whose powers overflow
+    float64, as a stream's stretch past about 6e30 does, is applied as its root twice."""
+    with np.errstate(over="ignore"):
+        scale = factor ** np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)[:, None, None]
+    if not np.isfinite(scale).all() and math.isfinite(factor):
+        return _retime(_retime(poly, math.sqrt(factor)), math.sqrt(factor))
+    return _PiecewisePolynomial(poly.c / scale, poly.x * factor)
+
+
 def _tick_count(horizon: float, dt: float) -> int:
     """Ticks of the grid 0, dt, 2 dt, ... up to horizon; a grid too long to allocate raises
     MemoryError first (numpy would raise ValueError, and math.floor OverflowError on inf)."""
@@ -419,9 +432,10 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
     segments overlap by overlap_fraction of the smaller of the adjoining
     set-down and lift-off ramps (minimized over joints, so all joints share
     each enable time); joint positions superpose the segment profiles.  If
-    the superposed velocity or acceleration exceeds the limits anywhere,
-    every duration is uniformly dilated by the smallest factor restoring
-    feasibility.
+    a superposed velocity or acceleration peak exceeds its limit by more
+    than 1e-9 relative, the plan is retimed by the smallest uniform stretch
+    restoring feasibility: its polynomial in t / dilation, the stretch that
+    desired_stream also applies to a retargeted stream.
     """
     via = np.atleast_2d(finite_array(via_points, "via points"))
     if via.ndim != 2 or via.shape[0] < 2:
@@ -471,13 +485,7 @@ def plan_trajectory(via_points, limits: KinematicLimits = DEFAULT_LIMITS,
                                        "float64 to resolve at its start or end time: a "
                                        f"{ramp.flat[k]:.6g} s ramp ends at t = {end.flat[k]:.6g} "
                                        f"s, where an ulp is {np.spacing(end.flat[k]):.6g} s")
-    if factor > 1.0:
-        # the dilated positions are the planned polynomial in t / factor; scaling
-        # may merge breakpoints an ulp apart into a zero-width piece, which
-        # _horner and peak_abs accept
-        powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
-        poly = _PiecewisePolynomial(poly.c / factor ** powers[:, None, None], poly.x * factor)
-        traj = PlannedTrajectory(poly, via_times * factor, factor)
+    traj = PlannedTrajectory(_retime(poly, factor), via_times * factor, factor)
     for array in (*traj.position_poly, traj.via_times):
         array.setflags(write=False)
     return traj

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from clarkekit import (DEFAULT_LIMITS, InvalidParameter, SimConfig, SimRun,
-                       arc_forward_matrix, peak_abs)
+from clarkekit import DEFAULT_LIMITS, InvalidParameter, SimConfig, SimRun, peak_abs
 from clarkekit.trajectory import _horner
 
 
@@ -31,7 +30,7 @@ def run_loop(desired, design, config, mode) -> SimRun:
     """Step the simulation tick by tick (same inputs and noise as `run`)."""
     desired = np.asarray(desired, dtype=float)
     ticks = desired.shape[0]
-    encode = arc_forward_matrix(design)
+    encode = design.arc_forward
     decode = design.arc_inverse
     alpha = -math.expm1(-config.dt / config.time_constant)
     closed = mode == "closed_loop"

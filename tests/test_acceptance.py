@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one printed
 PASS line per criterion (failures surface as regular pytest failures).
 """
 
+import hashlib
 import itertools
 import math
 
@@ -15,7 +16,6 @@ from clarkekit import (
     DEFAULT_LIMITS,
     DEFAULT_V_MAX,
     SimConfig,
-    arc_forward_matrix,
     builtin_designs,
     desired_stream,
     evaluate,
@@ -28,10 +28,8 @@ from clarkekit import (
     surrogate_trajectory,
     symmetric_design,
     to_arc,
-    transfer_general,
 )
 from clarkekit.cli import main as cli_main
-from clarkekit.fileio import sha256_file
 from conftest import random_design
 from simulate_oracle import joint_space_stream, pt1_step
 from test_trajectory import (assert_c4_velocity, one_sided_derivatives, plan_with_profiles,
@@ -106,10 +104,11 @@ def test_criterion_06_geometric_exactness(designs):
     worst = 0.0
     for source, target in pairs:
         joints = sample_joints(source, int(rng.integers(0, 2**31)), 100)
-        enc_src = arc_forward_matrix(source)
-        enc_tgt = arc_forward_matrix(target)
+        enc_src = source.arc_forward
+        enc_tgt = target.arc_forward
+        general = make_transfer_map(source, target, "general")
         for rho in joints:
-            out = transfer_general(source, target, rho)
+            out = general.apply(rho)
             src_planar = enc_src @ rho
             tgt_planar = enc_tgt @ out
             scale = max(1.0, float(np.max(np.abs(src_planar))))
@@ -205,7 +204,7 @@ def test_criterion_11_closed_loop_fixed_point(robot_0):
     setpoint = robot_0.inverse([0.004, 0.002])
     desired = np.tile(setpoint, (3000, 1))
     sim = run(desired, robot_0, SimConfig(seed=0, noise_eps=0.0))
-    encode = arc_forward_matrix(robot_0)
+    encode = robot_0.arc_forward
     latent_error = np.linalg.norm(encode @ (desired[-1] - sim.true[-1]))
     expected = np.linalg.norm(encode @ setpoint) / (1.0 + sim.config.kp)
     assert latent_error == pytest.approx(expected, rel=0.01)
@@ -245,7 +244,8 @@ def test_criterion_13_demo_determinism(tmp_path, capsys):
     names_b = sorted(p.name for p in out_b.iterdir())
     assert names_a == names_b and len(names_a) >= 39
     for name in names_a:
-        assert sha256_file(out_a / name) == sha256_file(out_b / name), name
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for out in (out_a, out_b)]
+        assert digests[0] == digests[1], name
 
     summary = json.loads((out_a / "summary.json").read_text())
     robots = summary["robots"]

@@ -16,6 +16,26 @@ def test_all_names_resolve():
     assert missing == []
 
 
+# The public API, one spelling per operation.  transform_pair, arc_forward_matrix and
+# transfer_general are not in it: they stay module attributes for the benchmark only.
+PUBLIC_API = {
+    "ArcParameters", "CONDITION_LIMIT", "ClarkeError", "DEFAULT_A_MAX", "DEFAULT_LIMITS",
+    "DEFAULT_V_MAX", "DegenerateDesign", "DimensionMismatch", "InvalidParameter",
+    "KinematicLimits", "MODES", "OutOfRange", "PEAK_SLOPE", "ParseError", "PerturbedDesign",
+    "PlannedTrajectory", "RobotDesign", "SimConfig", "SimRun", "TransferMap", "builtin_designs",
+    "design_report", "design_to_dict", "desired_stream", "evaluate", "from_arc", "get_design",
+    "gram_condition", "load_design", "make_transfer_map", "peak_abs", "perturbation_analysis",
+    "plan_segment", "plan_trajectory", "polar_clarke_grid", "run", "run_experiment",
+    "sample_clarke_disk", "sample_joints", "surrogate_trajectory", "symmetric_design", "to_arc",
+    "wrap_angle",
+}
+
+
+def test_all_is_the_pinned_public_api():
+    assert len(PUBLIC_API) == 43
+    assert set(clarkekit.__all__) == PUBLIC_API
+
+
 def test_all_lists_every_public_name_once():
     # the package builds __all__ from its modules' lists, so a name imported
     # into the package but not listed, or listed twice, shows here

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,7 +13,6 @@ from clarkekit import (MODES, PerturbedDesign, builtin_designs, cli, perturbatio
                        polar_clarke_grid, run_experiment, sample_clarke_disk, sample_joints,
                        simulate, trajectory)
 from clarkekit.cli import main
-from clarkekit.fileio import sha256_file
 from csv_oracle import repr_csv
 
 SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
@@ -399,7 +399,8 @@ class TestManifestDigests:
         outputs = json.loads((tmp_path / manifest).read_text())["outputs"]
         assert outputs
         for entry in outputs:
-            assert entry["sha256"] == sha256_file(tmp_path / entry["name"]), entry["name"]
+            data = (tmp_path / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["name"]
 
 
 class TestSeedValidation:

@@ -11,21 +11,23 @@ from clarkekit import (
     InvalidParameter,
     PerturbedDesign,
     RobotDesign,
-    arc_forward_matrix,
     make_transfer_map,
     perturbation_analysis,
     polar_clarke_grid,
     sample_joints,
     to_arc,
-    transfer_general,
 )
-from clarkekit.retarget import _polar
+from clarkekit.retarget import _polar, transfer_general
 from conftest import random_design
 from retarget_oracle import perturbation_analysis as perturbation_oracle
 
 
 def feasible_joints(design, rng, count=10):
     return sample_joints(design, int(rng.integers(0, 2**31)), count)
+
+
+def general(source, target, joints):
+    return make_transfer_map(source, target, "general").apply(joints)
 
 
 class TestTransferSymmetric:
@@ -58,7 +60,7 @@ class TestTransferGeneral:
             arc = ArcParameters(float(rng.uniform(0.1, 30.0)),
                                 float(rng.uniform(-math.pi, math.pi)))
             rho = from_arc(robot_B, arc)
-            out = transfer_general(robot_B, robot_B, rho)
+            out = general(robot_B, robot_B, rho)
             np.testing.assert_allclose(out, rho, rtol=0.0, atol=1e-15)
 
     def test_distance_only_difference_scales(self, robot_0):
@@ -66,14 +68,14 @@ class TestTransferGeneral:
                                    l=robot_0.l)
         rng = np.random.default_rng(6)
         for rho in rng.uniform(-0.02, 0.02, (10, 3)):
-            general = transfer_general(robot_0, target, rho)
+            compensated = general(robot_0, target, rho)
             symmetric = make_transfer_map(robot_0, target, "symmetric").apply(rho)
-            np.testing.assert_allclose(general, 0.7 * symmetric, rtol=1e-13, atol=1e-18)
+            np.testing.assert_allclose(compensated, 0.7 * symmetric, rtol=1e-13, atol=1e-18)
 
     def test_arc_preserved_robot_0_to_robot_D(self, robot_0, robot_D):
         rng = np.random.default_rng(9)
         for rho in feasible_joints(robot_0, rng, 20):
-            out = transfer_general(robot_0, robot_D, rho)
+            out = general(robot_0, robot_D, rho)
             src = to_arc(robot_0, rho)
             tgt = to_arc(robot_D, out)
             assert abs(tgt.kappa - src.kappa) < 1e-12 * max(1.0, src.kappa)
@@ -83,9 +85,9 @@ class TestTransferGeneral:
         rng = np.random.default_rng(12)
         for source, target in itertools.permutations(designs.values(), 2):
             for rho in feasible_joints(source, rng, 5):
-                out = transfer_general(source, target, rho)
-                src_planar = arc_forward_matrix(source) @ rho
-                tgt_planar = arc_forward_matrix(target) @ out
+                out = general(source, target, rho)
+                src_planar = source.arc_forward @ rho
+                tgt_planar = target.arc_forward @ out
                 scale = max(1.0, np.max(np.abs(src_planar)))
                 assert np.max(np.abs(tgt_planar - src_planar)) < 1e-12 * scale
 
@@ -95,8 +97,8 @@ class TestTransferGeneral:
         for a, b, c in triples:
             da, db, dc = designs[a], designs[b], designs[c]
             for rho in feasible_joints(da, rng, 5):
-                direct = transfer_general(da, dc, rho)
-                chained = transfer_general(db, dc, transfer_general(da, db, rho))
+                direct = general(da, dc, rho)
+                chained = general(db, dc, general(da, db, rho))
                 assert np.max(np.abs(direct - chained)) < 1e-11 * max(1.0, np.max(np.abs(direct)))
 
     def test_composition_random_designs(self):
@@ -104,8 +106,8 @@ class TestTransferGeneral:
         for _ in range(10):
             da, db, dc = (random_design(rng, name=f"r{i}") for i in range(3))
             rho = rng.uniform(-0.02, 0.02, da.n)
-            direct = transfer_general(da, dc, rho)
-            chained = transfer_general(db, dc, transfer_general(da, db, rho))
+            direct = general(da, dc, rho)
+            chained = general(db, dc, general(da, db, rho))
             scale = max(1.0, float(np.max(np.abs(direct))))
             assert np.max(np.abs(direct - chained)) < 1e-11 * scale
 
@@ -113,9 +115,9 @@ class TestTransferGeneral:
         rng = np.random.default_rng(15)
         rho1, rho2 = rng.uniform(-0.01, 0.01, (2, 3))
         a, b = 1.7, -0.4
-        combined = transfer_general(robot_0, robot_D, a * rho1 + b * rho2)
-        separate = (a * transfer_general(robot_0, robot_D, rho1)
-                    + b * transfer_general(robot_0, robot_D, rho2))
+        combined = general(robot_0, robot_D, a * rho1 + b * rho2)
+        separate = (a * general(robot_0, robot_D, rho1)
+                    + b * general(robot_0, robot_D, rho2))
         np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-18)
 
 
@@ -124,12 +126,23 @@ class TestTransferMap:
         def clarke(source, target, rho):
             return target.inverse(source.forward(rho))
 
+        def arc(source, target, rho):
+            return target.arc_inverse @ (source.arc_forward @ rho)
+
         rng = np.random.default_rng(19)
         for source, target in itertools.permutations(designs.values(), 2):
             rho = rng.uniform(-0.02, 0.02, source.n)
-            for mode, op in (("symmetric", clarke), ("general", transfer_general)):
+            for mode, op in (("symmetric", clarke), ("general", arc)):
                 tmap = make_transfer_map(source, target, mode)
                 assert np.max(np.abs(tmap.apply(rho) - op(source, target, rho))) < 1e-13
+
+    def test_transfer_general_matches_the_general_map(self, designs):
+        # kept out of the package's names, for the benchmark
+        rng = np.random.default_rng(20)
+        for source, target in itertools.permutations(designs.values(), 2):
+            rho = rng.uniform(-0.02, 0.02, source.n)
+            tmap = make_transfer_map(source, target, "general")
+            assert np.max(np.abs(transfer_general(source, target, rho) - tmap.apply(rho))) < 1e-13
 
     def test_shape_and_rank(self, designs):
         tmap = make_transfer_map(designs["robot_0"], designs["robot_A"], "general")

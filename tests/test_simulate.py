@@ -20,7 +20,6 @@ from clarkekit import (
     InvalidParameter,
     RobotDesign,
     SimConfig,
-    arc_forward_matrix,
     desired_stream,
     make_transfer_map,
     peak_abs,
@@ -200,7 +199,7 @@ class TestRun:
         # latent error is the latent setpoint divided by (1 + kp)
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=3000)
         sim = run(desired, robot_0, SimConfig(seed=1, noise_eps=0.0))
-        encode = arc_forward_matrix(robot_0)
+        encode = robot_0.arc_forward
         latent_error = encode @ (desired[-1] - sim.true[-1])
         latent_setpoint = encode @ desired[-1]
         expected = np.linalg.norm(latent_setpoint) / (1.0 + sim.config.kp)
@@ -561,6 +560,18 @@ class TestDesiredStream:
         transfer = make_transfer_map(robot_0, long, "general")
         with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
             desired_stream(surrogate_trajectory(robot_0, 42), transfer)
+
+    def test_stream_stretched_past_float64_powers(self, robot_0):
+        # a surrogate with 1e-61 m distances retargets to robot_0 at a stretch of about
+        # 1e31, whose 10th power overflows float64; the stream still matches the oracle
+        tiny = RobotDesign(name="tiny", psi=[0.0, 2.0, 4.0], d=[1e-61] * 3, l=0.01)
+        trajectory = surrogate_trajectory(tiny, 42)
+        transfer = make_transfer_map(tiny, robot_0, "general")
+        positions, _ = desired_stream(trajectory, transfer)
+        (expected, _), stretch = joint_space_stream(trajectory, transfer)
+        assert stretch > np.finfo(float).max ** 0.1
+        assert positions.shape == expected.shape
+        assert np.max(np.abs(positions - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_tick_grid(self, designs):
         sim = run_experiment(designs["robot_0"], designs["robot_B"], 7)["open_loop_clean"]

@@ -30,7 +30,7 @@ from clarkekit import trajectory
 from clarkekit.cli import _write_trajectory_csv
 from clarkekit.retarget import TRANSFER_MODES
 from clarkekit.trajectory import (_dilation, _horner, _peak_at_roots, _piece_bounds,
-                                  _position_poly, _synchronize, _tick_count)
+                                  _position_poly, _retime, _synchronize, _tick_count)
 from trajectory_oracle import (ScalarState, horner, oracle_evaluate, oracle_horner,
                                oracle_peak_abs, oracle_plan_segment, oracle_synchronize,
                                roots_peak_abs, smoothstep, smoothstep_integral,
@@ -761,10 +761,33 @@ class TestPlanSnapshot:
                                            err_msg=f"{label} {key}")
 
 
-def scaled(poly, factor):
-    """poly in t / factor, as plan_trajectory seeds a dilated plan."""
-    powers = np.arange(poly.c.shape[0] - 1, -1, -1, dtype=float)
-    return PPoly(poly.c / factor ** powers[:, None, None], poly.x * factor)
+def snapshot_polys(designs):
+    """The position polynomials of the 60 plans of tests/data/plan_snapshot.json."""
+    snapshot = json.loads(SNAPSHOT.read_text())
+    for entry in snapshot["plans"]:
+        vias = sample_joints(designs[entry["design"]], entry["seed"], snapshot["via_rows"])
+        yield plan_trajectory(vias, DEFAULT_LIMITS, entry["overlap"]).position_poly
+
+
+class TestRetime:
+    """_retime, the one time stretch of a dilated plan and of a retargeted stream."""
+
+    def test_unit_factor_keeps_the_bits(self, designs):
+        # so that undilated plans and unstretched streams keep their bits
+        for poly in snapshot_polys(designs):
+            retimed = _retime(poly, 1.0)
+            assert retimed.c.tobytes() == poly.c.tobytes()
+            assert retimed.x.tobytes() == poly.x.tobytes()
+
+    # the smallest, a typical and the largest retarget stretch measured on streams, and
+    # one whose powers overflow float64
+    @pytest.mark.parametrize("factor", [1.0001, 1.099, 2.68, 1e31])
+    def test_values_at_stretched_times(self, designs, factor):
+        for poly in snapshot_polys(designs):
+            times = np.concatenate([np.linspace(0.0, poly.x[-1], 257), poly.x])
+            (expected,) = _horner(*poly, times, 0)
+            (got,) = _horner(*_retime(poly, factor), factor * times, 0)
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.max(np.abs(expected), axis=0))
 
 
 def shift_piece(coeffs, offset):
@@ -837,7 +860,7 @@ class TestDilatedPolynomial:
             split = PPoly(np.concatenate([poly.c[:, :i], np.stack(pieces, axis=1),
                                           poly.c[:, i + 1:]], axis=1),
                           np.concatenate([poly.x[:i + 1], [near, after], poly.x[i + 1:]]))
-            merged = scaled(split, factor)
+            merged = _retime(split, factor)
             assert np.diff(merged.x)[i + 1] == 0.0
             unmerged = PPoly(np.delete(merged.c, i + 1, axis=1), np.delete(merged.x, i + 1))
             a = replace(traj, position_poly=merged)
