@@ -172,6 +172,8 @@ _ULP_EXPONENT = np.int64(52 << 52)
 # 10**q is exact in float64 for q <= 22; Dekker's 2**27 + 1 splits a float in halves
 _SPLIT = 134217729.0
 _POW10 = np.array([float(10 ** q) for q in range(23)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 _E16, _E17 = 10 ** 16, 10 ** 17
 # A cell is three little-endian uint64 words, and so is D, the 17 digits of
 # the scaled value, built from the ASCII of 0000..9999 (one word per 4-digit
@@ -269,13 +271,14 @@ def _block_cells(x: np.ndarray, out: np.ndarray, lengths: np.ndarray) -> np.ndar
     np.subtract(16, e10, out=q)
     np.maximum(q, 1, out=q)
     _POW10.take(q, out=b, mode="clip")
+    _POW10_HI.take(q, out=b_hi, mode="clip")
+    _POW10_LO.take(q, out=b_lo, mode="clip")
     # a = a_hi + a_lo and b = b_hi + b_lo, then hi + lo = a * b exactly
     a_hi, a_lo, hi, lo, product = floats[6], floats[7], floats[8], floats[9], floats[2]
-    for v, v_hi, v_lo in ((b, b_hi, b_lo), (a, a_hi, a_lo)):
-        np.multiply(v, _SPLIT, out=v_hi)
-        np.subtract(v_hi, v, out=v_lo)
-        np.subtract(v_hi, v_lo, out=v_hi)
-        np.subtract(v, v_hi, out=v_lo)
+    np.multiply(a, _SPLIT, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    np.subtract(a_hi, a_lo, out=a_hi)
+    np.subtract(a, a_hi, out=a_lo)
     np.multiply(a, b, out=hi)
     np.multiply(a_hi, b_hi, out=lo)
     lo -= hi
@@ -359,12 +362,14 @@ def _block_cells(x: np.ndarray, out: np.ndarray, lengths: np.ndarray) -> np.ndar
         np.subtract(lead, group, out=group)
         lead, high = high, lead
     zeros, z = ints[7], ints[8]
-    _ZEROS4.take(g1, out=zeros, mode="clip")
-    for group in (g2, g3, g4):
-        np.not_equal(group, 0, out=m)
-        np.copyto(zeros, 0, where=m)
-        _ZEROS4.take(group, out=z, mode="clip")
-        zeros += z
+    _ZEROS4.take(g4, out=zeros, mode="clip")
+    # past the lowest group only where it is 0000 (13 digits or fewer, or left to repr)
+    wide = np.flatnonzero(g4 == 0)
+    count = _ZEROS4[g1[wide]]
+    for group in (g2[wide], g3[wide]):
+        count[group != 0] = 0
+        count += _ZEROS4[group]
+    zeros[wide] += count
     # key = ((E + 6) * 17 + p - 1) * 2 + sign, with p = 17 - zeros
     key = e10
     key *= 17

@@ -107,14 +107,15 @@ class SimRun:
         with np.errstate(over="ignore"):
             rms_per_joint = np.sqrt(np.mean(error**2, axis=1))
             rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0)))
-        # finite errors whose squares overflow float64 are first scaled, exactly, by 2**-600
+        # finite errors whose squares overflow float64 are first scaled, exactly, by 2**-600;
+        # below 2**-500 the squares may have left float64's normal range, and the errors
+        # are scaled, exactly, by 2**600 (the latent ones through the map, before the product)
         big = np.isinf(rms_per_joint)
         rms_per_joint[big] = np.sqrt(np.mean((error[big] * 2.0**-600)**2, axis=1)) * 2.0**600
+        small = rms_per_joint < 2.0**-500
+        rms_per_joint[small] = np.sqrt(np.mean((error[small] * 2.0**600)**2, axis=1)) * 2.0**-600
         if np.isinf(rms_latent):
             rms_latent = np.sqrt(np.mean(np.sum((latent * 2.0**-600)**2, axis=0))) * 2.0**600
-        # below 2**-500 the squares may have left float64's normal range, and a tiny arc
-        # map leaves the latent errors subnormal before they are squared: its product is
-        # formed from the map scaled, exactly, by 2**600
         elif rms_latent < 2.0**-500 and error.any():
             latent = (self.design.arc_forward * 2.0**600) @ error
             rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0))) * 2.0**-600
@@ -167,7 +168,6 @@ def _simulate(desired, design: RobotDesign, config: SimConfig,
     computing once what they share: the tick grid, the noise draw (the config's seed
     and the stream's shape) and the open-loop state scan with its error metrics.
     Every run is labelled with transfer_mode."""
-    design.arc_forward  # every run's metrics need it; a map that is not finite raises here
     desired = finite_array(desired, "desired stream")
     if desired.ndim != 2 or desired.shape[1] != design.n:
         raise DimensionMismatch(

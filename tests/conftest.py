@@ -3,6 +3,9 @@ import pytest
 
 from clarkekit import RobotDesign, builtin_designs
 
+# the error of a design whose length or a distance leaves [1e-6, 1e3] m
+RANGE_MESSAGE = "the segment length and center-line distances must lie in [1e-06, 1000] m"
+
 
 @pytest.fixture(scope="session")
 def designs():

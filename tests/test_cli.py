@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from clarkekit import (MODES, PerturbedDesign, builtin_designs, cli, perturbatio
                        polar_clarke_grid, run_experiment, sample_clarke_disk, sample_joints,
                        simulate, trajectory)
 from clarkekit.cli import main
+from conftest import RANGE_MESSAGE
 from csv_oracle import repr_csv
 
 SNAPSHOT = Path(__file__).parent / "data" / "demo_seed42.json"
@@ -92,7 +96,7 @@ class TestDesignCheck:
         assert "error" in err
 
     @pytest.mark.parametrize("field, value, message", [
-        ("d_mm", [1e-320, 10.0, 10.0], r"l \* d_i and its reciprocal must be finite"),
+        ("d_mm", [1e-320, 10.0, 10.0], re.escape(RANGE_MESSAGE)),
         ("n", "3", "n must be an integer of at least 3, got '3'"),
         ("n", 3.0, "n must be an integer of at least 3, got 3.0"),
     ], ids=["subnormal-d", "n-text", "n-float"])
@@ -111,8 +115,8 @@ class TestDesignCheck:
         ["simulate", "robot_0", "DESIGN", "--mode", "open_loop_clean", "--transfer", "symmetric"],
     ], ids=["design-check", "simulate", "simulate-open-loop"])
     def test_overflowing_arc_map_exits_2(self, capsys, tmp_path, monkeypatch, command):
-        # l * d_i passes, but the near-collinear layout's forward matrix
-        # overflows once divided by it; nothing is written
+        # the near-collinear layout's forward matrix would overflow once divided by
+        # this tiny l * d_i, which lies outside the length range; nothing is written
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"name": "tiny", "n": 3, "psi_rad": [0.0, 0.01, 0.02],
                                     "d_mm": [1e-297] * 3, "l_m": 1e-7}))
@@ -122,7 +126,7 @@ class TestDesignCheck:
                                           for arg in command])
         assert code == 2
         assert out == ""
-        assert "arc forward map is not finite" in err
+        assert RANGE_MESSAGE in err
         assert not out_dir.exists()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
@@ -343,43 +347,61 @@ class TestSimulate:
         assert (tmp_path / "robot_A_open_loop_clean_general.csv").exists()
 
 
-def reject_constant(name):
-    raise ValueError(f"{name} is not a JSON number")
-
-
 class TestExtremeDesigns:
-    """Designs that pass design-check but whose streams are too long to tick, whose
-    transfer map overflows, or whose latent errors square past float64."""
+    """Designs whose lengths leave the range: design-check and simulate exit 2 and name
+    it, before anything is written.  Inside the range, a pair of designs at its two
+    edges retargets to a stream too long to tick."""
 
-    @pytest.mark.parametrize("d_mm, l_m, exit_code, message", [
-        ([1e300, 10, 10], 0.1, 4, "error: Unable to allocate a grid of "),
-        ([10, 10, 10], 1e308, 2,
-         "error: the general transfer map from 'robot_0' to 'extreme' is not finite in float64"),
-        ([1e-290, 1e-290, 1e-290], 1e-10, 0, ""),
+    @pytest.mark.parametrize("d_mm, l_m", [
+        ([1e300, 10, 10], 0.1), ([10, 10, 10], 1e308), ([1e-290, 1e-290, 1e-290], 1e-10),
     ], ids=["long", "huge", "small"])
-    def test_simulate_exits_without_traceback(self, capsys, tmp_path, d_mm, l_m, exit_code,
-                                              message):
+    def test_simulate_exits_without_traceback(self, capsys, tmp_path, d_mm, l_m):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps({"name": "extreme", "n": 3, "psi_rad": [0, 2, 4],
                                     "d_mm": d_mm, "l_m": l_m}))
-        assert invoke(capsys, "design-check", str(path))[0] == 0
         out_dir = tmp_path / "out"
+        for command in (["design-check", str(path)],
+                        ["simulate", "robot_0", str(path), "--out-dir", str(out_dir)],
+                        ["simulate", str(path), "robot_0", "--out-dir", str(out_dir)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = invoke(capsys, *command)
+            assert (code, out) == (2, ""), err
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert RANGE_MESSAGE in err
+        assert not out_dir.exists()
+
+    def test_tiny_surrogate_exits_2_with_runtime_warnings_as_errors(self, tmp_path):
+        # in a fresh interpreter, as a user runs it: no numpy warning escapes as a traceback
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"name": "tiny", "n": 3, "psi_rad": [0, 2, 4],
+                                    "d_mm": [1e-60] * 3, "l_m": 1}))
+        src = Path(clarkekit.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
+        done = subprocess.run([sys.executable, "-m", "clarkekit.cli", "simulate", str(path),
+                               "robot_0", "--out-dir", str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+        assert RANGE_MESSAGE in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_edge_designs_stream_too_long_to_tick_exits_4(self, capsys, tmp_path):
+        # the general map from the lower edge to the upper one scales speeds by about
+        # 1e18: the stream would take 1.3e18 ticks, rejected before any grid is made
+        out_dir = tmp_path / "out"
+        paths = []
+        for name, value in (("low", 1e-6), ("high", 1e3)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"name": name, "n": 3, "psi_rad": [0, 2, 4],
+                                             "d_mm": [value * 1000.0] * 3, "l_m": value}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = invoke(capsys, "simulate", "robot_0", str(path),
+            code, out, err = invoke(capsys, "simulate", *map(str, paths),
                                     "--out-dir", str(out_dir))
-        assert code == exit_code
-        assert "Traceback" not in err
-        if exit_code:
-            assert out == "" and len(err.splitlines()) == 1 and err.startswith(message)
-            assert not out_dir.exists()
-            return
-        assert err == ""
-        stem = out_dir / "extreme_closed_loop_general"
-        metrics = json.loads(Path(f"{stem}_metrics.json").read_text(),
-                             parse_constant=reject_constant)
-        assert 1e299 < metrics["rms_latent"] < 1e301
-        assert np.isfinite(np.loadtxt(f"{stem}.csv", delimiter=",", skiprows=1)).all()
+        assert (code, out) == (4, ""), err
+        assert err.startswith("error: Unable to allocate a grid of ") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
 
 class TestManifestDigests:

@@ -1,14 +1,20 @@
+import contextlib
 import gc
+import io
 import json
 import math
+import re
 import warnings
 import weakref
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkekit import (
+    CONDITION_LIMIT,
     ArcParameters,
     DegenerateDesign,
     DimensionMismatch,
@@ -21,17 +27,23 @@ from clarkekit import (
     gram_condition,
     load_design,
     make_transfer_map,
+    peak_abs,
     polar_clarke_grid,
     run_experiment,
     sample_clarke_disk,
     sample_joints,
+    surrogate_trajectory,
     symmetric_design,
     to_arc,
 )
+from clarkekit.cli import main
 from clarkekit.core import arc_forward_matrix, transform_pair
-from conftest import random_design
+from conftest import RANGE_MESSAGE, random_design
 
 SQRT3 = math.sqrt(3.0)
+
+# the range of a design's length and distances, in metres
+LOW, HIGH = 1e-6, 1e3
 
 
 class TestInverseMatrix:
@@ -327,8 +339,8 @@ class TestArcMapping:
                 to_arc(robot_0, joints)
 
     def test_from_arc_overflow_raises_without_a_warning(self):
-        # l * d_i * kappa is about 1e608, far past float64
-        design = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[1e100] * 3, l=1e200)
+        # at the upper edge of the length range, l * d_i * kappa is about 1e314
+        design = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[1e3] * 3, l=1e3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameter, match="joint values .* not finite"):
@@ -429,17 +441,15 @@ class TestRobotDesignValidation:
                              ids=["subnormal-d", "subnormal-l", "product-underflows",
                                   "product-overflows"])
     def test_arc_maps_must_be_finite(self, d, l):
-        with pytest.raises(InvalidParameter, match=r"l \* d_i and its reciprocal must be finite"):
+        # the length range keeps l * d_i and its reciprocal finite and normal
+        with pytest.raises(InvalidParameter, match=re.escape(RANGE_MESSAGE)):
             RobotDesign("x", psi=[0.0, 2.0, 4.0], d=d, l=l)
 
     def test_overflowing_forward_map(self):
-        # l * d_i and its reciprocal are finite, but this near-collinear layout's
-        # forward matrix holds entries of about 50, so the arc forward map overflows
-        design = RobotDesign("tiny", psi=[0.0, 0.01, 0.02], d=[1e-300] * 3, l=1e-7)
-        for read in (lambda: design.arc_forward, lambda: to_arc(design, [0.0] * 3)):
-            with pytest.raises(InvalidParameter, match="arc forward map is not finite"):
-                read()
-        assert np.isfinite(design.arc_inverse).all()
+        # this near-collinear layout's forward matrix holds entries of about 50, and
+        # a tiny l * d_i would overflow it once divided: the range rejects the design
+        with pytest.raises(InvalidParameter, match=re.escape(RANGE_MESSAGE)):
+            RobotDesign("tiny", psi=[0.0, 0.01, 0.02], d=[1e-300] * 3, l=1e-7)
 
     def test_missing_length(self):
         with pytest.raises(InvalidParameter, match="segment length must be a real number"):
@@ -457,3 +467,92 @@ class TestRobotDesignValidation:
         for name, design in designs.items():
             assert design.is_symmetric() is symmetric[name]
             assert design.has_constant_d() is constant[name]
+
+
+def log_uniform(low: float, high: float):
+    """Magnitudes 10**e for e uniform in [low, high]."""
+    return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
+
+
+# a design's lengths: inside the range with both bounds, log-uniform over float64 from
+# 1e-320 (subnormal) to 1e308, or at a bound or its neighbour outside
+INSIDE = st.one_of(st.sampled_from([LOW, HIGH]), log_uniform(-6.0, 3.0))
+LENGTHS = st.one_of(INSIDE, log_uniform(-320.0, 308.0),
+                    st.sampled_from([np.nextafter(LOW, 0.0), np.nextafter(HIGH, np.inf)]))
+
+
+@st.composite
+def design_fields(draw):
+    """(psi, d, l) of a design with 3 to 6 joints, spread around the circle or
+    bunched within 1e-3 or 3e-4 rad (near the Gram condition limit, where the
+    arc forward map is largest), with lengths all inside the range or drawn anywhere."""
+    n = draw(st.integers(3, 6))
+    spread = draw(st.sampled_from([2.0 * math.pi, 1e-3, 3e-4]))
+    psi = [spread * u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))]
+    lengths = draw(st.sampled_from([INSIDE, LENGTHS]))
+    return psi, draw(st.lists(lengths, min_size=n, max_size=n)), draw(lengths)
+
+
+def in_range(d, l) -> bool:
+    return bool(LOW <= l <= HIGH and np.all((LOW <= np.asarray(d)) & (np.asarray(d) <= HIGH)))
+
+
+class TestLengthRange:
+    """The segment length and every distance of a design lie in [1e-6, 1e3] m.  Inside
+    that range every arc and transfer map is finite, and so is a retargeted plan's peak
+    speed; outside it the design and the design-check command raise the range error.
+    No simulation runs here: a design at 1e3 m plans a horizon of about 1e5 s."""
+
+    @staticmethod
+    def design_check(path) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["design-check", str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=st.lists(design_fields(), min_size=2, max_size=2))
+    def test_sweep(self, pair, tmp_path_factory):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = []
+            for psi, d, l in pair:
+                # the file holds millimetres (past 1.8e305 m, Infinity), which the loader
+                # divides by 1000
+                d_mm = [x * 1000.0 for x in d]
+                d_loaded = np.asarray(d_mm) / 1000.0
+                path = tmp_path_factory.mktemp("design") / "design.json"
+                path.write_text(json.dumps({"name": "drawn", "n": len(psi), "psi_rad": psi,
+                                            "d_mm": d_mm, "l_m": l}))
+                code, out, err = self.design_check(path)
+                if in_range(d_loaded, l):
+                    assert code in (0, 3), err
+                else:
+                    assert (code, out) == (2, ""), err
+                    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+                    assert RANGE_MESSAGE in err
+                if not in_range(d, l):
+                    with pytest.raises(InvalidParameter, match=re.escape(RANGE_MESSAGE)):
+                        RobotDesign("drawn", psi, d, l)
+                    continue
+                design = RobotDesign("drawn", psi, d, l)
+                if not gram_condition(design) < CONDITION_LIMIT:
+                    with pytest.raises(DegenerateDesign):
+                        design.forward_matrix
+                    continue
+                for matrix in (design.forward_matrix, design.arc_forward, design.arc_inverse):
+                    assert np.isfinite(matrix).all()
+                built.append(design)
+            if len(built) == 2:
+                source, target = built
+                trajectory = surrogate_trajectory(source, 0, 3)
+                for mode in ("general", "symmetric"):
+                    matrix = make_transfer_map(source, target, mode).matrix
+                    assert np.isfinite(matrix).all()
+                    assert math.isfinite(peak_abs(trajectory, "velocity", weights=matrix))
+
+    @pytest.mark.parametrize("d, l", [([LOW] * 3, LOW), ([HIGH] * 3, HIGH),
+                                      ([LOW, HIGH, LOW], HIGH)], ids=["low", "high", "mixed"])
+    def test_edges_are_admitted(self, d, l):
+        design = RobotDesign("edge", [0.0, 2.0, 4.0], d, l)
+        assert design.l == l and list(design.d) == d

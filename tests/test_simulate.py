@@ -18,11 +18,13 @@ from clarkekit import (
     MODES,
     DimensionMismatch,
     InvalidParameter,
+    KinematicLimits,
     RobotDesign,
     SimConfig,
     desired_stream,
     make_transfer_map,
     peak_abs,
+    plan_trajectory,
     run,
     run_experiment,
     surrogate_trajectory,
@@ -273,48 +275,56 @@ class TestRun:
         sim = run(self.constant_stream(robot_D, [0.004, 0.002], 30), robot_D, SimConfig(seed=2))
         assert sim.desired.shape == (30, 7) and sim.desired.T.flags.c_contiguous
 
-    def test_latent_rms_of_errors_whose_squares_overflow(self, robot_0):
-        # the noise moves the true states by millimetres, which this design's arc
-        # map turns into latent errors near 1e300: finite, but not their squares
-        small = RobotDesign(name="small", psi=[0.0, 2.0, 4.0], d=[1e-293] * 3, l=1e-10)
+    @staticmethod
+    def scaled_runs(robot_0, scales):
+        """The three runs, without noise, of a 3 s stream of robot_0 whose joint columns
+        are scaled by `scales`: the errors scale with them."""
+        t = np.arange(3000) * 1e-3
+        stream = np.column_stack([np.sin(t), np.cos(t), np.sin(2.0 * t)]) * scales
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runs = run_experiment(robot_0, small, 42)
+            runs = {mode: run(stream, robot_0, SimConfig(noise_eps=0.0), mode)
+                    for mode in MODES}
             for sim in runs.values():
-                error = (sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T
-                latent = small.arc_forward @ error
-                scale = 1.0 / np.max(np.abs(latent))
-                want = math.sqrt(np.mean(np.sum((scale * latent)**2, axis=0))) / scale
-                assert math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
-        assert runs["closed_loop"].rms_latent() > 1e299
+                sim.metrics()
+        return runs
+
+    @staticmethod
+    def settled_error(sim):
+        return np.ascontiguousarray((sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T)
+
+    def assert_latent_rms(self, robot_0, scale):
+        runs = self.scaled_runs(robot_0, scale)
+        for sim in runs.values():
+            latent = robot_0.arc_forward @ (self.settled_error(sim) / scale)
+            want = math.sqrt(np.mean(np.sum(latent**2, axis=0))) * scale
+            assert math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
+        return runs["closed_loop"].rms_latent()
+
+    def test_latent_rms_of_errors_whose_squares_overflow(self, robot_0):
+        # errors near 1e199 are finite, but not their squares
+        assert 1e200 < self.assert_latent_rms(robot_0, 1e200) < 1e202
 
     def test_latent_rms_of_errors_whose_squares_underflow(self, robot_0):
-        # this design's arc map is about 6e-307, so millimetre errors map to
-        # subnormal latent errors whose squares flush to zero
-        huge = RobotDesign(name="huge", psi=[0.0, 2.0, 4.0], d=[0.01] * 3, l=1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            runs = run_experiment(robot_0, huge, 42, "symmetric")
-            for sim in runs.values():
-                error = (sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T
-                latent = huge.arc_forward @ (error * 1e300)
-                scale = 1.0 / np.max(np.abs(latent))
-                want = math.sqrt(np.mean(np.sum((scale * latent)**2, axis=0))) / scale * 1e-300
-                assert want > 0.0 and math.isclose(sim.rms_latent(), want, rel_tol=1e-12), sim.mode
-        assert 7.5e-310 < runs["closed_loop"].rms_latent() < 7.6e-310
+        # errors near 1e-301 square to zero
+        assert 1e-300 < self.assert_latent_rms(robot_0, 1e-300) < 1e-298
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    def test_joint_rms_of_errors_whose_squares_leave_float64(self, robot_0, scale):
+        # at 1e-200 the squares of the joint errors underflow where the latent ones do not
+        for sim in self.scaled_runs(robot_0, scale).values():
+            want = np.sqrt(np.mean((self.settled_error(sim) / scale)**2, axis=1)) * scale
+            rms = sim.rms_per_joint()
+            assert np.all(rms > 0.0), sim.mode
+            np.testing.assert_allclose(rms, want, rtol=1e-12, atol=0.0, err_msg=sim.mode)
 
     def test_joint_rms_of_errors_whose_squares_overflow(self, robot_0):
-        # the symmetric stream leaves this design's latent range, and the closed
-        # loop drives its first joint to about 1e297 m; the other joints' RMS is
-        # the plain one, bit for bit
-        long = RobotDesign(name="long", psi=[0.0, 2.0, 4.0], d=[1e297, 0.01, 0.01], l=0.1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sim = run_experiment(robot_0, long, 42, "symmetric")["closed_loop"]
-            rms = sim.rms_per_joint()
-        error = np.ascontiguousarray((sim.desired - sim.true)[sim.t > TRANSIENT_CUTOFF_S].T)
-        want = math.sqrt(np.mean((error[0] * 1e-300)**2)) / 1e-300
-        assert want > 1e296 and math.isclose(rms[0], want, rel_tol=1e-12)
+        # in open loop each joint tracks alone: only the first joint's errors square past
+        # float64, and the other joints' RMS is the plain one, bit for bit
+        sim = self.scaled_runs(robot_0, [1e200, 1e-3, 1e-3])["open_loop_clean"]
+        error, rms = self.settled_error(sim), sim.rms_per_joint()
+        want = math.sqrt(np.mean((error[0] * 1e-200)**2)) / 1e-200
+        assert want > 1e199 and math.isclose(rms[0], want, rel_tol=1e-12)
         np.testing.assert_array_equal(rms[1:], np.sqrt(np.mean(error[1:]**2, axis=1)))
 
     def test_csv_schema(self, robot_0, tmp_path):
@@ -553,20 +563,22 @@ class TestDesiredStream:
             assert np.max(np.abs(velocities)) <= speed * (1.0 + 1e-12), names
         assert any(stretched) and not all(stretched)
 
-    def test_stream_too_long_to_tick_raises_memory_error(self, robot_0):
-        # a 1e297 m joint distance stretches the stream far past any grid numpy
-        # could allocate; the tick count is rejected before any array is made
-        long = RobotDesign(name="long", psi=[0.0, 2.0, 4.0], d=[1e297, 0.01, 0.01], l=0.1)
-        transfer = make_transfer_map(robot_0, long, "general")
+    def test_stream_too_long_to_tick_raises_memory_error(self):
+        # the general map from a design at the lower edge of the length range to one at
+        # the upper edge scales speeds by about 1e18, which stretches the stream to
+        # 1.3e18 ticks; the tick count is rejected before any array is made
+        low, high = (RobotDesign(name=str(x), psi=[0.0, 2.0, 4.0], d=[x] * 3, l=x)
+                     for x in (1e-6, 1e3))
+        transfer = make_transfer_map(low, high, "general")
         with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
-            desired_stream(surrogate_trajectory(robot_0, 42), transfer)
+            desired_stream(surrogate_trajectory(low, 42), transfer)
 
     def test_stream_stretched_past_float64_powers(self, robot_0):
-        # a surrogate with 1e-61 m distances retargets to robot_0 at a stretch of about
-        # 1e31, whose 10th power overflows float64; the stream still matches the oracle
-        tiny = RobotDesign(name="tiny", psi=[0.0, 2.0, 4.0], d=[1e-61] * 3, l=0.01)
-        trajectory = surrogate_trajectory(tiny, 42)
-        transfer = make_transfer_map(tiny, robot_0, "general")
+        # a 1 m move planned at 1e30 m/s retargets to robot_0 at a stretch of about 2e31,
+        # whose 10th power overflows float64; the stream still matches the oracle
+        limits = KinematicLimits(v_max=1e30, a_max=1e60, dec_max=1e60)
+        trajectory = plan_trajectory([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0]], limits)
+        transfer = make_transfer_map(robot_0, robot_0, "general")
         positions, _ = desired_stream(trajectory, transfer)
         (expected, _), stretch = joint_space_stream(trajectory, transfer)
         assert stretch > np.finfo(float).max ** 0.1
