@@ -209,10 +209,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: PlannedTrajectory,
-                       config: SimConfig) -> dict:
-    """Solve one target of the demo and return its summary entry.  Its runs, which share
-    columns and so one column cache, go to `runs` as (stem, run, cache), held nowhere else."""
+def _solve_demo_target(out_dir: Path, manifest: Manifest, surrogate, target,
+                       trajectory: PlannedTrajectory, config: SimConfig) -> dict:
+    """Solve one target of the demo, write each of its runs as soon as it is solved, and
+    return the target's summary entry.  The runs share columns, and so one column cache."""
     entry, formatted = design_report(target), {}
     transfer = make_transfer_map(surrogate, target, "general")
     positions, peak_speed = desired_stream(trajectory, transfer)
@@ -220,10 +220,11 @@ def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: Pla
                  velocity_limit_respected=peak_speed <= DEFAULT_V_MAX * (1 + _BINDING_TOLERANCE))
     solved = _simulate(positions, target, config, transfer.mode)
     for mode, sim in solved.items():
-        runs.append((f"{name}_{mode}", sim, formatted))
+        _write_run(out_dir, f"{target.name}_{mode}", sim, manifest, formatted)
         entry[f"rms_latent_{mode}"] = sim.rms_latent()
     rms_comp = solved["closed_loop"].rms_per_joint()
     entry["rms_per_joint_closed_loop_m"] = rms_comp.tolist()
+    del solved, sim  # written: their arrays are freed before the next stream is solved
     sym_transfer = make_transfer_map(surrogate, target, "symmetric")
     sym_positions = desired_stream(trajectory, sym_transfer)[0]
     shared = min(sym_positions.shape[0], positions.shape[0])
@@ -232,7 +233,8 @@ def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: Pla
         deviation < 1e-12 and sym_positions.shape == positions.shape))
     if not entry["transfer_modes_equivalent"]:
         uncomp = _simulate(sym_positions, target, config, sym_transfer.mode)["closed_loop"]
-        runs.append((f"{name}_closed_loop_uncompensated", uncomp, formatted))
+        _write_run(out_dir, f"{target.name}_closed_loop_uncompensated", uncomp, manifest,
+                   formatted)
         rms_uncomp = float(np.mean(uncomp.rms_per_joint()))
         entry["rms_mean_closed_loop_uncompensated_m"] = rms_uncomp
         entry["degraded_without_compensation"] = bool(rms_uncomp > float(np.mean(rms_comp)))
@@ -242,20 +244,16 @@ def _solve_demo_target(runs: list, surrogate, name: str, target, trajectory: Pla
 def cmd_demo(args) -> int:
     """Five-robot evaluation from one plan of robot_0: every mode of each target's stream, the
     uncompensated closed loop where the transfer modes differ, and a joint-location offset of
-    robot_0 over a polar latent grid.  Every run is solved, then each is written and dropped."""
+    robot_0 over a polar latent grid.  Each target's runs are written as they are solved."""
     out_dir = Path(args.out_dir)
     designs = builtin_designs()
     surrogate = designs["robot_0"]
     trajectory = surrogate_trajectory(surrogate, args.seed)
     config = SimConfig(seed=args.seed)
-    runs: list[tuple[str, SimRun, dict]] = []
-    summary = {"seed": args.seed, "surrogate": "robot_0", "robots": {
-        name: _solve_demo_target(runs, surrogate, name, target, trajectory, config)
-        for name, target in designs.items()}}
     manifest = Manifest("demo", {"seed": args.seed}, [args.seed], designs.values())
-    while runs:  # a written run is dropped to free its arrays
-        stem, sim, formatted = runs.pop(0)
-        _write_run(out_dir, stem, sim, manifest, formatted)
+    summary = {"seed": args.seed, "surrogate": "robot_0", "robots": {
+        name: _solve_demo_target(out_dir, manifest, surrogate, target, trajectory, config)
+        for name, target in designs.items()}}
     psi_offset = np.array([0.05, -0.03, 0.02])
     d_offset_mm = np.array([0.5, -0.3, 0.2])
     perturbed = PerturbedDesign(nominal=surrogate, true_psi=surrogate.psi + psi_offset,

@@ -14,6 +14,7 @@ them (robot_D) with asymmetric joint angles.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +87,14 @@ def design_from_dict(raw: dict, source: str = "<dict>") -> RobotDesign:
         length = check_real(raw["l_m"], "l_m")
         if psi.ndim != 1 or d_mm.ndim != 1 or psi.size != n or d_mm.size != n:
             raise InvalidParameter(f"psi_rad and d_mm must each hold n = {n} values")
-        return RobotDesign(name=str(raw["name"]), psi=psi, d=d_mm / 1000.0, l=length)
     except InvalidParameter as exc:
         raise ParseError(f"{source}: {exc}") from exc
+    try:
+        return RobotDesign(name=str(raw["name"]), psi=psi, d=d_mm / 1000.0, l=length)
+    except InvalidParameter as exc:
+        # the design states its lengths in metres; the file's own values follow
+        raise ParseError(f"{source}: {exc} (the file gives d_mm={reprlib.repr(raw['d_mm'])} "
+                         f"and l_m={raw['l_m']!r})") from exc
 
 
 def design_report(design: RobotDesign) -> dict:

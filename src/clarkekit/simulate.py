@@ -95,32 +95,23 @@ class SimRun:
 
     @cached_property
     def _error_metrics(self) -> tuple[np.ndarray, float, float]:
-        """Per-joint RMS, latent RMS and max |error| of desired - true after the
-        transient cutoff, reduced along ticks from one (n, ticks) error sliced at
-        the first settled tick (t increases; latent sliced after the product)."""
-        error = (self.desired - self.true).T
+        """Per-joint RMS, latent RMS and max |error| of desired - true after the transient
+        cutoff (t increases), reduced along ticks.  Before squaring, each joint's error is
+        scaled by the power of two of its peak, and the latent error by that of the largest
+        peak: exactly, so no square leaves float64's range, and an RMS in range keeps the
+        bits of the unscaled formula."""
         first = int(np.searchsorted(self.t, TRANSIENT_CUTOFF_S, side="right"))
         if first == self.t.size:
             first = 0
-        latent = (self.design.arc_forward @ error)[:, first:]
-        error = error[:, first:]
-        with np.errstate(over="ignore"):
-            rms_per_joint = np.sqrt(np.mean(error**2, axis=1))
-            rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0)))
-        # finite errors whose squares overflow float64 are first scaled, exactly, by 2**-600;
-        # below 2**-500 the squares may have left float64's normal range, and the errors
-        # are scaled, exactly, by 2**600 (the latent ones through the map, before the product)
-        big = np.isinf(rms_per_joint)
-        rms_per_joint[big] = np.sqrt(np.mean((error[big] * 2.0**-600)**2, axis=1)) * 2.0**600
-        small = rms_per_joint < 2.0**-500
-        rms_per_joint[small] = np.sqrt(np.mean((error[small] * 2.0**600)**2, axis=1)) * 2.0**-600
-        if np.isinf(rms_latent):
-            rms_latent = np.sqrt(np.mean(np.sum((latent * 2.0**-600)**2, axis=0))) * 2.0**600
-        elif rms_latent < 2.0**-500 and error.any():
-            latent = (self.design.arc_forward * 2.0**600) @ error
-            rms_latent = np.sqrt(np.mean(np.sum(latent**2, axis=0))) * 2.0**-600
+        error = (self.desired[first:] - self.true[first:]).T
+        peak = np.max(np.abs(error), axis=1)
+        exponent = np.frexp(peak)[1]
+        scaled = np.ldexp(error, -exponent[:, None])
+        rms_per_joint = np.ldexp(np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)), exponent)
+        latent = self.design.arc_forward @ np.ldexp(error, -exponent.max(), out=scaled)
+        rms_latent = np.ldexp(np.sqrt(np.mean(np.sum(latent**2, axis=0))), exponent.max())
         rms_per_joint.setflags(write=False)
-        return rms_per_joint, float(rms_latent), float(np.max(np.abs(error)))
+        return rms_per_joint, float(rms_latent), float(peak.max())
 
     def rms_per_joint(self) -> np.ndarray:
         """Per-joint RMS tracking error after the transient cutoff."""

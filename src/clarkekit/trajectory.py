@@ -415,11 +415,12 @@ def _retime(poly: _PiecewisePolynomial, factor: float) -> _PiecewisePolynomial:
 
 
 def _tick_count(horizon: float, dt: float) -> int:
-    """Ticks of the grid 0, dt, 2 dt, ... up to horizon; a grid too long to allocate raises
-    MemoryError first (numpy would raise ValueError, and math.floor OverflowError on inf)."""
+    """Ticks of the grid 0, dt, 2 dt, ... up to horizon.  The work budget of a plan or a
+    stream: a grid of more than 2**24 ticks (4.7 h at 1 kHz), or of an infinite or NaN
+    count, raises MemoryError before any array is made."""
     steps = horizon / dt
-    if not steps < np.iinfo(np.intp).max / 8:
-        raise MemoryError(f"Unable to allocate a grid of {steps:.3g} ticks")
+    if not steps < 2**24:
+        raise MemoryError(f"Unable to allocate a grid of {steps:.3g} ticks (the budget is 2**24)")
     return int(math.floor(steps)) + 1
 
 

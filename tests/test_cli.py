@@ -292,11 +292,11 @@ class TestTraj:
         assert list(tmp_path.iterdir()) == []
 
     def test_unallocatable_dt_exits_4_without_output(self, capsys, tmp_path, monkeypatch):
-        # numpy refuses a table of tens of TiB before it allocates anything
+        # a grid of 7.6e12 ticks is past the tick budget, refused before any array is made
         monkeypatch.chdir(tmp_path)
         code, _, err = invoke(capsys, "traj", "robot_0", "--dt", "1e-12")
         assert code == 4
-        assert err.startswith("error:")
+        assert err.startswith("error: Unable to allocate a grid of 7.56e+12 ticks")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, exit_code", [
@@ -370,6 +370,16 @@ class TestExtremeDesigns:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
             assert RANGE_MESSAGE in err
         assert not out_dir.exists()
+
+    def test_range_error_states_the_file_values(self, capsys, tmp_path):
+        # the range is in metres; the file's millimetres follow as written
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"name": "tiny", "n": 3, "psi_rad": [0, 2, 4],
+                                    "d_mm": [1e-60] * 3, "l_m": 1}))
+        code, out, err = invoke(capsys, "design-check", str(path))
+        assert (code, out) == (2, "")
+        assert RANGE_MESSAGE in err and len(err.splitlines()) == 1
+        assert "d_mm=[1e-60, 1e-60, 1e-60] and l_m=1)" in err
 
     def test_tiny_surrogate_exits_2_with_runtime_warnings_as_errors(self, tmp_path):
         # in a fresh interpreter, as a user runs it: no numpy warning escapes as a traceback

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +328,41 @@ class TestRun:
         assert want > 1e199 and math.isclose(rms[0], want, rel_tol=1e-12)
         np.testing.assert_array_equal(rms[1:], np.sqrt(np.mean(error[1:]**2, axis=1)))
 
+    @pytest.mark.parametrize("surrogate, target, transfer_mode, seed, segments", [
+        ("robot_0", "robot_0", "general", 42, 5), ("robot_0", "robot_D", "general", 7, 3),
+        ("robot_0", "robot_D", "symmetric", 7, 3), ("robot_B", "robot_C", "general", 11, 8),
+        ("robot_D", "robot_A", "symmetric", 3, 12), ("robot_C", "robot_B", "general", 5, 4),
+    ])
+    def test_metrics_equal_the_unscaled_formulas(self, designs, surrogate, target,
+                                                  transfer_mode, seed, segments):
+        # inside float64's range the exact power-of-two scaling keeps every bit
+        runs = run_experiment(designs[surrogate], designs[target], seed, transfer_mode,
+                              segments)
+        for sim in runs.values():
+            error = self.settled_error(sim)
+            latent = sim.design.arc_forward @ error
+            np.testing.assert_array_equal(sim.rms_per_joint(),
+                                          np.sqrt(np.mean(error**2, axis=1)), sim.mode)
+            assert sim.rms_latent() == np.sqrt(np.mean(np.sum(latent**2, axis=0))), sim.mode
+            assert sim.max_abs_error() == np.max(np.abs(error)), sim.mode
+
+    @pytest.mark.parametrize("scales", [[1e300, 1e-310, 1e-3], 5e-321],
+                             ids=["mixed", "subnormal"])
+    def test_metrics_of_errors_across_float64(self, robot_0, scales):
+        # each reference divides by the peak it reduces, so its squares stay in range
+        for sim in self.scaled_runs(robot_0, scales).values():
+            error = self.settled_error(sim)
+            peaks = np.max(np.abs(error), axis=1)
+            want = np.sqrt(np.mean((error / peaks[:, None])**2, axis=1)) * peaks
+            rms = sim.rms_per_joint()
+            assert np.all(rms > 0.0), sim.mode
+            np.testing.assert_allclose(rms, want, rtol=1e-12, atol=0.0, err_msg=sim.mode)
+            latent = robot_0.arc_forward @ (error / peaks.max())
+            want = math.sqrt(np.mean(np.sum(latent**2, axis=0))) * peaks.max()
+            assert sim.rms_latent() > 0.0 and math.isclose(sim.rms_latent(), want,
+                                                           rel_tol=1e-12), sim.mode
+            assert sim.max_abs_error() == peaks.max(), sim.mode
+
     def test_csv_schema(self, robot_0, tmp_path):
         desired = self.constant_stream(robot_0, [0.004, 0.002], ticks=50)
         sim = run(desired, robot_0, SimConfig(seed=2))
@@ -572,6 +608,25 @@ class TestDesiredStream:
         transfer = make_transfer_map(low, high, "general")
         with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
             desired_stream(surrogate_trajectory(low, 42), transfer)
+
+    @pytest.mark.parametrize("length, transfer_mode", [
+        (1e-6, "general"), (1e3, "general"), (1e3, "symmetric"),
+    ], ids=["lower-general", "upper-general", "upper-symmetric"])
+    def test_stream_past_the_tick_budget_raises_before_any_array(self, robot_0, length,
+                                                                 transfer_mode):
+        # a surrogate at an edge of the length range retargets to robot_0 as a stream of
+        # 7e8-1.3e9 ticks, gigabytes per array; it is refused before one is made
+        surrogate = RobotDesign(name="edge", psi=[0.0, 2.0, 4.0], d=[length] * 3, l=length)
+        trajectory = surrogate_trajectory(surrogate, 42)
+        transfer = make_transfer_map(surrogate, robot_0, transfer_mode)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="Unable to allocate a grid of"):
+                desired_stream(trajectory, transfer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_stream_stretched_past_float64_powers(self, robot_0):
         # a 1 m move planned at 1e30 m/s retargets to robot_0 at a stretch of about 2e31,

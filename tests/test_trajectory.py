@@ -618,6 +618,12 @@ class TestTickCount:
         assert _tick_count(2.5, 0.5) == 6
         assert _tick_count(0.0009, 1e-3) == 1
 
+    def test_grid_past_the_budget_raises_memory_error(self):
+        # 2**24 ticks at most: 4.7 h at 1 kHz
+        assert _tick_count(2.0**24 - 1.0, 1.0) == 2**24
+        with pytest.raises(MemoryError, match="Unable to allocate a grid of 1.68e"):
+            _tick_count(2.0**24, 1.0)
+
     @pytest.mark.parametrize("horizon, dt", [(1e300, 1e-12), (1e300, 1e-300), (math.inf, 1e-3),
                                              (math.nan, 1e-3)])
     def test_grid_too_long_to_allocate_raises_memory_error(self, horizon, dt):
